@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -31,8 +32,28 @@ class MatrixParseError(ValueError):
     """Malformed matrix file; the message carries the position."""
 
 
+_TOKEN = re.compile(r"-?[0-9]+")
+_INT64 = 1 << 63
+
+
+def _token_int(token: str, lineno: int, what: str) -> int:
+    """One ``-?[0-9]+`` token of the text format, in the 64-bit range."""
+    if not _TOKEN.fullmatch(token):
+        raise MatrixParseError(f"line {lineno}: {what} is not an integer: "
+                               f"{token[:40]!r}")
+    # past 19 significant digits no value fits, and int() may refuse it
+    if len(token.lstrip("-").lstrip("0")) > 19 or \
+            not -_INT64 <= int(token) < _INT64:
+        raise MatrixParseError(
+            f"line {lineno}: {what} out of the 64-bit range")
+    return int(token)
+
+
 def parse_matrix_text(text: str) -> np.ndarray:
-    """Parse the plain-text matrix format into a raw integer matrix."""
+    """Parse the plain-text matrix format into a raw integer matrix.
+
+    Every token must match ``-?[0-9]+`` and fit in 64 bits.
+    """
     rows = []
     n = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -45,11 +66,7 @@ def parse_matrix_text(text: str) -> np.ndarray:
                 raise MatrixParseError(
                     f"line {lineno}: expected the size N alone, "
                     f"got {len(tokens)} tokens")
-            try:
-                n = int(tokens[0])
-            except ValueError:
-                raise MatrixParseError(
-                    f"line {lineno}: size is not an integer: {tokens[0]!r}")
+            n = _token_int(tokens[0], lineno, "size")
             if n < 0:
                 raise MatrixParseError(f"line {lineno}: size must be >= 0")
             continue
@@ -59,11 +76,7 @@ def parse_matrix_text(text: str) -> np.ndarray:
         if len(tokens) != n:
             raise MatrixParseError(
                 f"line {lineno}: expected {n} entries, got {len(tokens)}")
-        try:
-            rows.append([int(t) for t in tokens])
-        except ValueError:
-            raise MatrixParseError(
-                f"line {lineno}: non-integer entry in {line!r}")
+        rows.append([_token_int(t, lineno, "entry") for t in tokens])
     if n is None:
         raise MatrixParseError("empty input: no size line found")
     if len(rows) != n:
@@ -77,6 +90,9 @@ def parse_matrix_json(text: str) -> np.ndarray:
     except json.JSONDecodeError as e:
         raise MatrixParseError(f"invalid JSON at line {e.lineno}, "
                                f"column {e.colno}: {e.msg}")
+    except (ValueError, RecursionError):
+        # a number past the interpreter's digit limit, or nesting too deep
+        raise MatrixParseError("JSON document too deep or a number too long")
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise MatrixParseError('JSON document must be {"matrix": [[...]]}')
     rows = doc["matrix"]
@@ -91,6 +107,9 @@ def parse_matrix_json(text: str) -> np.ndarray:
         if not all(isinstance(x, int) and not isinstance(x, bool)
                    for x in r):
             raise MatrixParseError(f"row {i} has a non-integer entry")
+        if not all(-_INT64 <= x < _INT64 for x in r):
+            raise MatrixParseError(
+                f"row {i} has an entry out of the 64-bit range")
     return np.array(rows, dtype=np.int64)
 
 
@@ -299,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_exactseq)
 
     p = sub.add_parser("realize", help="construct a matrix with prescribed "
-                                       "K-theory")
+                                       "K-theory (side rank + sum(1 + n_i) "
+                                       f"+ 3, at most {realize.MAX_SIDE})")
     p.add_argument("--rank", type=int, default=0)
     p.add_argument("--torsion", default="",
                    help="comma-separated factors, each >= 2")

@@ -2,12 +2,15 @@
 
 Nothing here imports library internals beyond plain arrays: determinants
 come from cofactor expansion, Smith diagonals from determinant divisors
-(gcds of k x k minors) or from a naive first-nonzero elimination on lists.
-They are deliberately slow and simple.
+(gcds of k x k minors), from a naive first-nonzero elimination on lists,
+or from the dense numpy elimination that ``smith_diagonal`` used before
+its sparse unit-pivot prepass.  They are deliberately slow and simple.
 """
 
 from itertools import combinations
 from math import gcd
+
+import numpy as np
 
 
 def cofactor_det(rows) -> int:
@@ -142,3 +145,69 @@ def naive_snf_diagonal(rows) -> list:
         t += 1
     diag += [0] * (min(nr, nc) - len(diag))
     return diag
+
+
+class _Overflow(Exception):
+    """int64 entries reached the guard; the run restarts on Python ints."""
+
+
+def _guard(fast, block):
+    if fast and block.size and (block.max() >= 2 ** 31
+                                or block.min() <= -2 ** 31):
+        raise _Overflow
+
+
+def _dense_run(s, fast):
+    rows, cols = s.shape
+    t = 0
+    while t < min(rows, cols):
+        block = s[t:, t:]
+        nzr, nzc = np.nonzero(block)
+        if nzr.size == 0:
+            break
+        k = int(np.argmin(np.abs(block[nzr, nzc])))
+        i, j = int(nzr[k]) + t, int(nzc[k]) + t
+        if i != t:
+            s[[t, i], :] = s[[i, t], :]
+        if j != t:
+            s[:, [t, j]] = s[:, [j, t]]
+        if s[t, t] < 0:
+            s[t, t:] = -s[t, t:]
+        p = s[t, t]
+        qs = s[t + 1:, t] // p
+        if qs.any():
+            s[t + 1:, t:] -= qs[:, None] * s[t, t:][None, :]
+            _guard(fast, s[t + 1:, t:])
+        qs = s[t, t + 1:] // p
+        if qs.any():
+            s[t:, t + 1:] -= s[t:, t][:, None] * qs[None, :]
+            _guard(fast, s[t:, t + 1:])
+        if p != 1 and (s[t + 1:, t].any() or s[t, t + 1:].any()):
+            continue
+        if p > 1:
+            rem = s[t + 1:, t + 1:]
+            if rem.size:
+                bad = np.nonzero(rem % p)
+                if bad[0].size:
+                    s[t, t:] += s[t + 1 + int(bad[0][0]), t:]
+                    _guard(fast, s[t, t:])
+                    continue
+        t += 1
+    return [int(s[i, i]) for i in range(min(rows, cols))]
+
+
+def numpy_smith_diagonal(m) -> list:
+    """Smith diagonal by dense min-abs-pivot elimination on numpy arrays.
+
+    Runs on int64 while every entry stays below 2**31 and restarts on
+    Python ints once one grows past it.
+    """
+    a = np.array(m, dtype=object)
+    if a.ndim == 1:
+        a = a.reshape(len(a), 0)
+    if a.size == 0 or max(abs(int(x)) for x in a.flat) < 2 ** 31:
+        try:
+            return _dense_run(a.astype(np.int64), True)
+        except _Overflow:
+            pass
+    return _dense_run(a, False)

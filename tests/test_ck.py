@@ -311,6 +311,22 @@ def test_iota_order_divides_weak_collapse(reports500):
             assert r.ext_s1.free_rank == r.ext_w1.free_rank
 
 
+def test_iota_one_order_matches_the_element_order(pair_ab, corpus500,
+                                                  reports500):
+    # the report reads the order off ExtS1 and ExtW1 = ExtS1/<iota_1>; the
+    # order of the element in the presented strong group is the oracle
+    fixtures = [*pair_ab, *(ck.gen_cuntz(n) for n in range(2, 8)),
+                *(ck.gen_amplified(n, k) for n in (2, 3, 4)
+                  for k in range(1, 5))]
+    cases = [(a, ck.invariants(a)) for a in fixtures]
+    cases += list(zip(corpus500, reports500))
+    finite = 0
+    for a, r in cases:
+        assert r.iota_one_order == ck.iota_one(a).order()
+        finite += r.iota_one_order > 0
+    assert finite >= 10
+
+
 # -- generators -------------------------------------------------------------
 
 def test_gen_cuntz_matrix():

@@ -45,6 +45,32 @@ def test_parse_text_errors_are_positioned():
         cli.parse_matrix_text("2\n1 1\n1 1\n1 1\n")
 
 
+def test_parse_text_tokens_follow_the_grammar():
+    # tokens are -?[0-9]+ only: int() alone would take 0_1, +1 and
+    # non-ASCII digits
+    for text in ("2\n0_1 1\n1 1\n", "2\n\u0661 1\n1 1\n",
+                 "\u0662\n1 1\n1 1\n", "2\n+1 1\n1 1\n",
+                 "2\n1.0 1\n1 1\n"):
+        with pytest.raises(cli.MatrixParseError, match="not an integer"):
+            cli.parse_matrix_text(text)
+
+
+def test_parse_rejects_entries_past_64_bits():
+    big = "99999999999999999999999"
+    for text in (f"1\n{big}\n", f"1\n{'9' * 5000}\n",
+                 f"{'9' * 5000}\n1\n", f"1\n-{2 ** 63 + 1}\n"):
+        with pytest.raises(cli.MatrixParseError, match="64-bit range"):
+            cli.parse_matrix_text(text)
+    assert cli.parse_matrix_text(f"1\n-{2 ** 63}\n").tolist() == \
+        [[-2 ** 63]]
+    with pytest.raises(cli.MatrixParseError, match="64-bit range"):
+        cli.parse_matrix_json('{"matrix": [[%s]]}' % big)
+    for doc in ('{"matrix": [[%s]]}' % ("9" * 5000),
+                '{"matrix": %s%s}' % ("[" * 100000, "]" * 100000)):
+        with pytest.raises(cli.MatrixParseError):
+            cli.parse_matrix_json(doc)
+
+
 def test_parse_json_document():
     m = cli.parse_matrix_json('{"matrix": [[1, 1], [1, 0]]}')
     assert m.tolist() == [[1, 1], [1, 0]]
@@ -229,3 +255,24 @@ def test_selftest_command():
     assert r.returncode == 0
     assert "all fixtures pass" in r.stdout
     assert r.stdout.count("PASS") >= 10
+
+
+def test_bad_tokens_and_oversized_entries_exit_2(tmp_path):
+    cases = {"big.json": '{"matrix": [[99999999999999999999999]]}',
+             "big.txt": "1\n99999999999999999999999\n",
+             "underscore.txt": "2\n0_1 1\n1 1\n",
+             "arabic.txt": "2\n\u0661 1\n1 1\n"}
+    for name, text in cases.items():
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        r = run_cli("invariants", str(path))
+        assert r.returncode == 2, name
+        assert r.stderr.startswith("rejected:"), name
+        assert "Traceback" not in r.stderr
+
+
+def test_realize_refuses_an_oversized_target():
+    # a side of about 10**6 would take terabytes; it is refused up front
+    r = run_cli("realize", "--torsion", "1000000")
+    assert r.returncode == 1
+    assert "at most" in r.stderr and "Traceback" not in r.stderr

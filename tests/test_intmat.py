@@ -3,10 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from ckinv import intmat
+from ckinv import ck, intmat
 from ckinv.groups import FgAbGroup, Z
 
-from oracles import bareiss_det, cofactor_det, minor_gcd_diagonal
+from oracles import bareiss_det, cofactor_det, minor_gcd_diagonal, \
+    numpy_smith_diagonal
 
 EX3_A = [[1, 1, 1], [1, 1, 1], [1, 0, 0]]
 
@@ -90,6 +91,14 @@ def test_smith_big_entries_promote_exactly():
     assert ((dec.u @ intmat.as_intmat(big) @ dec.v) == dec.s).all()
 
 
+def test_int64_minimum_entry_is_exact():
+    # -2**63 has no int64 negation, so it must not take the int64 path
+    m = np.array([[-2 ** 63, 0], [0, 3]], dtype=np.int64)
+    assert intmat.smith_normal_form(m).diagonal == (1, 3 * 2 ** 63)
+    assert intmat.smith_diagonal(m) == (1, 3 * 2 ** 63)
+    assert intmat.hermite_normal_form(m).h[0, 0] == 2 ** 63
+
+
 def test_smith_growth_beyond_int64_is_exact():
     # entries start under the int64 guard but elimination grows past it,
     # forcing the mid-run promotion to Python ints
@@ -100,6 +109,58 @@ def test_smith_growth_beyond_int64_is_exact():
     assert ((dec.u @ intmat.as_intmat(m) @ dec.v) == dec.s).all()
     assert abs(bareiss_det(dec.u.tolist())) == 1
     assert abs(bareiss_det(dec.v.tolist())) == 1
+
+
+def test_smith_promotes_mid_run_and_continues_exactly():
+    # entries start below the int64 guard and grow past it; the run that
+    # switches to Python ints mid-way must match a run on Python ints
+    # from the start, transforms included
+    rng = random.Random(4)
+    cases = [np.array([[2 ** 30, 0], [0, 2 ** 30 - 1]]),
+             np.array([[rng.randint(-9, 9) for _ in range(7)]
+                       for _ in range(7)]) * 2 ** 27]
+    for m in cases:
+        dec = intmat.smith_normal_form(m)
+        s, u, v = intmat._smith_run(np.array(m, dtype=object))
+        assert (dec.s == s).all() and (dec.u == u).all() and \
+            (dec.v == v).all()
+        assert ((dec.u @ intmat.as_intmat(m) @ dec.v) == dec.s).all()
+        assert np.abs(m).max() < 2 ** 31
+        assert max(abs(x) for a in (dec.s, dec.u, dec.v)
+                   for x in a.flat) >= 2 ** 31
+        herm = intmat.hermite_normal_form(m)
+        h, hu, pivots = intmat._hermite_run(np.array(m, dtype=object))
+        assert (herm.h == h).all() and (herm.u == hu).all()
+        assert herm.pivots == pivots
+        assert (intmat.as_intmat(m) @ herm.u == herm.h).all()
+    assert max(abs(x) for x in herm.h.flat) >= 2 ** 31  # the 7 x 7 case
+
+
+def test_smith_diagonal_matches_dense_reference():
+    # the sparse unit-pivot prepass plus list core against the dense numpy
+    # elimination it replaced
+    rng = random.Random(2404)
+    cases = []
+    for n in (2, 3, 5, 8, 13, 21, 34, 50, 60):
+        a = ck.gen_random_irreducible(n, rng.choice((0.1, 0.3, 0.6)),
+                                      rng.randrange(2 ** 31))
+        ia = ck.i_minus(a.entries)
+        cases += [ia, ia.T, ck.i_minus(ck.hat_matrix(a)),
+                  ck.augmented_matrix(a), ck.augmented_matrix(a).T]
+    for _ in range(300):
+        rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+        m = np.array([[rng.choice((0, 0, 0, 1, -1, 2, -3, 4))
+                       for _ in range(cols)] for _ in range(rows)],
+                     dtype=np.int64).reshape(rows, cols)
+        if rows and rng.random() < 0.5:
+            m[rng.randrange(rows)] = 0
+        big = m.astype(object)
+        if m.size:
+            big[rng.randrange(rows), rng.randrange(cols)] += 2 ** 31
+        cases += [m, 2 * m, big, big * 3 ** 50, m * 2 ** 30]
+    assert any(min(c.shape) == 0 for c in cases)
+    for m in cases:
+        assert list(intmat.smith_diagonal(m)) == numpy_smith_diagonal(m)
 
 
 # -- cokernel ---------------------------------------------------------------

@@ -67,6 +67,21 @@ def test_realize_roundtrip_random():
         assert r.k1 == FgAbGroup(t.rank)
 
 
+def test_realize_refuses_sides_past_the_cap(monkeypatch):
+    assert realize.realize_k0(
+        RealizationTarget(realize.MAX_SIDE - 3)).n == realize.MAX_SIDE
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated a matrix for a refused target")
+
+    monkeypatch.setattr(realize.np, "zeros", no_allocation)
+    for target in (RealizationTarget(realize.MAX_SIDE - 2),
+                   RealizationTarget(0, (10 ** 6,)),
+                   RealizationTarget(1, (2, 10 ** 30))):
+        with pytest.raises(ValueError, match="at most"):
+            realize.realize_k0(target)
+
+
 def test_realize_rejects_bad_targets():
     with pytest.raises(ValueError):
         RealizationTarget(-1, ())
