@@ -188,26 +188,16 @@ def _require_valid(a) -> ZeroOneMatrix:
 
 def _base_groups(a: ZeroOneMatrix):
     """(k0, k1, ext_w1, ext_w0, ext_s1, ext_s0) for one matrix."""
-    # K_0 = coker(I - A^t) and ExtW1 = coker(I - A) share one Smith form,
-    # because a square matrix and its transpose do.
-    k0 = ext_w1 = intmat.cokernel_invariants(i_minus(a.entries))
+    ia = i_minus(a.entries)
+    k0 = intmat.cokernel_invariants(ia.T)
+    ext_w1 = intmat.cokernel_invariants(ia)
+    if k0 != ext_w1:
+        raise ArithmeticError("Smith forms of I-A and I-A^t disagree")
     free = free_abelian(ext_w1.free_rank)  # kernel rank, by rank-nullity
     diag = intmat.smith_diagonal(augmented_matrix(a))
     ext_s0 = free_abelian(a.n - sum(1 for d in diag if d))
     ext_s1 = intmat.cokernel_invariants(i_minus(hat_matrix(a)))
     return k0, free, ext_w1, free, ext_s1, ext_s0
-
-
-def _iota_one_order(ext_s1: FgAbGroup, ext_w1: FgAbGroup) -> int:
-    """Order of iota_1 in ExtS1 (0 for infinite), from ExtW1 = ExtS1/<iota_1>.
-
-    A class of infinite order drops the free rank by one.  One of finite
-    order k lies in the torsion subgroup, and the quotient's torsion is
-    the torsion of ExtS1 modulo that class, of order |T(ExtS1)| / k.
-    """
-    if ext_s1.free_rank != ext_w1.free_rank:
-        return 0
-    return ext_s1.torsion.order // ext_w1.torsion.order
 
 
 def invariants(a: ZeroOneMatrix) -> CKReport:
@@ -223,7 +213,7 @@ def invariants(a: ZeroOneMatrix) -> CKReport:
         pi2_aut=_pi(ext_s1, ext_s0, k0, k1, 2),
         pi1_aut_stable=_pi(ext_w1, ext_w0, k0, k1, 1),
         pi2_aut_stable=_pi(ext_w1, ext_w0, k0, k1, 2),
-        iota_one_order=_iota_one_order(ext_s1, ext_w1),
+        iota_one_order=iota_one(a).order(),
     )
 
 
