@@ -18,7 +18,7 @@ from .intmat import HermiteDecomposition, SmithDecomposition, as_intmat, \
     kernel_basis, lattice_contains, lattice_solve, smith_diagonal, \
     smith_normal_form, zeros
 from .presented import GroupElement, GroupHom, PresentedGroup, \
-    hom_well_defined, is_exact_at, quotient_by_elements
+    is_exact_at, quotient_by_elements
 from .ck import CKReport, FiveTermSequence, MatrixValidationError, \
     ZeroOneMatrix, augmented_matrix, ext_strong_presentation, \
     five_term_sequence, gen_amplified, gen_cuntz, gen_random_irreducible, \
@@ -38,8 +38,8 @@ __all__ = [
     "cokernel_invariants", "hermite_normal_form", "hstack", "identity",
     "kernel_basis", "lattice_contains", "lattice_solve", "smith_diagonal",
     "smith_normal_form", "zeros",
-    "PresentedGroup", "GroupElement", "GroupHom", "hom_well_defined",
-    "is_exact_at", "quotient_by_elements",
+    "PresentedGroup", "GroupElement", "GroupHom", "is_exact_at",
+    "quotient_by_elements",
     "CKReport", "FiveTermSequence", "MatrixValidationError", "ZeroOneMatrix",
     "augmented_matrix", "ext_strong_presentation", "five_term_sequence",
     "gen_amplified", "gen_cuntz", "gen_random_irreducible", "hat_matrix",

@@ -179,6 +179,16 @@ class CKReport:
             "iota_one_order": self.iota_one_order,
         }
 
+    def isomorphic_to(self, other: "CKReport") -> bool:
+        """Whether the two algebras are isomorphic: the complete invariant
+        (K_0, Ext strong 1) agrees, as in :func:`is_isomorphic_ck`."""
+        return (self.k0, self.ext_s1) == (other.k0, other.ext_s1)
+
+    def stably_isomorphic_to(self, other: "CKReport") -> bool:
+        """Whether they are stably isomorphic: K_0 agrees, as in
+        :func:`is_stably_isomorphic_ck`."""
+        return self.k0 == other.k0
+
 
 def _require_valid(a) -> ZeroOneMatrix:
     if not isinstance(a, ZeroOneMatrix):

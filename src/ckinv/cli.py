@@ -49,6 +49,19 @@ def _token_int(token: str, lineno: int, what: str) -> int:
     return int(token)
 
 
+def _int_argument(token: str) -> int:
+    """A command-line integer in the same ``-?[0-9]+`` grammar."""
+    if not _TOKEN.fullmatch(token) or len(token.lstrip("-")) > 19:
+        raise argparse.ArgumentTypeError(
+            f"not an integer of at most 19 digits: {token[:40]!r}")
+    return int(token)
+
+
+def _int_list_argument(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, each in the ``-?[0-9]+`` grammar."""
+    return tuple(map(_int_argument, text.split(","))) if text else ()
+
+
 def parse_matrix_text(text: str) -> np.ndarray:
     """Parse the plain-text matrix format into a raw integer matrix.
 
@@ -190,8 +203,8 @@ def cmd_compare(args) -> int:
     a = _load_valid(args.matrix_a)
     b = _load_valid(args.matrix_b)
     ra, rb = ck.invariants(a), ck.invariants(b)
-    iso = ck.is_isomorphic_ck(a, b)
-    stable = ck.is_stably_isomorphic_ck(a, b)
+    iso = ra.isomorphic_to(rb)
+    stable = ra.stably_isomorphic_to(rb)
     table = [("K0", ra.k0, rb.k0), ("ExtS1", ra.ext_s1, rb.ext_s1),
              ("pi1_aut", ra.pi1_aut, rb.pi1_aut),
              ("pi2_aut", ra.pi2_aut, rb.pi2_aut)]
@@ -241,10 +254,8 @@ def cmd_exactseq(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    factors = tuple(int(t) for t in args.torsion.split(",")) \
-        if args.torsion else ()
     try:
-        target = realize.RealizationTarget(args.rank, factors)
+        target = realize.RealizationTarget(args.rank, args.torsion)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -320,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize", help="construct a matrix with prescribed "
                                        "K-theory (side rank + sum(1 + n_i) "
                                        f"+ 3, at most {realize.MAX_SIDE})")
-    p.add_argument("--rank", type=int, default=0)
-    p.add_argument("--torsion", default="",
+    p.add_argument("--rank", type=_int_argument, default=0)
+    p.add_argument("--torsion", type=_int_list_argument, default="",
                    help="comma-separated factors, each >= 2")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_realize)

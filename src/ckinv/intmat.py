@@ -12,12 +12,12 @@ normal forms and lattice routines built on them:
   * :func:`kernel_basis`, :func:`cokernel_invariants`
   * :func:`lattice_contains`, :func:`lattice_solve`
 
-:func:`smith_diagonal` works on Python ints throughout: it first
-eliminates unit pivots on sparse rows, cheapest Markowitz cost first,
-then reduces the small dense core that is left.  The eliminations with
-transforms run on int64 while all entries stay below 2**31; the step
-that first writes a larger value is still exact, and from there the
-working arrays continue as Python ints, so no result is ever wrapped.
+Every elimination runs on lists of Python ints; numpy appears only at the
+boundary, on input and in the returned decompositions.  One min-abs-pivot
+Smith loop serves both Smith routines: :func:`smith_normal_form` runs it
+on the whole matrix with its transforms, and :func:`smith_diagonal` runs
+it without them on the small dense core left once unit pivots have been
+eliminated on sparse rows, cheapest Markowitz cost first.
 """
 
 from __future__ import annotations
@@ -28,7 +28,21 @@ import numpy as np
 
 from .groups import FgAbGroup
 
-_LIMIT = 1 << 31  # one int64 op on entries below 2**31 cannot wrap
+
+def _integers(a: np.ndarray, what: str) -> np.ndarray:
+    """Integer arrays as they are, object arrays as Python ints."""
+    if a.dtype == object:
+        if all(type(x) is int for x in a.flat):
+            return a
+        out = np.empty(a.shape, dtype=object)
+        for idx, x in np.ndenumerate(a):
+            if not isinstance(x, (int, np.integer)):
+                raise TypeError(f"{what} entry is not an integer: {x!r}")
+            out[idx] = int(x)
+        return out
+    if not np.issubdtype(a.dtype, np.integer):
+        raise TypeError(f"{what} entries must be integers, got {a.dtype}")
+    return a
 
 
 def _prep(data) -> np.ndarray:
@@ -40,18 +54,7 @@ def _prep(data) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
     if a.size == 0:
         return np.zeros(a.shape, dtype=np.int64)
-    if a.dtype == object:
-        if a.size and not all(type(x) is int for x in a.flat):
-            out = np.empty(a.shape, dtype=object)
-            for idx, x in np.ndenumerate(a):
-                if not isinstance(x, (int, np.integer)):
-                    raise TypeError(f"matrix entry is not an integer: {x!r}")
-                out[idx] = int(x)
-            return out
-        return a
-    if not np.issubdtype(a.dtype, np.integer):
-        raise TypeError(f"matrix entries must be integers, got {a.dtype}")
-    return a
+    return _integers(a, "matrix")
 
 
 def as_intmat(data) -> np.ndarray:
@@ -72,18 +75,7 @@ def as_intvec(data, length: int | None = None) -> np.ndarray:
         raise ValueError(f"expected length {length}, got {a.shape[0]}")
     if a.size == 0:
         return np.zeros(0, dtype=object)
-    if a.dtype == object:
-        if a.size and not all(type(x) is int for x in a.flat):
-            out = np.empty(a.shape[0], dtype=object)
-            for i, x in enumerate(a):
-                if not isinstance(x, (int, np.integer)):
-                    raise TypeError(f"vector entry is not an integer: {x!r}")
-                out[i] = int(x)
-            return out
-        return a
-    if not np.issubdtype(a.dtype, np.integer):
-        raise TypeError(f"vector entries must be integers, got {a.dtype}")
-    return a.astype(object)
+    return _to_object(_integers(a, "vector"))
 
 
 def _to_object(a: np.ndarray) -> np.ndarray:
@@ -107,39 +99,8 @@ def hstack(*mats) -> np.ndarray:
     return np.hstack(mats)
 
 
-def _working(m: np.ndarray) -> np.ndarray:
-    """Working copy for elimination: int64 when every entry is below 2**31."""
-    if m.dtype != object:
-        if m.size == 0 or max(int(m.max()), -int(m.min())) < _LIMIT:
-            return m.astype(np.int64)
-        return m.astype(object)
-    if max((abs(x) for x in m.flat), default=0) < _LIMIT:
-        return m.astype(np.int64)
-    return m.copy()
-
-
-def _grown(*slabs: np.ndarray) -> bool:
-    """Whether int64 slabs an elementary step just wrote reached 2**31.
-
-    Every operand of that step was below 2**31, so each product and sum
-    fitted in int64 and the slabs are exact; the caller casts its working
-    arrays to object and carries on from them.
-    """
-    return slabs[0].dtype != object and any(
-        a.size and (a.max() >= _LIMIT or a.min() <= -_LIMIT) for a in slabs)
-
-
-def _objects(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    return tuple(_to_object(a) for a in arrays)
-
-
-def _min_abs_pivot(block: np.ndarray) -> tuple[int, int] | None:
-    """Position of the smallest-magnitude nonzero entry, row-major ties."""
-    nzr, nzc = np.nonzero(block)
-    if nzr.size == 0:
-        return None
-    k = int(np.argmin(np.abs(block[nzr, nzc])))
-    return int(nzr[k]), int(nzc[k])
+def _from_rows(rows: list[list[int]], shape: tuple[int, int]) -> np.ndarray:
+    return np.array(rows, dtype=object).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -160,54 +121,91 @@ class SmithDecomposition:
         return sum(1 for d in self.diagonal if d)
 
 
-def _smith_run(s: np.ndarray):
-    """Min-abs-pivot Smith elimination of s in place, with its transforms."""
-    rows, cols = s.shape
-    u = np.eye(rows, dtype=s.dtype)
-    v = np.eye(cols, dtype=s.dtype)
-    t = 0
-    while t < min(rows, cols):
-        pos = _min_abs_pivot(s[t:, t:])
-        if pos is None:
+def _support(row: list[int]) -> list[tuple[int, int]]:
+    """The (index, entry) pairs of the nonzero entries of a row."""
+    return [(c, x) for c, x in enumerate(row) if x]
+
+
+def _subtract(row: list[int], q: int, pairs) -> None:
+    """row -= q * (the row whose nonzero entries ``pairs`` lists), in place.
+
+    Only the nonzero entries are visited; on transforms and on the rows
+    of a sparse matrix that skips most of the work.
+    """
+    for c, x in pairs:
+        row[c] -= q * x
+
+
+def _smith_rows(a: list[list[int]], u=None, vt=None) -> list[int]:
+    """Min-abs-pivot Smith elimination of equal-length int rows.
+
+    Returns the diagonal with zeros omitted.  The pivot is the
+    smallest-magnitude nonzero entry, first in row-major order on ties,
+    which keeps intermediate values small; a finished pivot row and column
+    are sliced off.  When ``u`` and ``vt`` (rows of v transposed) are
+    given, every row operation is repeated on u and every column
+    operation on vt, in place, so that u @ m @ v becomes diagonal.
+    Consumes ``a``; no two rows of ``a``, ``u`` or ``vt`` may be the
+    same list object.
+    """
+    diag = []
+    t = 0  # a is rows and columns t: of the matrix being reduced
+    while a and a[0]:
+        i, p = None, 0
+        for k, row in enumerate(a):
+            least = min(map(abs, filter(None, row)), default=0)
+            if least and (not p or least < p):
+                i, p = k, least
+                if p == 1:
+                    break
+        if i is None:
             break
-        i, j = pos[0] + t, pos[1] + t
-        if i != t:
-            s[[t, i], :] = s[[i, t], :]
-            u[[t, i], :] = u[[i, t], :]
-        if j != t:
-            s[:, [t, j]] = s[:, [j, t]]
-            v[:, [t, j]] = v[:, [j, t]]
-        if s[t, t] < 0:
-            s[t, t:] = -s[t, t:]
-            u[t, :] = -u[t, :]
-        p = s[t, t]
-        qs = s[t + 1:, t] // p
-        if qs.any():
-            s[t + 1:, t:] -= qs[:, None] * s[t, t:][None, :]
-            u[t + 1:, :] -= qs[:, None] * u[t, :][None, :]
-            if _grown(s[t + 1:, t:], u[t + 1:, :]):
-                s, u, v = _objects(s, u, v)
-        qs = s[t, t + 1:] // p
-        if qs.any():
-            s[t:, t + 1:] -= s[t:, t][:, None] * qs[None, :]
-            v[:, t + 1:] -= v[:, t][:, None] * qs[None, :]
-            if _grown(s[t:, t + 1:], v[:, t + 1:]):
-                s, u, v = _objects(s, u, v)
-        if p != 1 and (s[t + 1:, t].any() or s[t, t + 1:].any()):
+        j = next(j for j, x in enumerate(a[i]) if x == p or x == -p)
+        if i:
+            a[0], a[i] = a[i], a[0]
+            if u is not None:
+                u[t], u[t + i] = u[t + i], u[t]
+        if j:
+            for row in a:
+                row[0], row[j] = row[j], row[0]
+            if vt is not None:
+                vt[t], vt[t + j] = vt[t + j], vt[t]
+        if a[0][0] < 0:
+            a[0] = [-x for x in a[0]]
+            if u is not None:
+                u[t] = [-x for x in u[t]]
+        pivot = _support(a[0])
+        if u is not None:
+            upivot = _support(u[t])
+        for k in range(1, len(a)):
+            q = a[k][0] // p
+            if q:
+                _subtract(a[k], q, pivot)
+                if u is not None:
+                    _subtract(u[t + k], q, upivot)
+        qs = _support([0] + [x // p for x in a[0][1:]])
+        if qs:
+            for row in a:
+                if row[0]:
+                    _subtract(row, row[0], qs)
+            if vt is not None:
+                vpivot = _support(vt[t])
+                for k, q in qs:
+                    _subtract(vt[t + k], q, vpivot)
+        if p != 1 and (any(row[0] for row in a[1:]) or any(a[0][1:])):
             continue  # remainders left; re-pivot on a smaller entry
         if p > 1:
-            rem = s[t + 1:, t + 1:]
-            if rem.size:
-                bad = np.nonzero(rem % p)
-                if bad[0].size:
-                    r = t + 1 + int(bad[0][0])
-                    s[t, t:] += s[r, t:]
-                    u[t, :] += u[r, :]
-                    if _grown(s[t, t:], u[t, :]):
-                        s, u, v = _objects(s, u, v)
-                    continue  # pivot must divide the remaining block
+            bad = next((k for k in range(1, len(a))
+                        if any(x % p for x in a[k][1:])), None)
+            if bad is not None:
+                a[0] = [x + y for x, y in zip(a[0], a[bad])]
+                if u is not None:
+                    u[t] = [x + y for x, y in zip(u[t], u[t + bad])]
+                continue  # pivot must divide the remaining block
+        diag.append(p)
+        a = [row[1:] for row in a[1:]]
         t += 1
-    return s, u, v
+    return diag
 
 
 def smith_normal_form(m) -> SmithDecomposition:
@@ -219,8 +217,14 @@ def smith_normal_form(m) -> SmithDecomposition:
     the pivot is always the smallest-magnitude nonzero entry (first in
     row-major order on ties), which keeps intermediate values small.
     """
-    s, u, v = _objects(*_smith_run(_working(_prep(m))))
-    return SmithDecomposition(u=u, s=s, v=v)
+    m = _prep(m)
+    rows, cols = m.shape
+    u, vt = identity(rows).tolist(), identity(cols).tolist()
+    s = zeros(rows, cols)
+    for i, d in enumerate(_smith_rows(m.tolist(), u, vt)):
+        s[i, i] = d
+    return SmithDecomposition(u=_from_rows(u, (rows, rows)), s=s,
+                              v=_from_rows(vt, (cols, cols)).T)
 
 
 def _cheapest_unit(rows, cols, by_len) -> tuple[int, int] | None:
@@ -314,64 +318,18 @@ def _unit_prepass(m: np.ndarray) -> tuple[int, list[list[int]]]:
     return ones, [[r.get(j, 0) for j in live] for r in rows.values()]
 
 
-def _dense_diagonal(a: list[list[int]]) -> list[int]:
-    """Smith diagonal, zeros omitted, of a list of equal-length int rows.
-
-    The min-abs-pivot elimination of :func:`smith_normal_form` without
-    transforms; a finished pivot row and column are sliced off.  Consumes
-    ``a``.
-    """
-    diag = []
-    while a and a[0]:
-        i, p = None, 0
-        for k, row in enumerate(a):
-            least = min(map(abs, filter(None, row)), default=0)
-            if least and (not p or least < p):
-                i, p = k, least
-                if p == 1:
-                    break
-        if i is None:
-            break
-        j = next(j for j, x in enumerate(a[i]) if x == p or x == -p)
-        a[0], a[i] = a[i], a[0]
-        if j:
-            for row in a:
-                row[0], row[j] = row[j], row[0]
-        if a[0][0] < 0:
-            a[0] = [-x for x in a[0]]
-        prow = a[0]
-        for k in range(1, len(a)):
-            q = a[k][0] // p
-            if q:
-                a[k] = [x - q * y for x, y in zip(a[k], prow)]
-        qs = [0] + [x // p for x in prow[1:]]
-        if any(qs):
-            a = [[x - row[0] * q for x, q in zip(row, qs)] if row[0] else row
-                 for row in a]
-        if p != 1 and (any(row[0] for row in a[1:]) or any(a[0][1:])):
-            continue  # remainders left; re-pivot on a smaller entry
-        if p > 1:
-            bad = next((row for row in a[1:]
-                        if any(x % p for x in row[1:])), None)
-            if bad is not None:
-                a[0] = [x + y for x, y in zip(a[0], bad)]
-                continue  # pivot must divide the remaining block
-        diag.append(p)
-        a = [row[1:] for row in a[1:]]
-    return diag
-
-
 def smith_diagonal(m) -> tuple[int, ...]:
     """Diagonal of the Smith normal form, without transforms.
 
     Unit pivots are eliminated first on sparse rows of Python ints (see
     :func:`_unit_prepass`); each gives a 1.  The dense core left over
-    goes through min-abs-pivot elimination, and zeros pad the result to
-    ``min(m.shape)`` entries.
+    goes through the min-abs-pivot loop of :func:`smith_normal_form`
+    without transforms, and zeros pad the result to ``min(m.shape)``
+    entries.
     """
     m = _prep(m)
     ones, core = _unit_prepass(m)
-    diag = [1] * ones + _dense_diagonal(core)
+    diag = [1] * ones + _smith_rows(core)
     return tuple(diag + [0] * (min(m.shape) - len(diag)))
 
 
@@ -425,54 +383,60 @@ class HermiteDecomposition:
         return self.u @ y
 
 
-def _hermite_run(h: np.ndarray):
-    """Column-style Hermite elimination of h in place, with its transform."""
-    rows, cols = h.shape
-    u = np.eye(cols, dtype=h.dtype)
+def _reduce_columns(h, u, pc: int, r: int, ks) -> None:
+    """Subtract from each column k in ks of h, and of u, the multiple of
+    column pc that floors its entry in row r against the pivot h[pc][r]."""
+    p = h[pc][r]
+    hp, up = _support(h[pc]), _support(u[pc])
+    for k in ks:
+        q = h[k][r] // p
+        if q:
+            _subtract(h[k], q, hp)
+            _subtract(u[k], q, up)
+
+
+def hermite_normal_form(m) -> HermiteDecomposition:
+    """Column-style Hermite normal form with its unimodular transform.
+
+    Row by row, the smallest-magnitude nonzero entry right of the last
+    pivot (first on ties) becomes the pivot and reduces the entries right
+    of it until they vanish; the entries left of it are then reduced to
+    [0, pivot).  The work runs on lists of Python-int columns.
+    """
+    m = _prep(m)
+    rows, cols = m.shape
+    h, u = m.T.tolist(), identity(cols).tolist()  # columns of h and u
     pivots = []
     pc = 0
     for r in range(rows):
         if pc == cols:
             break
         while True:
-            seg = h[r, pc:]
-            nz = np.nonzero(seg)[0]
-            if nz.size == 0:
+            i, p = None, 0
+            for k in range(pc, cols):
+                x = abs(h[k][r])
+                if x and (not p or x < p):
+                    i, p = k, x
+                    if p == 1:
+                        break
+            if i is None:
                 break
-            k = int(np.argmin(np.abs(seg[nz])))
-            c0 = pc + int(nz[k])
-            if c0 != pc:
-                h[:, [pc, c0]] = h[:, [c0, pc]]
-                u[:, [pc, c0]] = u[:, [c0, pc]]
-            if h[r, pc] < 0:
-                h[:, pc] = -h[:, pc]
-                u[:, pc] = -u[:, pc]
-            p = h[r, pc]
-            qs = h[r, pc + 1:] // p
-            if qs.any():
-                h[:, pc + 1:] -= h[:, pc][:, None] * qs[None, :]
-                u[:, pc + 1:] -= u[:, pc][:, None] * qs[None, :]
-                if _grown(h[:, pc + 1:], u[:, pc + 1:]):
-                    h, u = _objects(h, u)
-            if not h[r, pc + 1:].any():
+            if i != pc:
+                h[pc], h[i] = h[i], h[pc]
+                u[pc], u[i] = u[i], u[pc]
+            if h[pc][r] < 0:
+                h[pc] = [-x for x in h[pc]]
+                u[pc] = [-x for x in u[pc]]
+            _reduce_columns(h, u, pc, r, range(pc + 1, cols))
+            if not any(h[k][r] for k in range(pc + 1, cols)):
                 break
-        if pc < cols and h[r, pc] != 0:
-            qs = h[r, :pc] // h[r, pc]
-            if qs.any():
-                h[:, :pc] -= h[:, pc][:, None] * qs[None, :]
-                u[:, :pc] -= u[:, pc][:, None] * qs[None, :]
-                if _grown(h[:, :pc], u[:, :pc]):
-                    h, u = _objects(h, u)
+        if h[pc][r]:
+            _reduce_columns(h, u, pc, r, range(pc))
             pivots.append((r, pc))
             pc += 1
-    return h, u, tuple(pivots)
-
-
-def hermite_normal_form(m) -> HermiteDecomposition:
-    """Column-style Hermite normal form with its unimodular transform."""
-    h, u, pivots = _hermite_run(_working(_prep(m)))
-    h, u = _objects(h, u)
-    return HermiteDecomposition(h=h, u=u, pivots=pivots)
+    return HermiteDecomposition(h=_from_rows(h, (cols, rows)).T,
+                                u=_from_rows(u, (cols, cols)).T,
+                                pivots=tuple(pivots))
 
 
 def kernel_basis(m) -> np.ndarray:

@@ -237,10 +237,6 @@ def _preimage_generators(matrix: np.ndarray,
     return basis[:matrix.shape[1], :]
 
 
-def hom_well_defined(f: GroupHom) -> bool:
-    return f.is_well_defined()
-
-
 def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
     """Exactness of source --f--> middle --g--> target at the middle.
 

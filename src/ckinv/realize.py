@@ -11,6 +11,7 @@ bounded search through the possible range of extension-group pairs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,11 @@ class RealizationError(RuntimeError):
 # 2-core x86-64 machine, Python 3.11); the side grows linearly in the
 # factors, so larger targets are refused up front.
 MAX_SIDE = 1000
+
+# Largest number of candidates range_witness tries.  Each costs one small
+# Smith diagonal, about 0.1 ms on the machine above, so a full search
+# takes about 10 s; larger searches are refused up front.
+MAX_CANDIDATES = 100_000
 
 
 def realize_k0(target: RealizationTarget) -> ZeroOneMatrix:
@@ -137,10 +143,16 @@ def range_witness(g: FgAbGroup, m: FgAbGroup,
     torsion coordinates are exhausted completely, in lexicographic order,
     so the first (hence returned) witness is deterministic.  ``None``
     means no witness within the bound, which is *not* a proof that none
-    exists.
+    exists.  A search of more than :data:`MAX_CANDIDATES` candidates,
+    (2 bound + 1)^(1 + rank M) times the order of the torsion of M,
+    raises ``ValueError`` before the first one is tried.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
+    sizes = [2 * bound + 1] * (1 + m.free_rank) + list(m.invariant_factors)
+    if math.prod(sizes) > MAX_CANDIDATES:
+        raise ValueError(f"the search has more than {MAX_CANDIDATES} "
+                         "candidates; lower the bound")
     presentation = free_plus_presentation(m)
     free_seq = list(range(bound + 1)) + [-x for x in range(1, bound + 1)]
     axes = [free_seq] * (1 + m.free_rank)

@@ -5,6 +5,9 @@ come from cofactor expansion, Smith diagonals from determinant divisors
 (gcds of k x k minors), from a naive first-nonzero elimination on lists,
 or from the dense numpy elimination that ``smith_diagonal`` used before
 its sparse unit-pivot prepass.  They are deliberately slow and simple.
+The numpy Smith and Hermite eliminations with transforms, int64 start and
+mid-run promotion included, are the reference the list-based library
+routines must match entry for entry.
 """
 
 from itertools import combinations
@@ -211,3 +214,160 @@ def numpy_smith_diagonal(m) -> list:
         except _Overflow:
             pass
     return _dense_run(a, False)
+
+
+# -- the numpy eliminations with transforms -----------------------------------
+# Smith and Hermite elimination as the library ran them on numpy arrays: on
+# int64 while every entry stays below 2**31, cast to Python ints from the
+# step that first writes a larger value.
+
+_LIMIT = 1 << 31  # one int64 op on entries below 2**31 cannot wrap
+
+
+def _to_object(a: np.ndarray) -> np.ndarray:
+    return a if a.dtype == object else a.astype(object)
+
+
+def _working(m: np.ndarray) -> np.ndarray:
+    """Working copy for elimination: int64 when every entry is below 2**31."""
+    if m.dtype != object:
+        if m.size == 0 or max(int(m.max()), -int(m.min())) < _LIMIT:
+            return m.astype(np.int64)
+        return m.astype(object)
+    if max((abs(x) for x in m.flat), default=0) < _LIMIT:
+        return m.astype(np.int64)
+    return m.copy()
+
+
+def _grown(*slabs: np.ndarray) -> bool:
+    """Whether int64 slabs an elementary step just wrote reached 2**31.
+
+    Every operand of that step was below 2**31, so each product and sum
+    fitted in int64 and the slabs are exact; the caller casts its working
+    arrays to object and carries on from them.
+    """
+    return slabs[0].dtype != object and any(
+        a.size and (a.max() >= _LIMIT or a.min() <= -_LIMIT) for a in slabs)
+
+
+def _objects(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    return tuple(_to_object(a) for a in arrays)
+
+
+def _min_abs_pivot(block: np.ndarray) -> tuple[int, int] | None:
+    """Position of the smallest-magnitude nonzero entry, row-major ties."""
+    nzr, nzc = np.nonzero(block)
+    if nzr.size == 0:
+        return None
+    k = int(np.argmin(np.abs(block[nzr, nzc])))
+    return int(nzr[k]), int(nzc[k])
+
+
+def _smith_run(s: np.ndarray):
+    """Min-abs-pivot Smith elimination of s in place, with its transforms."""
+    rows, cols = s.shape
+    u = np.eye(rows, dtype=s.dtype)
+    v = np.eye(cols, dtype=s.dtype)
+    t = 0
+    while t < min(rows, cols):
+        pos = _min_abs_pivot(s[t:, t:])
+        if pos is None:
+            break
+        i, j = pos[0] + t, pos[1] + t
+        if i != t:
+            s[[t, i], :] = s[[i, t], :]
+            u[[t, i], :] = u[[i, t], :]
+        if j != t:
+            s[:, [t, j]] = s[:, [j, t]]
+            v[:, [t, j]] = v[:, [j, t]]
+        if s[t, t] < 0:
+            s[t, t:] = -s[t, t:]
+            u[t, :] = -u[t, :]
+        p = s[t, t]
+        qs = s[t + 1:, t] // p
+        if qs.any():
+            s[t + 1:, t:] -= qs[:, None] * s[t, t:][None, :]
+            u[t + 1:, :] -= qs[:, None] * u[t, :][None, :]
+            if _grown(s[t + 1:, t:], u[t + 1:, :]):
+                s, u, v = _objects(s, u, v)
+        qs = s[t, t + 1:] // p
+        if qs.any():
+            s[t:, t + 1:] -= s[t:, t][:, None] * qs[None, :]
+            v[:, t + 1:] -= v[:, t][:, None] * qs[None, :]
+            if _grown(s[t:, t + 1:], v[:, t + 1:]):
+                s, u, v = _objects(s, u, v)
+        if p != 1 and (s[t + 1:, t].any() or s[t, t + 1:].any()):
+            continue  # remainders left; re-pivot on a smaller entry
+        if p > 1:
+            rem = s[t + 1:, t + 1:]
+            if rem.size:
+                bad = np.nonzero(rem % p)
+                if bad[0].size:
+                    r = t + 1 + int(bad[0][0])
+                    s[t, t:] += s[r, t:]
+                    u[t, :] += u[r, :]
+                    if _grown(s[t, t:], u[t, :]):
+                        s, u, v = _objects(s, u, v)
+                    continue  # pivot must divide the remaining block
+        t += 1
+    return s, u, v
+
+
+def _hermite_run(h: np.ndarray):
+    """Column-style Hermite elimination of h in place, with its transform."""
+    rows, cols = h.shape
+    u = np.eye(cols, dtype=h.dtype)
+    pivots = []
+    pc = 0
+    for r in range(rows):
+        if pc == cols:
+            break
+        while True:
+            seg = h[r, pc:]
+            nz = np.nonzero(seg)[0]
+            if nz.size == 0:
+                break
+            k = int(np.argmin(np.abs(seg[nz])))
+            c0 = pc + int(nz[k])
+            if c0 != pc:
+                h[:, [pc, c0]] = h[:, [c0, pc]]
+                u[:, [pc, c0]] = u[:, [c0, pc]]
+            if h[r, pc] < 0:
+                h[:, pc] = -h[:, pc]
+                u[:, pc] = -u[:, pc]
+            p = h[r, pc]
+            qs = h[r, pc + 1:] // p
+            if qs.any():
+                h[:, pc + 1:] -= h[:, pc][:, None] * qs[None, :]
+                u[:, pc + 1:] -= u[:, pc][:, None] * qs[None, :]
+                if _grown(h[:, pc + 1:], u[:, pc + 1:]):
+                    h, u = _objects(h, u)
+            if not h[r, pc + 1:].any():
+                break
+        if pc < cols and h[r, pc] != 0:
+            qs = h[r, :pc] // h[r, pc]
+            if qs.any():
+                h[:, :pc] -= h[:, pc][:, None] * qs[None, :]
+                u[:, :pc] -= u[:, pc][:, None] * qs[None, :]
+                if _grown(h[:, :pc], u[:, :pc]):
+                    h, u = _objects(h, u)
+            pivots.append((r, pc))
+            pc += 1
+    return h, u, tuple(pivots)
+
+
+def _object_matrix(m) -> np.ndarray:
+    a = np.array(m, dtype=object)
+    return a.reshape(0, 0) if a.ndim == 1 and a.size == 0 else a
+
+
+def numpy_smith_normal_form(m):
+    """(u, s, v) with u @ m @ v = s, as object arrays."""
+    s, u, v = _objects(*_smith_run(_working(_object_matrix(m))))
+    return u, s, v
+
+
+def numpy_hermite_normal_form(m):
+    """(h, u, pivots) with m @ u = h, h and u as object arrays."""
+    h, u, pivots = _hermite_run(_working(_object_matrix(m)))
+    return (*_objects(h, u), pivots)

@@ -236,6 +236,27 @@ def test_stable_isomorphism_matches_stable_pi(corpus500):
             (ck.pi_aut_stable(a, 1) == ck.pi_aut_stable(b, 1))
 
 
+def test_report_verdicts_match_the_deciders(corpus500, reports500):
+    # the verdicts compare reads off two reports against the deciders,
+    # which eliminate I - A and I - A^hat of both matrices again
+    rng = random.Random(47)
+    pairs = [(rng.randrange(500), rng.randrange(500)) for _ in range(150)]
+    for key in (lambda r: (r.k0, r.ext_s1), lambda r: r.k0):
+        groups = {}
+        for i, r in enumerate(reports500):
+            groups.setdefault(key(r), []).append(i)
+        pairs += [(g[0], g[-1]) for g in groups.values() if len(g) > 1]
+    seen = set()
+    for i, j in pairs:
+        ra, rb = reports500[i], reports500[j]
+        a, b = corpus500[i], corpus500[j]
+        verdicts = ra.isomorphic_to(rb), ra.stably_isomorphic_to(rb)
+        assert verdicts == (ck.is_isomorphic_ck(a, b),
+                            ck.is_stably_isomorphic_ck(a, b))
+        seen.add(verdicts)
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
 # -- five-term sequence -----------------------------------------------------
 
 def test_five_term_all_ones_2x2():

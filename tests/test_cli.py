@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ckinv import cli
+from ckinv import cli, intmat
 
 EX3_A_TEXT = "3\n1 1 1\n1 1 1\n1 0 0\n"
 EX3_B_TEXT = "3\n1 1 1\n1 1 0\n1 1 0\n"
@@ -276,3 +276,35 @@ def test_realize_refuses_an_oversized_target():
     r = run_cli("realize", "--torsion", "1000000")
     assert r.returncode == 1
     assert "at most" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("token", ["1_0", " 3", "+4", "\u0663", "9" * 5000])
+def test_realize_integers_follow_the_grammar(token, capsys):
+    # int() alone takes the first four; --torsion 1_0 used to realize Z/10
+    for args in (["--torsion", token], ["--torsion", f"2,{token}"],
+                 ["--rank", token]):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["realize", *args])
+        assert stop.value.code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error:")
+        assert "not an integer" in err
+        assert "Traceback" not in err and len(err) < 500
+
+
+def test_compare_reads_its_verdicts_off_the_reports(matrix_files,
+                                                    monkeypatch, capsys):
+    # two reports of four diagonal eliminations each, and nothing more
+    calls = []
+    diagonal = intmat.smith_diagonal
+
+    def counted(m):
+        calls.append(m)
+        return diagonal(m)
+
+    monkeypatch.setattr(intmat, "smith_diagonal", counted)
+    a, b = matrix_files
+    assert cli.main(["compare", str(a), str(b)]) == 0
+    assert len(calls) == 8
+    assert capsys.readouterr().out.splitlines()[:2] == \
+        ["isomorphic: false", "stably_isomorphic: true"]

@@ -7,7 +7,8 @@ from ckinv import ck, intmat
 from ckinv.groups import FgAbGroup, Z
 
 from oracles import bareiss_det, cofactor_det, minor_gcd_diagonal, \
-    numpy_smith_diagonal
+    numpy_hermite_normal_form, numpy_smith_diagonal, \
+    numpy_smith_normal_form
 
 EX3_A = [[1, 1, 1], [1, 1, 1], [1, 0, 0]]
 
@@ -111,29 +112,50 @@ def test_smith_growth_beyond_int64_is_exact():
     assert abs(bareiss_det(dec.v.tolist())) == 1
 
 
-def test_smith_promotes_mid_run_and_continues_exactly():
-    # entries start below the int64 guard and grow past it; the run that
-    # switches to Python ints mid-way must match a run on Python ints
-    # from the start, transforms included
+def _same(a, b):
+    return a.shape == b.shape and bool((a == b).all())
+
+
+def test_transforms_match_the_numpy_reference():
+    # the list-based Smith and Hermite eliminations against the numpy ones
+    # they replaced, which start on int64 and switch to Python ints
+    # mid-run; u, s, v, h and the pivots must agree entry for entry
     rng = random.Random(4)
     cases = [np.array([[2 ** 30, 0], [0, 2 ** 30 - 1]]),
              np.array([[rng.randint(-9, 9) for _ in range(7)]
                        for _ in range(7)]) * 2 ** 27]
+    rng = random.Random(2405)
+    for _ in range(200):
+        rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+        m = np.array([[rng.randint(-9, 9) for _ in range(cols)]
+                      for _ in range(rows)], dtype=np.int64)
+        m = m.reshape(rows, cols)
+        cases += [m, m * 2 ** 27]
+    for n in (2, 3, 5, 8, 13, 21, 34, 60):
+        a = ck.gen_random_irreducible(n, rng.choice((0.1, 0.3, 0.6)),
+                                      rng.randrange(2 ** 31))
+        ia = ck.i_minus(a.entries)
+        cases += [ia, ia.T, ck.i_minus(ck.hat_matrix(a)),
+                  ck.augmented_matrix(a)]
+    assert any(min(m.shape) == 0 for m in cases)
+    grew = []
     for m in cases:
         dec = intmat.smith_normal_form(m)
-        s, u, v = intmat._smith_run(np.array(m, dtype=object))
-        assert (dec.s == s).all() and (dec.u == u).all() and \
-            (dec.v == v).all()
-        assert ((dec.u @ intmat.as_intmat(m) @ dec.v) == dec.s).all()
-        assert np.abs(m).max() < 2 ** 31
-        assert max(abs(x) for a in (dec.s, dec.u, dec.v)
-                   for x in a.flat) >= 2 ** 31
+        u, s, v = numpy_smith_normal_form(m)
+        assert _same(dec.u, u) and _same(dec.s, s) and _same(dec.v, v)
         herm = intmat.hermite_normal_form(m)
-        h, hu, pivots = intmat._hermite_run(np.array(m, dtype=object))
-        assert (herm.h == h).all() and (herm.u == hu).all()
+        h, hu, pivots = numpy_hermite_normal_form(m)
+        assert _same(herm.h, h) and _same(herm.u, hu)
         assert herm.pivots == pivots
-        assert (intmat.as_intmat(m) @ herm.u == herm.h).all()
-    assert max(abs(x) for x in herm.h.flat) >= 2 ** 31  # the 7 x 7 case
+        mm = intmat.as_intmat(m)
+        assert (dec.u @ mm @ dec.v == dec.s).all()
+        assert (mm @ herm.u == herm.h).all()
+        grew.append(max((abs(x) for a in (u, s, v, h, hu) for x in a.flat),
+                        default=0) >= 2 ** 31)
+    # the first two cases, and most scaled ones, start below 2**31 and
+    # grow past it, so the reference switched to Python ints mid-run
+    assert all(np.abs(m).max() < 2 ** 31 for m in cases if m.size)
+    assert grew[0] and grew[1] and sum(grew) >= 100
 
 
 def test_smith_diagonal_matches_dense_reference():
@@ -331,3 +353,16 @@ def test_as_intmat_rejects_non_integers():
         intmat.as_intmat(np.array([["a", "b"]], dtype=object))
     with pytest.raises(ValueError):
         intmat.as_intmat([1, 2, 3])
+    # vectors go through the same coercion
+    assert [type(x) for x in intmat.as_intvec(np.array([1, 2]))] == \
+        [int, int]
+    assert list(intmat.as_intvec(np.array([np.int8(3), 4], dtype=object))) \
+        == [3, 4]
+    with pytest.raises(TypeError):
+        intmat.as_intvec([1.5, 2])
+    with pytest.raises(TypeError):
+        intmat.as_intvec(np.array(["a", "b"], dtype=object))
+    with pytest.raises(ValueError):
+        intmat.as_intvec([[1, 2]])
+    with pytest.raises(ValueError):
+        intmat.as_intvec([1, 2], length=3)

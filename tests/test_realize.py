@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -201,6 +202,24 @@ def test_range_witness_soundness():
             found += 1
             assert realize.quotient_by_cyclic(w.group, w) == g
     assert found > 5
+
+
+def test_range_witness_refuses_a_huge_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("tried a candidate of a refused search")
+
+    monkeypatch.setattr(realize, "quotient_by_cyclic", no_search)
+    start = time.perf_counter()
+    for m in (Z, FgAbGroup(3, (2, 10 ** 20))):
+        with pytest.raises(ValueError, match="candidates"):
+            realize.range_witness(Z, m, 10 ** 9)
+    assert time.perf_counter() - start < 1
+    # the cap is inclusive: Z + Z with bound 3 is 7 ** 2 candidates
+    monkeypatch.undo()
+    monkeypatch.setattr(realize, "MAX_CANDIDATES", 49)
+    assert tuple(realize.range_witness(Z, Z, 3).coords) == (0, 1)
+    with pytest.raises(ValueError, match="candidates"):
+        realize.range_witness(Z, Z, 4)
 
 
 def test_range_witness_realized_pairs(reports500):
