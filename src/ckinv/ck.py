@@ -16,6 +16,13 @@ where R_1 has an all-ones first row and zeros elsewhere.  The homotopy
 groups of the automorphism group Aut(O_A) and of its stabilization are
 closed tensor/Tor expressions in those six groups, and the pair
 (K_0, Ext strong 1) decides isomorphism of the algebras.
+
+The class iota_1 of (I - A) e_1 in Ext strong 1 has Ext weak 1 as its
+quotient.  The report reads its order off one more Smith diagonal, of
+I - A^hat with (I - A) e_1 appended as a column: that cokernel is the
+quotient by the class, so the order is the ratio of torsion orders when
+the free ranks agree and infinite otherwise.  :func:`iota_one` keeps the
+element itself, whose order needs the Smith transforms.
 """
 
 from __future__ import annotations
@@ -161,7 +168,10 @@ class CKReport:
     pi2_aut: FgAbGroup
     pi1_aut_stable: FgAbGroup
     pi2_aut_stable: FgAbGroup
-    iota_one_order: int  # 0 encodes infinite order
+    # order of iota_1, 0 if infinite: |T(ExtS1)| / |T(ExtS1/<iota_1>)|
+    # when the free ranks agree, from the Smith diagonal of
+    # [I - A^hat | (I - A) e_1]
+    iota_one_order: int
 
     def to_json(self) -> dict:
         return {
@@ -210,6 +220,20 @@ def _base_groups(a: ZeroOneMatrix):
     return k0, free, ext_w1, free, ext_s1, ext_s0
 
 
+def _iota_one_order(a: ZeroOneMatrix, ext_s1: FgAbGroup) -> int:
+    """Order of the class of (I - A) e_1 in ext_s1, 0 if infinite.
+
+    For v in G = coker(M), G/<v> = coker([M | v]).  A class of finite
+    order k keeps the free rank and divides |T(G)| by k; one of infinite
+    order drops the free rank by one.
+    """
+    quot = intmat.cokernel_invariants(intmat.hstack(
+        i_minus(hat_matrix(a)), i_minus(a.entries)[:, :1]))
+    if quot.free_rank != ext_s1.free_rank:
+        return 0
+    return ext_s1.torsion.order // quot.torsion.order
+
+
 def invariants(a: ZeroOneMatrix) -> CKReport:
     """Compute every invariant in one report."""
     a = _require_valid(a)
@@ -223,7 +247,7 @@ def invariants(a: ZeroOneMatrix) -> CKReport:
         pi2_aut=_pi(ext_s1, ext_s0, k0, k1, 2),
         pi1_aut_stable=_pi(ext_w1, ext_w0, k0, k1, 1),
         pi2_aut_stable=_pi(ext_w1, ext_w0, k0, k1, 2),
-        iota_one_order=iota_one(a).order(),
+        iota_one_order=_iota_one_order(a, ext_s1),
     )
 
 
@@ -334,14 +358,27 @@ class FiveTermSequence:
     verified: bool
 
 
+# Largest matrix side five_term_sequence accepts.  The entries of its
+# Hermite kernel transforms swell steeply with the side: over densities
+# 0.1, 0.3 and 0.6 with three seeds each, the slowest random matrix took
+# 49 s at side 109 and 63 s at side 110 (2-core x86-64, Python 3.11), so
+# larger matrices are refused up front.
+MAX_SEQUENCE_SIDE = 109
+
+
 def five_term_sequence(a: ZeroOneMatrix) -> FiveTermSequence:
     """Build and verify the extension-group exact sequence of O_A.
 
     A False verdict anywhere signals an implementation bug, never bad
-    input; every valid matrix yields an exact sequence.
+    input; every valid matrix yields an exact sequence.  A matrix of side
+    above :data:`MAX_SEQUENCE_SIDE` raises ``ValueError`` before any
+    elimination.
     """
     a = _require_valid(a)
     n = a.n
+    if n > MAX_SEQUENCE_SIDE:
+        raise ValueError(f"the five-term sequence takes a side of at most "
+                         f"{MAX_SEQUENCE_SIDE}, got {n}")
     ia = i_minus(a.entries)
     ia_hat = i_minus(hat_matrix(a))
     ir1 = i_minus(ones_row_matrix(n))

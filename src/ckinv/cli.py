@@ -324,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("exactseq", help="build and verify the five-term "
-                                        "exact sequence")
+                                        "exact sequence (side at most "
+                                        f"{ck.MAX_SEQUENCE_SIDE})")
     p.add_argument("matrix")
     p.set_defaults(fn=cmd_exactseq)
 

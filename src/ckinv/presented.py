@@ -5,8 +5,10 @@ of a relation matrix.  Elements are integer coordinate vectors; two vectors
 name the same element when their difference lies in the relation lattice.
 Homomorphisms are integer matrices mapping source generators to target
 coordinates.  Everything reduces to exact lattice arithmetic from
-:mod:`ckinv.intmat`: canonical forms come from the Smith decomposition of
-the relations, membership tests from Hermite forms.
+:mod:`ckinv.intmat`: canonical forms come from the Smith diagonal of the
+relations, element coordinates and orders from the Smith decomposition
+with its transforms (computed only when an element needs them), and
+membership tests from Hermite forms.
 """
 
 from __future__ import annotations
@@ -54,20 +56,16 @@ class PresentedGroup:
         return tuple(diag[i] if i < len(diag) else 0
                      for i in range(self.generators))
 
+    @cached_property
+    def _canonical(self) -> FgAbGroup:
+        return intmat.cokernel_invariants(self.relations)
+
     def canonical(self) -> FgAbGroup:
-        """Canonical form; invariant under change of presentation."""
-        return FgAbGroup(sum(1 for d in self._moduli if d == 0),
-                         tuple(d for d in self._moduli if d > 1))
+        """Canonical form; invariant under change of presentation.
 
-    @property
-    def transform(self) -> np.ndarray:
-        """Unimodular change of coordinates u with u @ relations @ v diagonal.
-
-        Applying u to an element's coordinates yields one residue per
-        cyclic modulus in :attr:`_moduli`; this is the coordinate map that
-        :meth:`canonical_coords` evaluates.
+        Read off the Smith diagonal alone: no transforms are computed.
         """
-        return self._rel_snf.u
+        return self._canonical
 
     def element(self, coords) -> "GroupElement":
         return GroupElement(self, intmat.as_intvec(coords, self.generators))

@@ -273,6 +273,18 @@ def test_five_term_example_matrices(pair_ab):
         assert all(seq.nodes_exact)
 
 
+def test_five_term_sequence_refuses_sides_past_the_cap(monkeypatch):
+    def no_elimination(m):
+        raise AssertionError("eliminated a matrix past the cap")
+
+    for name in ("smith_diagonal", "smith_normal_form",
+                 "hermite_normal_form"):
+        monkeypatch.setattr(intmat, name, no_elimination)
+    a = ck.gen_random_irreducible(ck.MAX_SEQUENCE_SIDE + 1, 0.3, seed=1)
+    with pytest.raises(ValueError, match="at most"):
+        ck.five_term_sequence(a)
+
+
 def test_five_term_corpus(corpus500):
     for a in corpus500:
         assert ck.five_term_sequence(a).verified
@@ -332,17 +344,20 @@ def test_iota_order_divides_weak_collapse(reports500):
             assert r.ext_s1.free_rank == r.ext_w1.free_rank
 
 
+def _iota_cases(pair_ab, corpus500, reports500, larger=()):
+    fixtures = [*pair_ab, *(ck.gen_cuntz(n) for n in range(2, 8)),
+                *(ck.gen_amplified(n, k) for n in (2, 3, 4)
+                  for k in range(1, 5)), *larger]
+    return ([(a, ck.invariants(a)) for a in fixtures]
+            + list(zip(corpus500, reports500)))
+
+
 def test_iota_one_order_is_the_torsion_quotient(pair_ab, corpus500,
                                                 reports500):
     # ExtW1 = ExtS1/<iota_1>: a class of infinite order drops the free
     # rank by one, one of finite order k divides |T(ExtS1)| by k
-    fixtures = [*pair_ab, *(ck.gen_cuntz(n) for n in range(2, 8)),
-                *(ck.gen_amplified(n, k) for n in (2, 3, 4)
-                  for k in range(1, 5))]
-    cases = [(a, ck.invariants(a)) for a in fixtures]
-    cases += list(zip(corpus500, reports500))
     finite = 0
-    for a, r in cases:
+    for a, r in _iota_cases(pair_ab, corpus500, reports500):
         if r.ext_s1.free_rank == r.ext_w1.free_rank:
             assert r.iota_one_order * r.ext_w1.torsion.order == \
                 r.ext_s1.torsion.order
@@ -350,6 +365,19 @@ def test_iota_one_order_is_the_torsion_quotient(pair_ab, corpus500,
             assert r.ext_s1.free_rank == r.ext_w1.free_rank + 1
             assert r.iota_one_order == 0
         finite += r.iota_one_order > 0
+    assert finite >= 10
+
+
+def test_iota_one_order_matches_the_element_order(pair_ab, corpus500,
+                                                  reports500):
+    # the report reads the order off a Smith diagonal; the element's
+    # order, from the Smith transforms, stays the oracle
+    larger = [ck.gen_random_irreducible(n, d, seed=s) for n in (20, 40, 60)
+              for d in (0.1, 0.3, 0.6) for s in (0, 1)]
+    finite = 0
+    for a, r in _iota_cases(pair_ab, corpus500, reports500, larger):
+        assert r.iota_one_order == ck.iota_one(a).order()
+        finite += r.iota_one_order > 1
     assert finite >= 10
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ckinv import cli, intmat
+from ckinv import ck, cli, intmat
 
 EX3_A_TEXT = "3\n1 1 1\n1 1 1\n1 0 0\n"
 EX3_B_TEXT = "3\n1 1 1\n1 1 0\n1 1 0\n"
@@ -271,6 +271,17 @@ def test_bad_tokens_and_oversized_entries_exit_2(tmp_path):
         assert "Traceback" not in r.stderr
 
 
+def test_exactseq_refuses_a_matrix_past_the_cap(tmp_path):
+    m = tmp_path / "m.txt"
+    side = str(ck.MAX_SEQUENCE_SIDE + 1)
+    assert run_cli("gen", "random", side, "--seed", "1",
+                   "--out", str(m)).returncode == 0
+    r = run_cli("exactseq", str(m))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error:") and "at most" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_realize_refuses_an_oversized_target():
     # a side of about 10**6 would take terabytes; it is refused up front
     r = run_cli("realize", "--torsion", "1000000")
@@ -294,17 +305,21 @@ def test_realize_integers_follow_the_grammar(token, capsys):
 
 def test_compare_reads_its_verdicts_off_the_reports(matrix_files,
                                                     monkeypatch, capsys):
-    # two reports of four diagonal eliminations each, and nothing more
+    # two reports' eliminations, and nothing more, counting all three
+    # kernels
     calls = []
-    diagonal = intmat.smith_diagonal
+    for name in ("smith_diagonal", "smith_normal_form",
+                 "hermite_normal_form"):
+        def counted(m, kernel=getattr(intmat, name)):
+            calls.append(kernel)
+            return kernel(m)
 
-    def counted(m):
-        calls.append(m)
-        return diagonal(m)
-
-    monkeypatch.setattr(intmat, "smith_diagonal", counted)
+        monkeypatch.setattr(intmat, name, counted)
     a, b = matrix_files
+    ck.invariants(ck.validate(cli.load_matrix(str(a))))
+    per_report = len(calls)
+    calls.clear()
     assert cli.main(["compare", str(a), str(b)]) == 0
-    assert len(calls) == 8
+    assert len(calls) == 2 * per_report == 10
     assert capsys.readouterr().out.splitlines()[:2] == \
         ["isomorphic: false", "stably_isomorphic: true"]

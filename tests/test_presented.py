@@ -1,12 +1,13 @@
 import random
+from math import lcm
 
 import numpy as np
 import pytest
 
-from ckinv import intmat
+from ckinv import ck, intmat
 from ckinv.groups import FgAbGroup, TRIVIAL, Z
 from ckinv.presented import GroupElement, GroupHom, PresentedGroup, \
-    is_exact_at, quotient_by_elements
+    _preimage_generators, is_exact_at, quotient_by_elements
 
 from oracles import minor_gcd_diagonal
 
@@ -64,6 +65,77 @@ def test_canonical_invariance_under_presentation_changes():
                 u[i, :] += rng.randint(-2, 2) * u[j, :]
         assert PresentedGroup(n, u @ intmat.as_intmat(rel)).canonical() \
             == base
+
+
+def _group_from_transforms(rel) -> FgAbGroup:
+    diag = intmat.smith_normal_form(rel).diagonal
+    return FgAbGroup(rel.shape[0] - sum(1 for d in diag if d),
+                     tuple(d for d in diag if d > 1))
+
+
+def _big_unimodular(n: int, rng: random.Random) -> np.ndarray:
+    # unit lower times unit upper triangular, off-diagonal entries near
+    # 2**40, so the product has entries past 2**64
+    lo, up = intmat.identity(n), intmat.identity(n)
+    for i in range(n):
+        for j in range(i):
+            lo[i, j] = rng.randint(-2 ** 40, 2 ** 40)
+            up[j, i] = rng.randint(-2 ** 40, 2 ** 40)
+    return lo @ up
+
+
+def _check_against_transforms(p: PresentedGroup) -> None:
+    # canonical() reads a Smith diagonal; coordinates and orders still
+    # come from the transforms and must describe the same group
+    g = p.canonical()
+    assert g == _group_from_transforms(p.relations)
+    gens = [p.element([int(i == k) for i in range(p.generators)])
+            for k in range(p.generators)]
+    for e in gens:
+        free, tors = e.canonical_coords()
+        assert len(free) == g.free_rank
+        assert len(tors) == len(g.invariant_factors)
+        assert (e.order() == 0) == any(free)
+    if g.free_rank == 0:  # the generators generate: lcm of orders = exponent
+        assert lcm(*(e.order() for e in gens)) == \
+            max(g.invariant_factors, default=1)
+    for col in p.relations.T[:3]:
+        assert p.element(col) == p.zero()
+
+
+def test_canonical_on_swollen_relations():
+    # the quotients ker(g)/im(f) that is_exact_at builds in the five-term
+    # sequence, their relations taken from Hermite kernel transforms
+    for n, density, seed in ((30, 0.3, 1), (36, 0.6, 2), (40, 0.3, 3),
+                             (70, 0.3, 3)):
+        seq = ck.five_term_sequence(ck.gen_random_irreducible(n, density,
+                                                              seed))
+        for f, g in zip(seq.maps, seq.maps[1:]):
+            ker_gens = _preimage_generators(g.matrix, g.target.relations)
+            rel = _preimage_generators(ker_gens, f.image())
+            _check_against_transforms(PresentedGroup(ker_gens.shape[1], rel))
+    # the same, and small I - A^hat and I - A with torsion, under a change
+    # of generators with entries past 2**64
+    rng = random.Random(29)
+    rels = []
+    for a in (ck.gen_cuntz(5), ck.gen_amplified(3, 3), *(
+            ck.gen_random_irreducible(n, 0.3, seed=n) for n in (4, 6, 9))):
+        rels += [ck.i_minus(ck.hat_matrix(a)), ck.i_minus(a.entries)]
+        seq = ck.five_term_sequence(a)
+        for f, g in zip(seq.maps, seq.maps[1:]):
+            ker_gens = _preimage_generators(g.matrix, g.target.relations)
+            rels.append(_preimage_generators(ker_gens, f.image()))
+    torsion = 0
+    for rel in rels:
+        rel = intmat.as_intmat(rel)
+        swollen = _big_unimodular(rel.shape[0], rng) @ rel
+        if rel.shape[0] > 1 and rel.size:
+            assert max(abs(x) for x in swollen.flat) > 2 ** 64
+        p = PresentedGroup(rel.shape[0], swollen)
+        _check_against_transforms(p)
+        assert p.canonical() == PresentedGroup(rel.shape[0], rel).canonical()
+        torsion += bool(p.canonical().invariant_factors)
+    assert torsion >= 3
 
 
 # -- elements ---------------------------------------------------------------
