@@ -27,7 +27,7 @@ from .ck import CKReport, FiveTermSequence, MatrixValidationError, \
     pi_aut_stable, validate
 from .realize import RealizationError, RealizationTarget, \
     ext_pair_from_k0_pair, free_plus_presentation, pair_equivalent, \
-    quotient_by_cyclic, range_witness, realize_k0
+    range_witness, realize_k0
 
 __version__ = "0.1.0"
 
@@ -47,6 +47,6 @@ __all__ = [
     "is_stably_isomorphic_ck", "k0_pair", "ones_row_matrix", "pi_aut",
     "pi_aut_stable", "validate",
     "RealizationError", "RealizationTarget", "ext_pair_from_k0_pair",
-    "free_plus_presentation", "pair_equivalent", "quotient_by_cyclic",
-    "range_witness", "realize_k0",
+    "free_plus_presentation", "pair_equivalent", "range_witness",
+    "realize_k0",
 ]

@@ -20,9 +20,9 @@ closed tensor/Tor expressions in those six groups, and the pair
 The class iota_1 of (I - A) e_1 in Ext strong 1 has Ext weak 1 as its
 quotient.  The report reads its order off one more Smith diagonal, of
 I - A^hat with (I - A) e_1 appended as a column: that cokernel is the
-quotient by the class, so the order is the ratio of torsion orders when
-the free ranks agree and infinite otherwise.  :func:`iota_one` keeps the
-element itself, whose order needs the Smith transforms.
+quotient by the class, and :func:`ckinv.presented.order_from_quotient`
+turns it into the order, the same rule :meth:`GroupElement.order` uses
+on the element :func:`iota_one`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ import numpy as np
 
 from . import intmat
 from .groups import FgAbGroup, free_abelian
-from .presented import GroupElement, GroupHom, PresentedGroup, is_exact_at
+from .presented import GroupElement, GroupHom, PresentedGroup, \
+    is_exact_at, order_from_quotient, quotient_by_elements
 
 
 class MatrixValidationError(ValueError):
@@ -169,8 +170,8 @@ class CKReport:
     pi1_aut_stable: FgAbGroup
     pi2_aut_stable: FgAbGroup
     # order of iota_1, 0 if infinite: |T(ExtS1)| / |T(ExtS1/<iota_1>)|
-    # when the free ranks agree, from the Smith diagonal of
-    # [I - A^hat | (I - A) e_1]
+    # when the free ranks agree, the quotient read off the Smith diagonal
+    # of [I - A^hat | (I - A) e_1]; no transforms are computed
     iota_one_order: int
 
     def to_json(self) -> dict:
@@ -220,24 +221,11 @@ def _base_groups(a: ZeroOneMatrix):
     return k0, free, ext_w1, free, ext_s1, ext_s0
 
 
-def _iota_one_order(a: ZeroOneMatrix, ext_s1: FgAbGroup) -> int:
-    """Order of the class of (I - A) e_1 in ext_s1, 0 if infinite.
-
-    For v in G = coker(M), G/<v> = coker([M | v]).  A class of finite
-    order k keeps the free rank and divides |T(G)| by k; one of infinite
-    order drops the free rank by one.
-    """
-    quot = intmat.cokernel_invariants(intmat.hstack(
-        i_minus(hat_matrix(a)), i_minus(a.entries)[:, :1]))
-    if quot.free_rank != ext_s1.free_rank:
-        return 0
-    return ext_s1.torsion.order // quot.torsion.order
-
-
 def invariants(a: ZeroOneMatrix) -> CKReport:
     """Compute every invariant in one report."""
     a = _require_valid(a)
     k0, k1, ext_w1, ext_w0, ext_s1, ext_s0 = _base_groups(a)
+    iota = iota_one(a)
     return CKReport(
         n=a.n,
         k0=k0, k1=k1,
@@ -247,7 +235,8 @@ def invariants(a: ZeroOneMatrix) -> CKReport:
         pi2_aut=_pi(ext_s1, ext_s0, k0, k1, 2),
         pi1_aut_stable=_pi(ext_w1, ext_w0, k0, k1, 1),
         pi2_aut_stable=_pi(ext_w1, ext_w0, k0, k1, 2),
-        iota_one_order=_iota_one_order(a, ext_s1),
+        iota_one_order=order_from_quotient(
+            ext_s1, quotient_by_elements(iota.group, [iota])),
     )
 
 

@@ -4,11 +4,13 @@ A :class:`PresentedGroup` is Z^n modulo the lattice spanned by the columns
 of a relation matrix.  Elements are integer coordinate vectors; two vectors
 name the same element when their difference lies in the relation lattice.
 Homomorphisms are integer matrices mapping source generators to target
-coordinates.  Everything reduces to exact lattice arithmetic from
-:mod:`ckinv.intmat`: canonical forms come from the Smith diagonal of the
-relations, element coordinates and orders from the Smith decomposition
-with its transforms (computed only when an element needs them), and
-membership tests from Hermite forms.
+coordinates.  Every query reads one Smith diagonal from :mod:`ckinv.intmat`:
+that of the relations with some columns appended, the group modulo some
+elements.  Columns lie in the relation lattice iff that quotient is
+isomorphic to the group, since finitely generated abelian groups are
+Hopfian; element equality, well-definedness and exactness use this rule,
+and orders follow :func:`order_from_quotient`.  Only
+:meth:`PresentedGroup.canonical_coords` computes Smith transforms.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ class PresentedGroup:
     @cached_property
     def _rel_snf(self) -> intmat.SmithDecomposition:
         return intmat.smith_normal_form(self.relations)
-
-    @cached_property
-    def _rel_hnf(self) -> intmat.HermiteDecomposition:
-        return intmat.hermite_normal_form(self.relations)
 
     @cached_property
     def _moduli(self) -> tuple[int, ...]:
@@ -86,10 +84,14 @@ class PresentedGroup:
                      if d > 1)
         return free, tors
 
-    def contains_relation(self, coords) -> bool:
-        """True iff the vector is zero in the group."""
-        free, tors = self.canonical_coords(coords)
-        return not any(free) and not any(tors)
+    def _contains(self, columns: np.ndarray) -> bool:
+        """True iff every column lies in the relation lattice.
+
+        Compares the canonical form of the group modulo the columns with
+        the group's own; no columns cost no elimination.
+        """
+        return not columns.shape[1] or intmat.cokernel_invariants(
+            intmat.hstack(self.relations, columns)) == self.canonical()
 
 
 class GroupElement:
@@ -131,26 +133,21 @@ class GroupElement:
         if not isinstance(other, GroupElement):
             return NotImplemented
         self._same_group(other)
-        return self.group.contains_relation(self.coords - other.coords)
+        return self.group._contains((self.coords - other.coords)[:, None])
 
     def __repr__(self):
         return f"GroupElement({list(self.coords)})"
 
     def is_zero(self) -> bool:
-        return self.group.contains_relation(self.coords)
+        return self.group._contains(self.coords[:, None])
 
     def canonical_coords(self):
         return self.group.canonical_coords(self.coords)
 
     def order(self) -> int:
         """Order of the element; 0 encodes infinite order."""
-        free, tors = self.canonical_coords()
-        if any(free):
-            return 0
-        from math import gcd, lcm
-        facs = [d for d in self.group._moduli if d > 1]
-        return lcm(*(d // gcd(d, r) for d, r in zip(facs, tors))) \
-            if facs else 1
+        return order_from_quotient(self.group.canonical(),
+                                   quotient_by_elements(self.group, [self]))
 
 
 class GroupHom:
@@ -177,9 +174,7 @@ class GroupHom:
 
     def is_well_defined(self) -> bool:
         """True iff every source relation maps into the target lattice."""
-        solve = self.target._rel_hnf.solve
-        return all(solve(self.matrix @ col) is not None
-                   for col in self.source.relations.T)
+        return self.target._contains(self.matrix @ self.source.relations)
 
     def apply(self, element: GroupElement) -> GroupElement:
         if element.group is not self.source:
@@ -243,9 +238,7 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
     """
     if f.target is not g.source:
         raise ValueError("sequence is not composable at this node")
-    solve = g.target._rel_hnf.solve
-    comp = g.matrix @ f.matrix
-    if not all(solve(col) is not None for col in comp.T):
+    if not g.target._contains(g.matrix @ f.matrix):
         return False
     ker_gens = _preimage_generators(g.matrix, g.target.relations)
     image = f.image()
@@ -264,3 +257,14 @@ def quotient_by_elements(p: PresentedGroup, elems) -> FgAbGroup:
     extra = (np.stack(cols, axis=1) if cols
              else intmat.zeros(p.generators, 0))
     return intmat.cokernel_invariants(intmat.hstack(p.relations, extra))
+
+
+def order_from_quotient(group: FgAbGroup, quotient: FgAbGroup) -> int:
+    """Order of x in G from G and G/<x>; 0 encodes infinite order.
+
+    Finite order k keeps the free rank and divides |T(G)| by k; infinite
+    order drops the free rank by one.
+    """
+    if quotient.free_rank != group.free_rank:
+        return 0
+    return group.torsion.order // quotient.torsion.order

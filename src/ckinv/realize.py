@@ -3,9 +3,9 @@
 :func:`realize_k0` builds, for any target Z^r + Z/n_1 + ... + Z/n_k, an
 irreducible non-permutation 0-1 matrix whose weak extension group is the
 target and whose kernel has rank r.  The remaining operations are the
-group-level calculus around the pair (K_0, unit class): cyclic quotients,
-the predicted (weak, strong) extension pair, pair equivalence, and a
-bounded search through the possible range of extension-group pairs.
+group-level calculus around the pair (K_0, unit class): the predicted
+(weak, strong) extension pair, pair equivalence, and a bounded search
+through the possible range of extension-group pairs.
 """
 
 from __future__ import annotations
@@ -97,11 +97,6 @@ def realize_k0(target: RealizationTarget) -> ZeroOneMatrix:
     return matrix
 
 
-def quotient_by_cyclic(g: PresentedGroup, e: GroupElement) -> FgAbGroup:
-    """Canonical form of G modulo the cyclic subgroup generated by e."""
-    return quotient_by_elements(g, [e])
-
-
 def pair_equivalent(g: PresentedGroup, d: GroupElement,
                     h: PresentedGroup, e: GroupElement) -> bool:
     """Whether (G, d) and (H, e) agree as group-with-element data.
@@ -112,7 +107,7 @@ def pair_equivalent(g: PresentedGroup, d: GroupElement,
     if d.group is not g or e.group is not h:
         raise ValueError("element does not belong to its presentation")
     return (g.canonical() == h.canonical()
-            and quotient_by_cyclic(g, d) == quotient_by_cyclic(h, e))
+            and quotient_by_elements(g, [d]) == quotient_by_elements(h, [e]))
 
 
 def ext_pair_from_k0_pair(g: PresentedGroup,
@@ -123,7 +118,7 @@ def ext_pair_from_k0_pair(g: PresentedGroup,
     """
     if d.group is not g:
         raise ValueError("element does not belong to its presentation")
-    return g.canonical(), Z.direct_sum(quotient_by_cyclic(g, d))
+    return g.canonical(), Z.direct_sum(quotient_by_elements(g, [d]))
 
 
 def free_plus_presentation(m: FgAbGroup) -> PresentedGroup:
@@ -159,6 +154,6 @@ def range_witness(g: FgAbGroup, m: FgAbGroup,
     axes += [range(d) for d in m.invariant_factors]
     for coords in itertools.product(*axes):
         e = presentation.element(coords)
-        if quotient_by_cyclic(presentation, e) == g:
+        if quotient_by_elements(presentation, [e]) == g:
             return e
     return None

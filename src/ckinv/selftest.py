@@ -1,13 +1,14 @@
 """Built-in fixture and property checks behind ``ckinv selftest``.
 
 Each check is a named function returning True/False; the runner prints one
-line per check.  Seeds are fixed so the run is reproducible; the pytest
-suite covers the same ground with larger corpora.
+line per check with its elapsed time.  Seeds are fixed so the run is
+reproducible; the pytest suite covers the same ground with larger corpora.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from math import gcd
 
 import numpy as np
@@ -148,7 +149,7 @@ def check_smith_properties() -> bool:
 
 
 def run_selftest(write=print) -> bool:
-    """Run every check, printing one PASS/FAIL line each."""
+    """Run every check, printing one PASS/FAIL line each with its time."""
     corpus = _corpus(80)
     reports = [ck.invariants(a) for a in corpus]
     checks = [
@@ -169,8 +170,10 @@ def run_selftest(write=print) -> bool:
     ]
     all_ok = True
     for name, fn in checks:
+        start = time.perf_counter()
         ok = fn()
         all_ok &= ok
-        write(f"{'PASS' if ok else 'FAIL'}  {name}")
+        write(f"{'PASS' if ok else 'FAIL'}  {name} "
+              f"({time.perf_counter() - start:.2f} s)")
     write("all fixtures pass" if all_ok else "selftest FAILED")
     return all_ok

@@ -5,13 +5,16 @@ come from cofactor expansion, Smith diagonals from determinant divisors
 (gcds of k x k minors), from a naive first-nonzero elimination on lists,
 or from the dense numpy elimination that ``smith_diagonal`` used before
 its sparse unit-pivot prepass.  They are deliberately slow and simple.
+The one exception, ``transforms_order``, reads an element's order off the
+Smith transforms of its presentation (``canonical_coords``), a route the
+library's order rule no longer takes.
 The numpy Smith and Hermite eliminations with transforms, int64 start and
 mid-run promotion included, are the reference the list-based library
 routines must match entry for entry.
 """
 
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -55,6 +58,17 @@ def bareiss_det(rows) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def transforms_order(element) -> int:
+    """Order of a presented-group element, 0 if infinite, from the Smith
+    transforms: infinite when a free coordinate is nonzero, otherwise the
+    lcm over the invariant factors d > 1 of d / gcd(d, residue)."""
+    free, tors = element.canonical_coords()
+    if any(free):
+        return 0
+    facs = [d for d in element.group._rel_snf.diagonal if d > 1]
+    return lcm(*(d // gcd(d, r) for d, r in zip(facs, tors)))
 
 
 def minor_gcd_diagonal(rows) -> list:

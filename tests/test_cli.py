@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -323,3 +324,107 @@ def test_compare_reads_its_verdicts_off_the_reports(matrix_files,
     assert len(calls) == 2 * per_report == 10
     assert capsys.readouterr().out.splitlines()[:2] == \
         ["isomorphic: false", "stably_isomorphic: true"]
+
+
+# -- input fuzzing ----------------------------------------------------------
+
+def _fuzz_rows(rng, n):
+    # a cycle through every vertex plus a loop: irreducible, and not a
+    # permutation, before any mutation
+    rows = [[int(rng.random() < 0.3) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n] = 1
+    rows[0][0] = 1
+    return rows
+
+
+def _fuzz_text(rows):
+    return f"{len(rows)}\n" + "".join(
+        " ".join(map(str, r)) + "\n" for r in rows)
+
+
+def _fuzz_json(rows):
+    return json.dumps({"matrix": rows})
+
+
+_ODD_TOKENS = ["true", "false", "1.0", "1e3", "NaN", "nan", "Infinity",
+               "-Infinity", "null", "\"1\"", "[1]", "9" * 30, "-" + "9" * 25,
+               str(2 ** 63), str(-2 ** 63), "\u0661", "\uff11", "\ufeff1",
+               "\u200b", "0x1", "1_0", "+1", "--1", "", "\u00e9"]
+
+
+def _fuzz_input(rng) -> bytes:
+    """One generated matrix file: well-formed, or broken in a random way."""
+    rows = _fuzz_rows(rng, rng.randint(1, 8))
+    text = rng.choice([_fuzz_text, _fuzz_json])(rows)
+    kind = rng.choice(["valid"] * 4 + ["truncated", "ragged", "huge",
+                                       "token", "unicode", "empty", "bytes"])
+    if kind == "truncated":
+        text = text[:rng.randrange(len(text))]
+    elif kind == "ragged":
+        rows[rng.randrange(len(rows))].append(1)
+        text = rng.choice([_fuzz_text, _fuzz_json])(rows)
+    elif kind == "huge":
+        text = rng.choice([
+            f"{10 ** rng.randint(3, 40)}\n1 1\n",
+            "3\n" + " ".join(["1"] * 100_000) + "\n",
+            '{"matrix": [[1' + "0" * rng.randint(18, 5000) + "]]}",
+            '{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            "1\n" + "9" * 10_000 + "\n",
+            "#" * 100_000 + "\n2\n1 1\n1 1\n",
+        ])
+    elif kind == "token":
+        token = rng.choice(_ODD_TOKENS)
+        if text.startswith("{"):
+            text = text.replace("1", token, 1).replace("0", token, 1)
+        else:
+            lines = text.split("\n")
+            i = rng.randrange(len(lines))
+            lines[i] = " ".join(token if rng.random() < 0.5 else t
+                                for t in lines[i].split(" "))
+            text = "\n".join(lines)
+    elif kind == "unicode":
+        chars = [chr(rng.choice([0x0, 0xa0, 0x85, 0x2028, 0x661, 0xff11,
+                                 0x1f600, 0xfeff, 0x3000, 0xd7ff]))
+                 for _ in range(rng.randint(1, 6))]
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + "".join(chars) + text[at:]
+    elif kind == "empty":
+        text = rng.choice(["", " ", "\n\n", "# only a comment\n", "{}",
+                           '{"matrix": []}', '{"matrix": [[]]}', "0\n",
+                           '{"matrix": null}', "[]", '{"matrix": [[], []]}'])
+    data = text.encode("utf-8")
+    if kind == "bytes":
+        data = bytearray(data)
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        data = bytes(data)
+    return data
+
+
+def _fuzz_argv(rng, paths):
+    command = rng.choice(["validate", "invariants", "compare"])
+    argv = [command, *(str(rng.choice(paths))
+                       for _ in range(2 if command == "compare" else 1))]
+    if command != "validate" and rng.random() < 0.5:
+        argv.append("--json")
+    return argv
+
+
+def test_fuzzed_matrix_files_end_in_an_exit_code(tmp_path, capsys):
+    rng = random.Random(4242)
+    paths = []
+    for i in range(120):
+        path = tmp_path / f"m{i}.{rng.choice(['txt', 'json'])}"
+        path.write_bytes(_fuzz_input(rng))
+        paths.append(path)
+    codes = []
+    for _ in range(200):
+        codes.append(cli.main(_fuzz_argv(rng, paths)))
+        capsys.readouterr()
+    assert set(codes) <= {0, 1, 2}
+    assert codes.count(0) >= 40 and codes.count(2) >= 80
+    for _ in range(6):
+        r = run_cli(*_fuzz_argv(rng, paths))
+        assert r.returncode in (0, 1, 2)
+        assert "Traceback" not in r.stderr

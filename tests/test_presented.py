@@ -1,4 +1,5 @@
 import random
+import time
 from math import lcm
 
 import numpy as np
@@ -9,7 +10,7 @@ from ckinv.groups import FgAbGroup, TRIVIAL, Z
 from ckinv.presented import GroupElement, GroupHom, PresentedGroup, \
     _preimage_generators, is_exact_at, quotient_by_elements
 
-from oracles import minor_gcd_diagonal
+from oracles import minor_gcd_diagonal, transforms_order
 
 
 def z_mod(n):
@@ -85,20 +86,20 @@ def _big_unimodular(n: int, rng: random.Random) -> np.ndarray:
 
 
 def _check_against_transforms(p: PresentedGroup) -> None:
-    # canonical() reads a Smith diagonal; coordinates and orders still
-    # come from the transforms and must describe the same group
+    # canonical(), orders and equality read Smith diagonals; coordinates
+    # still come from the transforms and must describe the same group
     g = p.canonical()
     assert g == _group_from_transforms(p.relations)
     gens = [p.element([int(i == k) for i in range(p.generators)])
             for k in range(p.generators)]
-    for e in gens:
+    orders = [e.order() for e in gens]
+    for e, order in zip(gens, orders):
         free, tors = e.canonical_coords()
         assert len(free) == g.free_rank
         assert len(tors) == len(g.invariant_factors)
-        assert (e.order() == 0) == any(free)
+        assert order == transforms_order(e)
     if g.free_rank == 0:  # the generators generate: lcm of orders = exponent
-        assert lcm(*(e.order() for e in gens)) == \
-            max(g.invariant_factors, default=1)
+        assert lcm(*orders) == max(g.invariant_factors, default=1)
     for col in p.relations.T[:3]:
         assert p.element(col) == p.zero()
 
@@ -138,6 +139,27 @@ def test_canonical_on_swollen_relations():
     assert torsion >= 3
 
 
+def test_element_arithmetic_on_swollen_relations_is_bounded():
+    # I - A^hat at n=30 under a change of generators with entries past
+    # 2**64: orders and equality cost a Smith diagonal each, where the
+    # transforms Smith of these relations ran for minutes
+    rng = random.Random(41)
+    start = time.perf_counter()
+    for density, seed, order in ((0.3, 1, 0), (0.04, 24, 17)):
+        a = ck.gen_random_irreducible(30, density, seed)
+        u = _big_unimodular(30, rng)
+        p = PresentedGroup(30, u @ ck.i_minus(ck.hat_matrix(a)))
+        assert max(abs(x) for x in p.relations.flat) > 2 ** 64
+        iota = p.element(u @ ck.i_minus(a.entries)[:, 0])
+        assert iota.order() == ck.invariants(a).iota_one_order == order
+        assert iota != p.zero()
+        if order:
+            assert order * iota == p.zero()
+        for col in p.relations.T[:3]:
+            assert p.element(col) == p.zero()
+    assert time.perf_counter() - start < 10.0
+
+
 # -- elements ---------------------------------------------------------------
 
 def test_element_equality_is_congruence():
@@ -162,6 +184,7 @@ def test_element_equality_matches_canonical_coords():
         x = p.element([rng.randint(-5, 5) for _ in range(n)])
         y = p.element([rng.randint(-5, 5) for _ in range(n)])
         assert (x == y) == (x.canonical_coords() == y.canonical_coords())
+        assert x.order() == transforms_order(x)
 
 
 def test_cross_presentation_is_an_error():
@@ -234,6 +257,48 @@ def test_injective_surjective():
     assert quot.is_surjective()
 
 
+def _random_matrix(rng, rows, cols):
+    return intmat.as_intmat(np.array(
+        [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)],
+        dtype=object).reshape(rows, cols))
+
+
+def _in_lattice(lattice, columns) -> bool:
+    return all(intmat.lattice_contains(lattice, c) for c in columns.T)
+
+
+def test_membership_matches_lattice_solve():
+    # well-definedness and the g o f = 0 test of exactness compare
+    # cokernels; the Hermite solve of each column is the oracle.  Odd
+    # rounds put the images into the target lattice, so about half the
+    # homs are well-defined.
+    rng = random.Random(37)
+    verdicts = {"hom": [], "composite": []}
+    for round_ in range(200):
+        na, nb, nc = (rng.randint(1, 5) for _ in range(3))
+        a_rel = _random_matrix(rng, na, rng.randint(0, 4))
+        fm = _random_matrix(rng, nb, na)
+        b_rel = _random_matrix(rng, nb, rng.randint(0, 4))
+        gm = _random_matrix(rng, nc, nb)
+        c_rel = _random_matrix(rng, nc, rng.randint(0, 4))
+        if round_ % 2:
+            b_rel = intmat.hstack(fm @ a_rel, b_rel)
+            c_rel = intmat.hstack(c_rel, gm @ fm)
+        pa, pb, pc = (PresentedGroup(r.shape[0], r)
+                      for r in (a_rel, b_rel, c_rel))
+        f, g = GroupHom(pa, pb, fm), GroupHom(pb, pc, gm)
+        well = f.is_well_defined()
+        assert well == _in_lattice(b_rel, fm @ a_rel)
+        verdicts["hom"].append(well)
+        zero = pc._contains(gm @ fm)
+        assert zero == _in_lattice(c_rel, gm @ fm)
+        verdicts["composite"].append(zero)
+        if not zero:
+            assert not is_exact_at(f, g)
+    for seen in verdicts.values():
+        assert 60 <= sum(seen) <= 140
+
+
 # -- exactness --------------------------------------------------------------
 
 def test_exactness_examples():
@@ -273,6 +338,8 @@ def test_exactness_of_random_quotients():
 # -- quotients --------------------------------------------------------------
 
 def test_quotient_examples():
+    z = free(1)
+    assert quotient_by_elements(z, [z.element([1])]) == TRIVIAL
     p = free(2)
     assert quotient_by_elements(p, [p.zero()]) == FgAbGroup(2)
     assert quotient_by_elements(p, [p.element([1, 0])]) == Z

@@ -7,7 +7,7 @@ import pytest
 
 from ckinv import ck, intmat, realize
 from ckinv.groups import FgAbGroup, TRIVIAL, Z, canonical_from_cyclic
-from ckinv.presented import PresentedGroup
+from ckinv.presented import PresentedGroup, quotient_by_elements
 from ckinv.realize import RealizationTarget
 
 
@@ -91,16 +91,6 @@ def test_realize_rejects_bad_targets():
 
 
 # -- quotients and pairs ----------------------------------------------------
-
-def test_quotient_by_cyclic_examples():
-    zp = PresentedGroup(1)
-    assert realize.quotient_by_cyclic(zp, zp.element([1])) == TRIVIAL
-    z2p = PresentedGroup(2)
-    assert realize.quotient_by_cyclic(z2p, z2p.zero()) == FgAbGroup(2)
-    mixed = PresentedGroup(2, [[0], [2]])  # Z + Z/2
-    assert realize.quotient_by_cyclic(mixed, mixed.element([2, 1])) == \
-        FgAbGroup(0, (4,))
-
 
 def test_pair_equivalent_examples():
     zp = PresentedGroup(1)
@@ -200,7 +190,7 @@ def test_range_witness_soundness():
         w = realize.range_witness(g, m, 4)
         if w is not None:
             found += 1
-            assert realize.quotient_by_cyclic(w.group, w) == g
+            assert quotient_by_elements(w.group, [w]) == g
     assert found > 5
 
 
@@ -208,7 +198,7 @@ def test_range_witness_refuses_a_huge_search(monkeypatch):
     def no_search(*args):
         raise AssertionError("tried a candidate of a refused search")
 
-    monkeypatch.setattr(realize, "quotient_by_cyclic", no_search)
+    monkeypatch.setattr(realize, "quotient_by_elements", no_search)
     start = time.perf_counter()
     for m in (Z, FgAbGroup(3, (2, 10 ** 20))):
         with pytest.raises(ValueError, match="candidates"):
