@@ -48,23 +48,33 @@ class MatrixValidationError(ValueError):
 
 @dataclass(frozen=True)
 class ZeroOneMatrix:
-    """Validated N x N irreducible non-permutation matrix over {0, 1}."""
+    """Validated N x N irreducible non-permutation matrix over {0, 1}.
 
-    entries: np.ndarray
+    The entries are held as a read-only boolean array, one byte each, so
+    a held matrix costs N^2 bytes rather than 8 N^2; :attr:`entries`
+    gives them as integers.
+    """
+
+    bits: np.ndarray
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The matrix as a new int64 array."""
+        return self.bits.astype(np.int64)
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.bits.shape[0]
 
     def __eq__(self, other):
         if not isinstance(other, ZeroOneMatrix):
             return NotImplemented
-        return (self.entries.shape == other.entries.shape
-                and bool((self.entries == other.entries).all()))
+        return (self.bits.shape == other.bits.shape
+                and bool((self.bits == other.bits).all()))
 
     def transpose(self) -> "ZeroOneMatrix":
         """The transposed matrix; validity is preserved."""
-        return ZeroOneMatrix(self.entries.T.copy())
+        return ZeroOneMatrix(self.bits.T.copy())
 
 
 def _strongly_connected(a: np.ndarray) -> bool:
@@ -119,7 +129,7 @@ def validate(raw) -> ZeroOneMatrix:
         raise MatrixValidationError(
             "reducible", "matrix is reducible: its digraph is not strongly "
                          "connected")
-    a = a.copy()
+    a = a.astype(bool)
     a.setflags(write=False)
     return ZeroOneMatrix(a)
 
@@ -221,9 +231,25 @@ def _base_groups(a: ZeroOneMatrix):
     return k0, free, ext_w1, free, ext_s1, ext_s0
 
 
+# Largest matrix side invariants accepts.  Its five Smith diagonals take
+# time growing about as the fourth power of the side: over densities 0.1,
+# 0.3 and 0.6 with three seeds each, the slowest random matrix took 6.4 s
+# at side 200, 33 s at side 300 and 47 s at side 330, and one at side 350
+# took 58 s (2-core x86-64, Python 3.11), so larger matrices are refused
+# up front.
+MAX_INVARIANTS_SIDE = 330
+
+
 def invariants(a: ZeroOneMatrix) -> CKReport:
-    """Compute every invariant in one report."""
+    """Compute every invariant in one report.
+
+    A matrix of side above :data:`MAX_INVARIANTS_SIDE` raises
+    ``ValueError`` before any elimination.
+    """
     a = _require_valid(a)
+    if a.n > MAX_INVARIANTS_SIDE:
+        raise ValueError(f"invariants take a side of at most "
+                         f"{MAX_INVARIANTS_SIDE}, got {a.n}")
     k0, k1, ext_w1, ext_w0, ext_s1, ext_s0 = _base_groups(a)
     iota = iota_one(a)
     return CKReport(

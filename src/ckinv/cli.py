@@ -311,13 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("invariants", help="full invariant report")
+    text = f"full invariant report (side at most {ck.MAX_INVARIANTS_SIDE})"
+    p = sub.add_parser("invariants", help=text, description=text)
     p.add_argument("matrix")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_invariants)
 
-    p = sub.add_parser("compare", help="isomorphism verdicts for two "
-                                       "matrices")
+    text = (f"isomorphism verdicts for two matrices (side at most "
+            f"{ck.MAX_INVARIANTS_SIDE})")
+    p = sub.add_parser("compare", help=text, description=text)
     p.add_argument("matrix_a")
     p.add_argument("matrix_b")
     p.add_argument("--json", action="store_true")

@@ -13,16 +13,27 @@ normal forms and lattice routines built on them:
   * :func:`lattice_contains`, :func:`lattice_solve`
 
 Every elimination runs on lists of Python ints; numpy appears only at the
-boundary, on input and in the returned decompositions.  One min-abs-pivot
-Smith loop serves both Smith routines: :func:`smith_normal_form` runs it
-on the whole matrix with its transforms, and :func:`smith_diagonal` runs
-it without them on the small dense core left once unit pivots have been
-eliminated on sparse rows, cheapest Markowitz cost first.
+boundary, on input and in the returned decompositions.
+:func:`smith_normal_form` runs a min-abs-pivot Smith loop on the whole
+matrix with its transforms.  :func:`smith_diagonal` first eliminates unit
+pivots on sparse rows, cheapest Markowitz cost first; on the dense core
+left, fraction-free (Bareiss) elimination gives the rank r and a gcd D of
+r x r minors, which every diagonal entry divides, and the core is then
+diagonalized modulo D: unit pivots by one Schur pass each, the rest by
+extended-gcd (Bezout) steps.  Entries never grow past D there, where the
+min-abs loop needs many rounds per diagonal entry.  The diagonal entries
+are read off as gcds with D, put into a divisibility chain, and copies of
+D past the rank are dropped.  On a square nonsingular core D = |det| is
+the product of the diagonal, so only the first r - 1 entries are read,
+modulo a gcd of (r-1) x (r-1) minors, which is usually 1.  See Hafner and
+McCurley, SIAM J. Comput. 20 (1991), and Cohen, A Course in Computational
+Algebraic Number Theory, Alg. 2.4.14.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, prod
 
 import numpy as np
 
@@ -318,18 +329,173 @@ def _unit_prepass(m: np.ndarray) -> tuple[int, list[list[int]]]:
     return ones, [[r.get(j, 0) for j in live] for r in rows.values()]
 
 
+def _bareiss(a: list[list[int]]) -> list[int]:
+    """Minor gcds g_1, ..., g_r of int rows of rank r; consumes a.
+
+    Fraction-free elimination with row pivoting: after k pivots every
+    entry left is a (k+1) x (k+1) minor of the original rows, so each
+    division by the previous pivot is exact.  g_k is the gcd of the k x k
+    minors that the k-th pivot's row and column hold, the pivot among
+    them, so it is nonzero and d_1 ... d_k divides it (d_i the Smith
+    diagonal).  A column with no pivot is skipped.
+    """
+    gs, prev = [], 1
+    while a and a[0]:
+        k = next((k for k, row in enumerate(a) if row[0]), None)
+        if k is None:
+            for row in a:
+                del row[0]
+            continue
+        prow = a.pop(k)
+        p = prow.pop(0)
+        xs = [row.pop(0) for row in a]
+        gs.append(gcd(p, *prow, *xs))
+        for i, (row, x) in enumerate(zip(a, xs)):
+            a[i] = [(p * y - x * z) // prev for y, z in zip(row, prow)]
+        prev = p
+    return gs
+
+
+def _bezout(x: int, y: int) -> tuple[int, int, int]:
+    """(g, s, t) with s x + t y = g = gcd(x, y), for x, y > 0."""
+    g = gcd(x, y)
+    s = pow(x // g, -1, y // g)
+    return g, s, (g - s * x) // y
+
+
+def _diagonal_mod(a: list[list[int]], d: int) -> list[int]:
+    """gcd(e, d) for the diagonal entries e of int rows diagonalized mod d.
+
+    The pivot is the entry of least gcd with d, the first unit found if
+    any; a unit is scaled to 1 by its inverse.  Row operations clear the
+    pivot's column: a multiple of the pivot row where the pivot divides
+    the entry, else an extended-gcd (Bezout) step, a 2 x 2 unimodular
+    operation that turns (x, b) into (gcd(x, b), 0).  Entries of the pivot
+    row that the pivot does not divide take Bezout column steps, which
+    may refill the column, so the passes repeat; the pivot only shrinks,
+    so they end.  Then the pivot divides its row, column operations clear
+    that without touching any other row, and the pivot row and column
+    drop out.  A unit pivot thus costs one Schur pass.  Once every entry
+    left is 0 mod d, the entries still to come are 0 and are not listed.
+    Consumes ``a``, whose entries must lie in [0, d).
+    """
+    out = []
+    while a and a[0]:
+        least, i, j = d, None, None
+        for k, row in enumerate(a):
+            for c, x in enumerate(row):
+                g = gcd(x, d)
+                if g < least:
+                    least, i, j = g, k, c
+                    if g == 1:
+                        break
+            if least == 1:
+                break
+        if i is None:
+            break
+        prow = a.pop(i)
+        x = prow[j]
+        if least == 1:
+            inv = pow(x, -1, d)
+            prow, x = [z * inv % d for z in prow], 1
+        refilled = True
+        while refilled:
+            for k, row in enumerate(a):  # column j, by row operations
+                b = row[j]
+                if not b:
+                    continue
+                if b % x == 0:
+                    q = b // x
+                    a[k] = [(y - q * z) % d for y, z in zip(row, prow)]
+                    continue
+                g, s, t = _bezout(x, b)
+                xg, bg = x // g, b // g
+                prow, a[k] = ([(s * z + t * y) % d
+                               for z, y in zip(prow, row)],
+                              [(xg * y - bg * z) % d
+                               for z, y in zip(prow, row)])
+                x = g
+            refilled = False
+            for c, y in enumerate(prow):  # row j, by column operations
+                if y % x:
+                    g, s, t = _bezout(x, y)
+                    xg, yg = x // g, y // g
+                    for row in (prow, *a):
+                        row[j], row[c] = ((s * row[j] + t * row[c]) % d,
+                                          (xg * row[c] - yg * row[j]) % d)
+                    x, refilled = g, True
+        for row in a:
+            del row[j]
+        out.append(gcd(x, d))
+    return out
+
+
+def _chain(ds: list[int]) -> list[int]:
+    """Invariant factors of the direct sum of Z/d, by gcd/lcm swaps."""
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            g = gcd(ds[i], ds[j])
+            ds[i], ds[j] = g, ds[i] * ds[j] // g
+    return ds
+
+
+def _leading_factors(a: list[list[int]], d: int, count: int) -> list[int]:
+    """Smith diagonal entries d_1, ..., d_count of m x n int rows, given
+    that they divide d; reduces ``a`` modulo d and consumes it.
+
+    Z^m / (columns + d Z^m) is the direct sum over i <= m of the
+    Z/gcd(d_i, d), with d_i = 0 past the rank.  Diagonalizing modulo d
+    (:func:`_diagonal_mod`) presents the same group as the sum of the
+    Z/gcd(e, d) over min(m, n) entries e, and of m - min(m, n) copies of
+    Z/d.  Put into a divisibility chain, these gcd(e, d) are therefore
+    the gcd(d_i, d) for i <= min(m, n); the first ``count`` are d_1, ...,
+    d_count, and the copies of d after them are dropped.  d = 1 needs no
+    elimination.
+    """
+    if d == 1:
+        return [1] * count
+    size = min(len(a), len(a[0]))
+    for row in a:
+        row[:] = [x % d for x in row]
+    es = _diagonal_mod(a, d)
+    chain = _chain([e for e in es if e > 1])
+    chain = [1] * (len(es) - len(chain)) + chain + [d] * (size - len(es))
+    return chain[:count]
+
+
+def _modular_diagonal(a: list[list[int]]) -> list[int]:
+    """Nonzero Smith diagonal d_1 | ... | d_r of equal-length int rows.
+
+    :func:`_bareiss` gives the rank r and minor gcds g_1, ..., g_r, with
+    d_1 ... d_k dividing g_k.  So every d_i divides g_r, and the diagonal
+    is read off the rows modulo g_r (:func:`_leading_factors`).  When the
+    rows are square and nonsingular, g_r = |det| = d_1 ... d_r: then
+    d_1, ..., d_(r-1) are read modulo g_(r-1), usually 1 or small, and
+    d_r is the quotient.  Entries stay below the modulus throughout.
+    Consumes ``a``.
+    """
+    if not a or not a[0]:
+        return []
+    gs = [1] + _bareiss([row[:] for row in a])  # g_0 = 1
+    rank = len(gs) - 1
+    if rank < len(a) or rank < len(a[0]):
+        return _leading_factors(a, gs[-1], rank)
+    head = _leading_factors(a, gs[-2], rank - 1)
+    return head + [gs[-1] // prod(head)]
+
+
 def smith_diagonal(m) -> tuple[int, ...]:
     """Diagonal of the Smith normal form, without transforms.
 
     Unit pivots are eliminated first on sparse rows of Python ints (see
-    :func:`_unit_prepass`); each gives a 1.  The dense core left over
-    goes through the min-abs-pivot loop of :func:`smith_normal_form`
-    without transforms, and zeros pad the result to ``min(m.shape)``
-    entries.
+    :func:`_unit_prepass`); each gives a 1.  The dense core left over is
+    diagonalized modulo a gcd of r x r minors, r its rank, both found by
+    fraction-free elimination (see :func:`_modular_diagonal`), and zeros
+    pad the result to ``min(m.shape)`` entries.
     """
     m = _prep(m)
     ones, core = _unit_prepass(m)
-    diag = [1] * ones + _smith_rows(core)
+    diag = [1] * ones + _modular_diagonal(core)
     return tuple(diag + [0] * (min(m.shape) - len(diag)))
 
 

@@ -88,10 +88,13 @@ class PresentedGroup:
         """True iff every column lies in the relation lattice.
 
         Compares the canonical form of the group modulo the columns with
-        the group's own; no columns cost no elimination.
+        the group's own.  No columns, or a trivial group, in which every
+        column lies, cost no elimination.
         """
-        return not columns.shape[1] or intmat.cokernel_invariants(
-            intmat.hstack(self.relations, columns)) == self.canonical()
+        return (not columns.shape[1] or self.canonical().is_trivial
+                or intmat.cokernel_invariants(
+                    intmat.hstack(self.relations, columns))
+                == self.canonical())
 
 
 class GroupElement:
@@ -145,8 +148,14 @@ class GroupElement:
         return self.group.canonical_coords(self.coords)
 
     def order(self) -> int:
-        """Order of the element; 0 encodes infinite order."""
-        return order_from_quotient(self.group.canonical(),
+        """Order of the element; 0 encodes infinite order.
+
+        In a trivial group every element has order 1, with no elimination.
+        """
+        group = self.group.canonical()
+        if group.is_trivial:
+            return 1
+        return order_from_quotient(group,
                                    quotient_by_elements(self.group, [self]))
 
 

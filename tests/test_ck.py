@@ -49,6 +49,17 @@ def test_validate_realized_matrix():
 
 # -- hat matrix -------------------------------------------------------------
 
+def test_validated_matrix_holds_one_byte_per_entry():
+    # a caller that keeps many validated matrices holds N^2 bytes each
+    a = ck.gen_random_irreducible(100, 0.3, seed=1)
+    assert a.bits.dtype == bool and a.bits.nbytes == 100 * 100
+    m = a.entries
+    assert m.dtype == np.int64 and ck.validate(m) == a
+    m[0, 0] = 1 - m[0, 0]  # a fresh array: the matrix does not change
+    assert (a.entries != m).sum() == 1
+    assert a.transpose().entries.tolist() == a.entries.T.tolist()
+
+
 def test_hat_of_all_ones_is_ones_row():
     for n in (2, 3, 5):
         a = ck.gen_cuntz(n)
@@ -159,6 +170,18 @@ def test_invariants_requires_validated_input():
 
 
 # -- corpus properties ------------------------------------------------------
+
+def test_invariants_refuse_sides_past_the_cap(monkeypatch):
+    def no_elimination(m):
+        raise AssertionError("eliminated a matrix past the cap")
+
+    for name in ("smith_diagonal", "smith_normal_form",
+                 "hermite_normal_form"):
+        monkeypatch.setattr(intmat, name, no_elimination)
+    a = ck.gen_random_irreducible(ck.MAX_INVARIANTS_SIDE + 1, 0.3, seed=1)
+    with pytest.raises(ValueError, match="at most"):
+        ck.invariants(a)
+
 
 def test_rank_identities(reports500):
     for r in reports500:

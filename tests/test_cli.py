@@ -283,6 +283,21 @@ def test_exactseq_refuses_a_matrix_past_the_cap(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_invariants_and_compare_refuse_a_matrix_past_the_cap(tmp_path):
+    m = tmp_path / "m.txt"
+    side = str(ck.MAX_INVARIANTS_SIDE + 1)
+    assert run_cli("gen", "random", side, "--seed", "1",
+                   "--out", str(m)).returncode == 0
+    for args in (["invariants", str(m)], ["compare", str(m), str(m)]):
+        r = run_cli(*args)
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:") and "at most" in r.stderr
+        assert "Traceback" not in r.stderr
+    for command in ("invariants", "compare"):
+        help_text = " ".join(run_cli(command, "--help").stdout.split())
+        assert f"side at most {ck.MAX_INVARIANTS_SIDE}" in help_text
+
+
 def test_realize_refuses_an_oversized_target():
     # a side of about 10**6 would take terabytes; it is refused up front
     r = run_cli("realize", "--torsion", "1000000")

@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -183,6 +184,107 @@ def test_smith_diagonal_matches_dense_reference():
     assert any(min(c.shape) == 0 for c in cases)
     for m in cases:
         assert list(intmat.smith_diagonal(m)) == numpy_smith_diagonal(m)
+
+
+def _derived(a):
+    # the five matrices ck.invariants eliminates
+    ia = ck.i_minus(a.entries)
+    ih = ck.i_minus(ck.hat_matrix(a))
+    return [ia.T, ia, ck.augmented_matrix(a), ih, np.hstack([ih, ia[:, :1]])]
+
+
+def _with_kernel(a):
+    # rows 0 and 1 of I - A made equal, so that K1 = Ker(I - A) is nonzero
+    m = a.entries.copy()
+    m[1] = m[0]
+    m[0, 0] = m[1, 1] = 1
+    m[0, 1] = m[1, 0] = 0
+    return ck.validate(m)
+
+
+def _core(m):
+    return intmat._unit_prepass(intmat._prep(m))[1]
+
+
+def _check_core(core):
+    # the modular core against the min-abs loop; returns the diagonal
+    want = intmat._smith_rows([row[:] for row in core])
+    assert intmat._modular_diagonal([row[:] for row in core]) == want
+    return want
+
+
+def test_modular_core_matches_the_min_abs_loop(monkeypatch):
+    # every core the unit prepass leaves of the five derived matrices, with
+    # singular and rectangular ones, then cores that exercise each exit
+    calls, steps = [], []
+    run, bezout = intmat._diagonal_mod, intmat._bezout
+    monkeypatch.setattr(intmat, "_diagonal_mod",
+                        lambda a, d: calls.append(run(a, d)) or calls[-1])
+    monkeypatch.setattr(intmat, "_bezout",
+                        lambda x, y: steps.append(1) or bezout(x, y))
+    singular = rectangular = 0
+    for n in (80, 100):
+        a = ck.gen_random_irreducible(n, 0.3, seed=7)
+        b = _with_kernel(ck.gen_random_irreducible(n, 0.3, seed=8))
+        assert 0 in intmat.smith_diagonal(ck.i_minus(b.entries))  # K1 != 0
+        for m in _derived(a) + _derived(b):
+            core = _core(m)
+            rows, cols = len(core), len(core[0])
+            diag = _check_core(core)
+            singular += len(diag) < min(rows, cols)
+            rectangular += rows != cols
+    assert singular >= 4 and rectangular >= 8
+    assert sum(1 in es for es in calls) >= 4  # unit pivots modulo D ran
+    # D = 1: r ones; nothing is eliminated modulo D unless the core is
+    # square, where the first r - 1 entries are read modulo g_(r-1)
+    rng = random.Random(8)
+    for size in (1, 2, 5, 12):
+        lo = [[int(i == j) if j >= i else rng.randint(-9, 9)
+               for j in range(size)] for i in range(size)]
+        up = [[int(i == j) if j <= i else rng.randint(-9, 9)
+               for j in range(size)] for i in range(size)]
+        u = (np.array(lo, dtype=object) @ np.array(up, dtype=object)
+             ).tolist()
+        for m in (u, u[:1] * 2, u + u[:1], [row + row[:1] for row in u]):
+            assert intmat._bareiss([row[:] for row in m])[-1] == 1
+            del calls[:]
+            assert set(_check_core(m)) == {1}
+            assert not calls or m is u
+    # k * M: no entry is a unit modulo D, so no pivot is, and the Bezout
+    # steps do all of it
+    for n, seed in ((40, 1), (60, 2)):
+        for m in _derived(ck.gen_random_irreducible(n, 0.3, seed))[1:4]:
+            for k in (2, 6):
+                del calls[:], steps[:]
+                diag = _check_core([[k * x for x in row] for row in _core(m)])
+                assert all(d % k == 0 for d in diag)
+                assert calls and steps
+                assert all(es and 1 not in es for es in calls)
+    # entries past 2**64: a change of generators, and large random entries
+    grew = 0
+    for n, seed in ((20, 3), (30, 4)):
+        for m in _derived(ck.gen_random_irreducible(n, 0.3, seed)):
+            core = _core(m)
+            u = [[int(i == j) if j >= i else rng.randint(-2 ** 70, 2 ** 70)
+                  for j in range(len(core))] for i in range(len(core))]
+            big = (np.array(u, dtype=object) @ np.array(core, dtype=object)
+                   ).tolist()
+            grew += max(abs(x) for row in big for x in row) > 2 ** 64
+            assert _check_core(big) == _check_core(core)
+    assert grew >= 8
+    for rows, cols in ((5, 5), (7, 4), (4, 9)):
+        _check_core([[rng.randint(-2 ** 70, 2 ** 70) for _ in range(cols)]
+                     for _ in range(rows)])
+
+
+def test_smith_diagonal_at_the_frontier():
+    # I - A at n=200: the min-abs loop took 24 s on the core of this matrix
+    a = ck.gen_random_irreducible(200, 0.3, seed=7)
+    start = time.perf_counter()
+    diag = intmat.smith_diagonal(ck.i_minus(a.entries))
+    assert time.perf_counter() - start < 10.0
+    assert len(diag) == 200 and all(diag)
+    assert all(y % x == 0 for x, y in zip(diag, diag[1:]))
 
 
 # -- cokernel ---------------------------------------------------------------

@@ -139,6 +139,28 @@ def test_canonical_on_swollen_relations():
     assert torsion >= 3
 
 
+def test_queries_in_a_trivial_group_cost_no_elimination(monkeypatch):
+    # the 70-generator quotient ker(g)/im(f) that is_exact_at builds in
+    # the n=70 sequence; its relations reach 35 bits, and a Smith diagonal
+    # per query took 4 s for the orders of all generators
+    seq = ck.five_term_sequence(ck.gen_random_irreducible(70, 0.3, 3))
+    f, g = seq.maps[2], seq.maps[3]
+    ker_gens = _preimage_generators(g.matrix, g.target.relations)
+    p = PresentedGroup(ker_gens.shape[1],
+                       _preimage_generators(ker_gens, f.image()))
+    assert p.generators == 70 and p.canonical() == TRIVIAL
+    calls = []
+    diagonal = intmat.smith_diagonal
+    monkeypatch.setattr(intmat, "smith_diagonal",
+                        lambda m: calls.append(m.shape) or diagonal(m))
+    gens = [p.element([int(i == k) for i in range(70)]) for k in range(70)]
+    orders = [e.order() for e in gens]
+    assert gens[0] == gens[1] and gens[2].is_zero()
+    assert calls == []
+    monkeypatch.undo()
+    assert orders == [transforms_order(e) for e in gens] == [1] * 70
+
+
 def test_element_arithmetic_on_swollen_relations_is_bounded():
     # I - A^hat at n=30 under a change of generators with entries past
     # 2**64: orders and equality cost a Smith diagonal each, where the
