@@ -28,14 +28,19 @@ on the element :func:`iota_one`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from itertools import chain, compress
+from operator import or_
+from typing import TYPE_CHECKING
 
 from . import intmat
 from .groups import FgAbGroup, free_abelian
 from .presented import GroupElement, GroupHom, PresentedGroup, \
-    is_exact_at, order_from_quotient, quotient_by_elements
+    is_exact_at, order_from_quotient
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class MatrixValidationError(ValueError):
@@ -50,58 +55,62 @@ class MatrixValidationError(ValueError):
 class ZeroOneMatrix:
     """Validated N x N irreducible non-permutation matrix over {0, 1}.
 
-    The entries are held as a read-only boolean array, one byte each, so
-    a held matrix costs N^2 bytes rather than 8 N^2; :attr:`entries`
-    gives them as integers.
+    The entries are held row-major in ``data``, one byte each, so a held
+    matrix costs N^2 bytes rather than 8 N^2; :attr:`rows` gives them as
+    lists of ints, :attr:`bits` as a read-only boolean array sharing
+    ``data``, and :attr:`entries` as a new int64 array.
     """
 
-    bits: np.ndarray
+    data: bytes = field(repr=False)
+    n: int
+
+    @property
+    def rows(self) -> list[list[int]]:
+        """The matrix as n new lists of ints."""
+        n, data = self.n, self.data
+        return [list(data[i:i + n]) for i in range(0, n * n, n)]
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """The matrix as a read-only boolean array; no copy is made."""
+        import numpy as np
+        return np.frombuffer(self.data, dtype=bool).reshape(self.n, self.n)
 
     @property
     def entries(self) -> np.ndarray:
         """The matrix as a new int64 array."""
+        import numpy as np
         return self.bits.astype(np.int64)
-
-    @property
-    def n(self) -> int:
-        return self.bits.shape[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, ZeroOneMatrix):
-            return NotImplemented
-        return (self.bits.shape == other.bits.shape
-                and bool((self.bits == other.bits).all()))
 
     def transpose(self) -> "ZeroOneMatrix":
         """The transposed matrix; validity is preserved."""
-        return ZeroOneMatrix(self.bits.T.copy())
+        n = self.n
+        return ZeroOneMatrix(b"".join(self.data[j::n] for j in range(n)), n)
 
 
-def _strongly_connected(a: np.ndarray) -> bool:
-    """Every vertex reaches every vertex along edges i -> j with a[i,j] = 1."""
-    n = a.shape[0]
-    if n == 1:
-        return bool(a[0, 0])  # a path must use at least one edge
-    for adj in (a, a.T):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = np.any(adj[frontier], axis=0) & ~seen
-            seen |= nxt
-            frontier = list(np.nonzero(nxt)[0])
-        if not seen.all():
-            return False
-    return True
+_INT64 = 1 << 63
 
 
-def validate(raw) -> ZeroOneMatrix:
-    """Check the Cuntz-Krieger hypotheses, naming the violated one.
+def _int_rows(raw) -> list:
+    """The rows of raw, as lists of Python ints or as raw's own rows.
 
-    Raises :class:`MatrixValidationError` with reason ``not-square``,
-    ``bad-entry``, ``permutation`` or ``reducible``.
+    A list or tuple of equal-length rows of Python ints is taken as it is;
+    rows of differing lengths are not a square matrix.  Anything else goes
+    through numpy, which must see a 2-D integer array.
     """
-    a = np.asarray(raw)
+    if type(raw) in (list, tuple) and \
+            {list, tuple}.issuperset(map(type, raw)):
+        if len(set(map(len, raw))) > 1:
+            raise MatrixValidationError("not-square",
+                                        "matrix rows differ in length")
+        if {int}.issuperset(map(type, chain.from_iterable(raw))):
+            return raw
+    import numpy as np
+    try:
+        a = np.asarray(raw)
+    except ValueError:  # nested sequences of differing lengths
+        raise MatrixValidationError("not-square",
+                                    "matrix rows differ in length")
     if a.dtype == object or np.issubdtype(a.dtype, np.integer):
         try:
             a = a.astype(np.int64)
@@ -111,31 +120,122 @@ def validate(raw) -> ZeroOneMatrix:
     else:
         raise MatrixValidationError("bad-entry",
                                     "matrix entries must be integers")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2:
         raise MatrixValidationError(
             "not-square", f"matrix must be square, got shape {a.shape}")
-    if a.size == 0:
+    return a.tolist()
+
+
+def _is_permutation(rows) -> bool:
+    """Whether a 0-1 matrix holds one 1 in each row and each column."""
+    return (set(map(sum, rows)) == {1}
+            and len({row.index(1) for row in rows}) == len(rows))
+
+
+def _reaches_all(masks: list[int]) -> bool:
+    """Whether vertex 0 reaches every vertex along edges i -> j, where
+    byte j of ``masks[i]`` is 1 for an edge and 0 otherwise.
+
+    Breadth first, a level at a time: the union of the frontier's edges
+    is one OR of masks, and the next frontier is read off its bytes.
+    """
+    n = len(masks)
+    span = range(n)
+    seen, frontier = 1, [0]
+    while frontier:
+        new = reduce(or_, map(masks.__getitem__, frontier)) & ~seen
+        seen |= new
+        frontier = list(compress(span, new.to_bytes(n, "little")))
+    return seen.bit_count() == n
+
+
+def _strongly_connected(data: bytes, n: int) -> bool:
+    """Every vertex reaches every vertex along edges i -> j with a[i][j] = 1,
+    for the n x n 0-1 matrix a held row-major in ``data``."""
+    if n == 1:
+        return bool(data[0])  # a path must use at least one edge
+    return (_reaches_all([int.from_bytes(data[i:i + n], "little")
+                          for i in range(0, n * n, n)])
+            and _reaches_all([int.from_bytes(data[j::n], "little")
+                              for j in range(n)]))
+
+
+def validate(raw) -> ZeroOneMatrix:
+    """Check the Cuntz-Krieger hypotheses, naming the violated one.
+
+    Raises :class:`MatrixValidationError` with reason ``not-square``,
+    ``bad-entry``, ``permutation`` or ``reducible``.  Lists or tuples of
+    rows of Python ints are checked without numpy.
+    """
+    rows = _int_rows(raw)
+    try:
+        data = bytes(chain.from_iterable(rows))
+    except ValueError:  # an entry outside range(256)
+        if not (-_INT64 <= min(map(min, rows))
+                and max(map(max, rows)) < _INT64):
+            raise MatrixValidationError(
+                "bad-entry", "matrix entries must be integers in {0,1}")
+        data = None
+    n = len(rows)
+    width = len(rows[0]) if rows else 0
+    if width != n:
+        raise MatrixValidationError(
+            "not-square", f"matrix must be square, got shape ({n}, {width})")
+    if not n:
         raise MatrixValidationError("not-square", "matrix must be non-empty")
-    bad = np.nonzero((a != 0) & (a != 1))
-    if bad[0].size:
-        i, j = int(bad[0][0]), int(bad[1][0])
+    if data is None or data.translate(None, b"\0\1"):
+        i, j = next((i, j) for i, row in enumerate(rows)
+                    for j, x in enumerate(row) if x not in (0, 1))
         raise MatrixValidationError(
             "bad-entry",
-            f"entry outside {{0,1}} at row {i}, column {j}: {int(a[i, j])}")
-    if (a.sum(axis=0) == 1).all() and (a.sum(axis=1) == 1).all():
+            f"entry outside {{0,1}} at row {i}, column {j}: {rows[i][j]}")
+    if _is_permutation(rows):
         raise MatrixValidationError("permutation",
                                     "permutation matrices are excluded")
-    if not _strongly_connected(a):
+    if not _strongly_connected(data, n):
         raise MatrixValidationError(
             "reducible", "matrix is reducible: its digraph is not strongly "
                          "connected")
-    a = a.astype(bool)
-    a.setflags(write=False)
-    return ZeroOneMatrix(a)
+    return ZeroOneMatrix(data, n)
+
+
+# Byte 1 read as a signed char is -1, so this maps the entries of A to -A.
+_NEGATE = bytes.maketrans(b"\1", b"\xff")
+
+
+def _i_minus_rows(a: ZeroOneMatrix) -> list[list[int]]:
+    """Rows of I - A."""
+    n = a.n
+    flat = memoryview(a.data.translate(_NEGATE)).cast("b").tolist()
+    rows = [flat[i:i + n] for i in range(0, n * n, n)]
+    for i, row in enumerate(rows):
+        row[i] += 1
+    return rows
+
+
+def _hat_rows(ia) -> list[list[int]]:
+    """Rows of I - A^hat, from the rows of I - A.
+
+    I - A^hat = (I - A)(I - R_1), and multiplying by I - R_1 on the right
+    subtracts the first column from every column.
+    """
+    return [[x - r[0] for x in r] for r in ia]
+
+
+def _augmented_rows(ia) -> list[list[int]]:
+    """Rows of the all-ones row stacked on I - A, from the rows of I - A."""
+    return [[1] * len(ia)] + ia
+
+
+def _iota_quotient_rows(ia) -> list[list[int]]:
+    """Rows of [I - A^hat | (I - A) e_1], from the rows of I - A: the
+    strong extension group modulo the class iota_1."""
+    return [h + [r[0]] for h, r in zip(_hat_rows(ia), ia)]
 
 
 def ones_row_matrix(n: int) -> np.ndarray:
     """All-ones first row, zeros elsewhere (the matrix R_1)."""
+    import numpy as np
     r = np.zeros((n, n), dtype=np.int64)
     r[0, :] = 1
     return r
@@ -146,11 +246,13 @@ def hat_matrix(a: ZeroOneMatrix) -> np.ndarray:
 
     The cokernel of I minus this matrix is the strong extension group.
     """
-    m = a.entries
-    return m + ones_row_matrix(a.n) - m @ ones_row_matrix(a.n)
+    import numpy as np
+    return i_minus(np.array(_hat_rows(_i_minus_rows(a)),
+                            dtype=np.int64))
 
 
 def i_minus(m: np.ndarray) -> np.ndarray:
+    import numpy as np
     return np.eye(m.shape[0], dtype=np.int64) - m
 
 
@@ -160,8 +262,8 @@ def augmented_matrix(a: ZeroOneMatrix) -> np.ndarray:
     Its integer kernel is the sum-zero part of the kernel of I - A, which
     is the degree-0 strong extension group.
     """
-    return np.vstack([np.ones((1, a.n), dtype=np.int64),
-                      i_minus(a.entries)])
+    import numpy as np
+    return np.array(_augmented_rows(_i_minus_rows(a)), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -217,17 +319,16 @@ def _require_valid(a) -> ZeroOneMatrix:
     return a
 
 
-def _base_groups(a: ZeroOneMatrix):
-    """(k0, k1, ext_w1, ext_w0, ext_s1, ext_s0) for one matrix."""
-    ia = i_minus(a.entries)
-    k0 = intmat.cokernel_invariants(ia.T)
+def _base_groups(ia):
+    """(k0, k1, ext_w1, ext_w0, ext_s1, ext_s0) from the rows of I - A."""
+    k0 = intmat.cokernel_invariants(list(zip(*ia)))  # I - A^t
     ext_w1 = intmat.cokernel_invariants(ia)
     if k0 != ext_w1:
         raise ArithmeticError("Smith forms of I-A and I-A^t disagree")
     free = free_abelian(ext_w1.free_rank)  # kernel rank, by rank-nullity
-    diag = intmat.smith_diagonal(augmented_matrix(a))
-    ext_s0 = free_abelian(a.n - sum(1 for d in diag if d))
-    ext_s1 = intmat.cokernel_invariants(i_minus(hat_matrix(a)))
+    diag = intmat.smith_diagonal(_augmented_rows(ia))
+    ext_s0 = free_abelian(len(ia) - sum(1 for d in diag if d))
+    ext_s1 = intmat.cokernel_invariants(_hat_rows(ia))
     return k0, free, ext_w1, free, ext_s1, ext_s0
 
 
@@ -250,8 +351,8 @@ def invariants(a: ZeroOneMatrix) -> CKReport:
     if a.n > MAX_INVARIANTS_SIDE:
         raise ValueError(f"invariants take a side of at most "
                          f"{MAX_INVARIANTS_SIDE}, got {a.n}")
-    k0, k1, ext_w1, ext_w0, ext_s1, ext_s0 = _base_groups(a)
-    iota = iota_one(a)
+    ia = _i_minus_rows(a)
+    k0, k1, ext_w1, ext_w0, ext_s1, ext_s0 = _base_groups(ia)
     return CKReport(
         n=a.n,
         k0=k0, k1=k1,
@@ -262,7 +363,7 @@ def invariants(a: ZeroOneMatrix) -> CKReport:
         pi1_aut_stable=_pi(ext_w1, ext_w0, k0, k1, 1),
         pi2_aut_stable=_pi(ext_w1, ext_w0, k0, k1, 2),
         iota_one_order=order_from_quotient(
-            ext_s1, quotient_by_elements(iota.group, [iota])),
+            ext_s1, intmat.cokernel_invariants(_iota_quotient_rows(ia))),
     )
 
 
@@ -285,7 +386,7 @@ def _pi(ext1: FgAbGroup, ext0: FgAbGroup, k0: FgAbGroup, k1: FgAbGroup,
 def pi_aut(a: ZeroOneMatrix, n: int) -> FgAbGroup:
     """pi_n of Aut(O_A) for n in {1, 2}."""
     a = _require_valid(a)
-    k0, k1, _, _, ext_s1, ext_s0 = _base_groups(a)
+    k0, k1, _, _, ext_s1, ext_s0 = _base_groups(_i_minus_rows(a))
     return _pi(ext_s1, ext_s0, k0, k1, n)
 
 
@@ -296,7 +397,7 @@ def pi_aut_stable(a: ZeroOneMatrix, n: int) -> FgAbGroup:
     degrees 1 and 2 then agree.
     """
     a = _require_valid(a)
-    k0, k1, ext_w1, ext_w0, _, _ = _base_groups(a)
+    k0, k1, ext_w1, ext_w0, _, _ = _base_groups(_i_minus_rows(a))
     return _pi(ext_w1, ext_w0, k0, k1, n)
 
 
@@ -307,11 +408,11 @@ def is_isomorphic_ck(a: ZeroOneMatrix, b: ZeroOneMatrix) -> bool:
     I - A^hat must both match.
     """
     a, b = _require_valid(a), _require_valid(b)
-    if (intmat.cokernel_invariants(i_minus(a.entries))
-            != intmat.cokernel_invariants(i_minus(b.entries))):
+    ia, ib = _i_minus_rows(a), _i_minus_rows(b)
+    if intmat.cokernel_invariants(ia) != intmat.cokernel_invariants(ib):
         return False
-    return (intmat.cokernel_invariants(i_minus(hat_matrix(a)))
-            == intmat.cokernel_invariants(i_minus(hat_matrix(b))))
+    return (intmat.cokernel_invariants(_hat_rows(ia))
+            == intmat.cokernel_invariants(_hat_rows(ib)))
 
 
 def is_stably_isomorphic_ck(a: ZeroOneMatrix, b: ZeroOneMatrix) -> bool:
@@ -321,14 +422,14 @@ def is_stably_isomorphic_ck(a: ZeroOneMatrix, b: ZeroOneMatrix) -> bool:
     homotopy groups.
     """
     a, b = _require_valid(a), _require_valid(b)
-    return (intmat.cokernel_invariants(i_minus(a.entries))
-            == intmat.cokernel_invariants(i_minus(b.entries)))
+    return (intmat.cokernel_invariants(_i_minus_rows(a))
+            == intmat.cokernel_invariants(_i_minus_rows(b)))
 
 
 def ext_strong_presentation(a: ZeroOneMatrix) -> PresentedGroup:
     """Z^N modulo the columns of I - A^hat (the strong extension group)."""
     a = _require_valid(a)
-    return PresentedGroup(a.n, i_minus(hat_matrix(a)))
+    return PresentedGroup(a.n, _hat_rows(_i_minus_rows(a)))
 
 
 def k0_pair(a: ZeroOneMatrix) -> tuple[PresentedGroup, GroupElement]:
@@ -339,7 +440,7 @@ def k0_pair(a: ZeroOneMatrix) -> tuple[PresentedGroup, GroupElement]:
     groups: the strong one is Z + K_0/(unit class).
     """
     a = _require_valid(a)
-    p = PresentedGroup(a.n, i_minus(a.entries).T)
+    p = PresentedGroup(a.n, list(zip(*_i_minus_rows(a))))
     return p, p.element([1] * a.n)
 
 
@@ -350,9 +451,8 @@ def iota_one(a: ZeroOneMatrix) -> GroupElement:
     invariant; the quotient by this class is the weak extension group.
     """
     a = _require_valid(a)
-    e1 = np.zeros(a.n, dtype=np.int64)
-    e1[0] = 1
-    return ext_strong_presentation(a).element(i_minus(a.entries) @ e1)
+    return ext_strong_presentation(a).element(
+        [r[0] for r in _i_minus_rows(a)])
 
 
 @dataclass(frozen=True)
@@ -394,15 +494,14 @@ def five_term_sequence(a: ZeroOneMatrix) -> FiveTermSequence:
     if n > MAX_SEQUENCE_SIDE:
         raise ValueError(f"the five-term sequence takes a side of at most "
                          f"{MAX_SEQUENCE_SIDE}, got {n}")
-    ia = i_minus(a.entries)
-    ia_hat = i_minus(hat_matrix(a))
+    import numpy as np
+    ia = _i_minus_rows(a)
+    ia_hat = _hat_rows(ia)
     ir1 = i_minus(ones_row_matrix(n))
 
     ker_hat = intmat.kernel_basis(ia_hat)
     ker_a = intmat.kernel_basis(ia)
-    e1 = np.zeros(n, dtype=np.int64)
-    e1[0] = 1
-    e1_coords = intmat.lattice_solve(ker_hat, e1)
+    e1_coords = intmat.lattice_solve(ker_hat, [1] + [0] * (n - 1))
     if e1_coords is None:  # e_1 is always in Ker(I - A^hat)
         raise RuntimeError("e_1 not found in Ker(I - A^hat)")
 
@@ -426,8 +525,8 @@ def five_term_sequence(a: ZeroOneMatrix) -> FiveTermSequence:
 
     j = GroupHom(g1, g2, j_mat)
     s = GroupHom(g2, g3, s_mat)
-    iota = GroupHom(g3, g4, (ia @ e1)[:, None])
-    q = GroupHom(g4, g5, np.eye(n, dtype=np.int64))
+    iota = GroupHom(g3, g4, [r[:1] for r in ia])  # (I - A) e_1
+    q = GroupHom(g4, g5, intmat.identity(n))
 
     wells = all(h.is_well_defined() for h in (j, s, iota, q))
     nodes = (
@@ -446,11 +545,32 @@ def five_term_sequence(a: ZeroOneMatrix) -> FiveTermSequence:
     )
 
 
+# Largest matrix side the generators and realize_k0 build.  At this side
+# a generator takes at most 0.2 s, and realize_k0 with its verification up
+# to 0.8 s and 120 MB (2-core x86-64, Python 3.11); the side of
+# gen_amplified is the product of its arguments and that of realize_k0
+# grows linearly in the factors, so larger matrices are refused before any
+# row is allocated.
+MAX_SIDE = 1000
+
+
+def _refuse_past_cap(side: int) -> None:
+    if side > MAX_SIDE:
+        raise ValueError(f"generators build a side of at most {MAX_SIDE}, "
+                         f"got {side}")
+
+
+def _square(n: int, fill: int) -> list[list[int]]:
+    """n rows of n entries, each ``fill``."""
+    return [[fill] * n for _ in range(n)]
+
+
 def gen_cuntz(n: int) -> ZeroOneMatrix:
     """All-ones n x n matrix (the Cuntz algebra O_n); needs n >= 2."""
     if n < 2:
         raise ValueError("Cuntz matrices need n >= 2")
-    return validate(np.ones((n, n), dtype=np.int64))
+    _refuse_past_cap(n)
+    return validate(_square(n, 1))
 
 
 def gen_amplified(n: int, k: int) -> ZeroOneMatrix:
@@ -467,12 +587,12 @@ def gen_amplified(n: int, k: int) -> ZeroOneMatrix:
         raise ValueError("amplified matrices need n >= 2")
     if k < 1:
         raise ValueError("amplification factor must be >= 1")
-    m = np.zeros((n * k, n * k), dtype=np.int64)
-    m[:n, (k - 1) * n:] = 1
-    for block in range(k - 1):
-        r = (block + 1) * n
-        c = block * n
-        m[r:r + n, c:c + n] = np.eye(n, dtype=np.int64)
+    _refuse_past_cap(n * k)
+    m = _square(n * k, 0)
+    for i in range(n):
+        m[i][(k - 1) * n:] = [1] * n
+    for i in range(n, n * k):
+        m[i][i - n] = 1
     return validate(m)
 
 
@@ -488,15 +608,16 @@ def gen_random_irreducible(n: int, density: float,
         raise ValueError("random matrices need n >= 2")
     if not 0 < density <= 1:
         raise ValueError("density must lie in (0, 1]")
+    _refuse_past_cap(n)
     rng = random.Random(seed)
     while True:
-        m = np.zeros((n, n), dtype=np.int64)
+        m = _square(n, 0)
         for i in range(n):
-            m[i, (i + 1) % n] = 1
-        for i in range(n):
+            m[i][(i + 1) % n] = 1
+        for row in m:
             for j in range(n):
-                if not m[i, j] and rng.random() < density:
-                    m[i, j] = 1
-        if (m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all():
+                if not row[j] and rng.random() < density:
+                    row[j] = 1
+        if _is_permutation(m):
             continue
         return validate(m)

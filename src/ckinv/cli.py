@@ -14,13 +14,14 @@ import argparse
 import json
 import re
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import ck, intmat, realize
+from . import ck, realize
 from .ck import MatrixValidationError
 from .realize import RealizationError
-from .selftest import run_selftest
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,11 +63,8 @@ def _int_list_argument(text: str) -> tuple[int, ...]:
     return tuple(map(_int_argument, text.split(","))) if text else ()
 
 
-def parse_matrix_text(text: str) -> np.ndarray:
-    """Parse the plain-text matrix format into a raw integer matrix.
-
-    Every token must match ``-?[0-9]+`` and fit in 64 bits.
-    """
+def _text_rows(text: str) -> list[list[int]]:
+    """Rows of the plain-text matrix format; see :func:`parse_matrix_text`."""
     rows = []
     n = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -94,10 +92,25 @@ def parse_matrix_text(text: str) -> np.ndarray:
         raise MatrixParseError("empty input: no size line found")
     if len(rows) != n:
         raise MatrixParseError(f"expected {n} rows, got {len(rows)}")
-    return np.array(rows, dtype=np.int64).reshape(n, n)
+    return rows
 
 
-def parse_matrix_json(text: str) -> np.ndarray:
+def _int64_array(rows: list[list[int]]) -> np.ndarray:
+    import numpy as np
+    return np.array(rows, dtype=np.int64).reshape(
+        len(rows), len(rows[0]) if rows else 0)
+
+
+def parse_matrix_text(text: str) -> np.ndarray:
+    """Parse the plain-text matrix format into a raw integer matrix.
+
+    Every token must match ``-?[0-9]+`` and fit in 64 bits.
+    """
+    return _int64_array(_text_rows(text))
+
+
+def _json_rows(text: str) -> list[list[int]]:
+    """Rows of a JSON matrix document; see :func:`parse_matrix_json`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -123,11 +136,19 @@ def parse_matrix_json(text: str) -> np.ndarray:
         if not all(-_INT64 <= x < _INT64 for x in r):
             raise MatrixParseError(
                 f"row {i} has an entry out of the 64-bit range")
-    return np.array(rows, dtype=np.int64)
+    return rows
 
 
-def load_matrix(path: str) -> np.ndarray:
-    """Read a matrix file, dispatching on the leading character."""
+def parse_matrix_json(text: str) -> np.ndarray:
+    """Parse a JSON document {"matrix": [[...]]} into a raw integer matrix.
+
+    Rows must have equal lengths and integer entries in 64 bits.
+    """
+    return _int64_array(_json_rows(text))
+
+
+def _load_rows(path: str) -> list[list[int]]:
+    """Rows of a matrix file, dispatching on the leading character."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
             text = fp.read()
@@ -136,15 +157,21 @@ def load_matrix(path: str) -> np.ndarray:
     except UnicodeDecodeError:
         raise MatrixParseError(f"{path} is not a text or JSON matrix file")
     if text.lstrip().startswith("{"):
-        return parse_matrix_json(text)
-    return parse_matrix_text(text)
+        return _json_rows(text)
+    return _text_rows(text)
 
 
-def format_matrix_text(m: np.ndarray, comment: str | None = None) -> str:
+def load_matrix(path: str) -> np.ndarray:
+    """Read a matrix file, dispatching on the leading character."""
+    return _int64_array(_load_rows(path))
+
+
+def format_matrix_text(m, comment: str | None = None) -> str:
+    """The plain-text format of a square matrix, given as rows or an array."""
     lines = []
     if comment:
         lines.append(f"# {comment}")
-    lines.append(str(m.shape[0]))
+    lines.append(str(len(m)))
     lines.extend(" ".join(str(int(x)) for x in row) for row in m)
     return "\n".join(lines) + "\n"
 
@@ -179,7 +206,7 @@ def render_report_text(rep: ck.CKReport) -> str:
 
 
 def _load_valid(path: str) -> ck.ZeroOneMatrix:
-    return ck.validate(load_matrix(path))
+    return ck.validate(_load_rows(path))
 
 
 def cmd_validate(args) -> int:
@@ -264,7 +291,7 @@ def cmd_realize(args) -> int:
     except RealizationError as e:
         print(f"verification failed: {e}", file=sys.stderr)
         return EXIT_VERIFY
-    text = format_matrix_text(matrix.entries,
+    text = format_matrix_text(matrix.rows,
                               comment=f"realizes {target.group()}")
     if args.out:
         _write_out(text, args.out)
@@ -286,11 +313,12 @@ def cmd_gen(args) -> int:
     else:
         matrix = ck.gen_random_irreducible(args.n, args.density, args.seed)
         comment = f"random n={args.n} density={args.density} seed={args.seed}"
-    _write_out(format_matrix_text(matrix.entries, comment=comment), args.out)
+    _write_out(format_matrix_text(matrix.rows, comment=comment), args.out)
     return EXIT_OK
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest
     return EXIT_OK if run_selftest() else EXIT_VERIFY
 
 
@@ -343,18 +371,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate standard matrices")
     gensub = p.add_subparsers(dest="kind", required=True)
     g = gensub.add_parser("cuntz")
-    g.add_argument("n", type=int)
+    g.add_argument("n", type=_int_argument)
     g.add_argument("--out")
     g.set_defaults(fn=cmd_gen)
     g = gensub.add_parser("amplified")
-    g.add_argument("n", type=int)
-    g.add_argument("k", type=int)
+    g.add_argument("n", type=_int_argument)
+    g.add_argument("k", type=_int_argument)
     g.add_argument("--out")
     g.set_defaults(fn=cmd_gen)
     g = gensub.add_parser("random")
-    g.add_argument("n", type=int)
+    g.add_argument("n", type=_int_argument)
     g.add_argument("--density", type=float, default=0.5)
-    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--seed", type=_int_argument, required=True)
     g.add_argument("--out")
     g.set_defaults(fn=cmd_gen)
 

@@ -1,9 +1,12 @@
 """Exact integer linear algebra on dense matrices.
 
-Matrices are 2-D numpy arrays of Python ints (``dtype=object``), so every
-computation is exact with no magnitude bound.  Ordinary numpy operators
-(``@``, ``+``, ``-``, ``.T``) are the matrix algebra; this module adds the
-normal forms and lattice routines built on them:
+A matrix is given as a sequence of rows of Python ints, or as anything
+numpy turns into a 2-D integer array; the APIs that return matrices
+(transforms, kernel bases) return 2-D numpy arrays of Python ints
+(``dtype=object``), so every computation is exact with no magnitude
+bound, and ordinary numpy operators (``@``, ``+``, ``-``, ``.T``) are the
+matrix algebra on them.  This module adds the normal forms and lattice
+routines:
 
   * :func:`smith_normal_form`   -- u @ m @ v = s, unimodular u, v,
     non-negative diagonal forming a divisibility chain
@@ -12,8 +15,10 @@ normal forms and lattice routines built on them:
   * :func:`kernel_basis`, :func:`cokernel_invariants`
   * :func:`lattice_contains`, :func:`lattice_solve`
 
-Every elimination runs on lists of Python ints; numpy appears only at the
-boundary, on input and in the returned decompositions.
+Every elimination runs on lists of Python ints.  :func:`smith_diagonal`
+and :func:`cokernel_invariants` take lists or tuples of int rows as they
+are and import no numpy; other input, and the APIs that return arrays,
+import it on first use.
 :func:`smith_normal_form` runs a min-abs-pivot Smith loop on the whole
 matrix with its transforms.  :func:`smith_diagonal` first eliminates unit
 pivots on sparse rows, cheapest Markowitz cost first; on the dense core
@@ -33,15 +38,19 @@ Algebraic Number Theory, Alg. 2.4.14.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from math import gcd, prod
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .groups import FgAbGroup
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _integers(a: np.ndarray, what: str) -> np.ndarray:
     """Integer arrays as they are, object arrays as Python ints."""
+    import numpy as np
     if a.dtype == object:
         if all(type(x) is int for x in a.flat):
             return a
@@ -56,8 +65,9 @@ def _integers(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-def _prep(data) -> np.ndarray:
+def _array(data) -> np.ndarray:
     """Normalize array-like integer data to a 2-D integer or object array."""
+    import numpy as np
     a = np.asarray(data)
     if a.ndim == 1 and a.size == 0:
         a = a.reshape(0, 0)
@@ -68,17 +78,34 @@ def _prep(data) -> np.ndarray:
     return _integers(a, "matrix")
 
 
+def _prep(data) -> list | tuple:
+    """Rows of Python ints for the eliminations, which only read them.
+
+    A list or tuple of equal-length list or tuple rows of Python ints is
+    returned as it is, with no numpy; anything else goes through the
+    numpy checks of :func:`_array`.  A matrix with no rows loses its
+    column count.
+    """
+    if (type(data) in (list, tuple)
+            and {list, tuple}.issuperset(map(type, data))
+            and len(set(map(len, data))) < 2
+            and {int}.issuperset(map(type, chain.from_iterable(data)))):
+        return data
+    return _array(data).tolist()
+
+
 def as_intmat(data) -> np.ndarray:
     """Coerce array-like integer data to a 2-D object array of Python ints.
 
     Lists of lists, integer numpy arrays and existing object arrays are all
     accepted; an empty list becomes a 0 x 0 matrix.
     """
-    return _to_object(_prep(data))
+    return _to_object(_array(data))
 
 
 def as_intvec(data, length: int | None = None) -> np.ndarray:
     """Coerce array-like data to a 1-D object array of Python ints."""
+    import numpy as np
     a = np.asarray(data)
     if a.ndim != 1:
         raise ValueError(f"expected a vector, got shape {a.shape}")
@@ -94,15 +121,18 @@ def _to_object(a: np.ndarray) -> np.ndarray:
 
 
 def identity(n: int) -> np.ndarray:
+    import numpy as np
     return np.eye(n, dtype=object)
 
 
 def zeros(rows: int, cols: int) -> np.ndarray:
+    import numpy as np
     return np.zeros((rows, cols), dtype=object)
 
 
 def hstack(*mats) -> np.ndarray:
     """Column-concatenate matrices that share a row count."""
+    import numpy as np
     mats = [as_intmat(m) for m in mats]
     rows = {m.shape[0] for m in mats}
     if len(rows) > 1:
@@ -111,6 +141,7 @@ def hstack(*mats) -> np.ndarray:
 
 
 def _from_rows(rows: list[list[int]], shape: tuple[int, int]) -> np.ndarray:
+    import numpy as np
     return np.array(rows, dtype=object).reshape(shape)
 
 
@@ -228,7 +259,7 @@ def smith_normal_form(m) -> SmithDecomposition:
     the pivot is always the smallest-magnitude nonzero entry (first in
     row-major order on ties), which keeps intermediate values small.
     """
-    m = _prep(m)
+    m = _array(m)
     rows, cols = m.shape
     u, vt = identity(rows).tolist(), identity(cols).tolist()
     s = zeros(rows, cols)
@@ -260,8 +291,8 @@ def _cheapest_unit(rows, cols, by_len) -> tuple[int, int] | None:
     return best and best[1:]
 
 
-def _unit_prepass(m: np.ndarray) -> tuple[int, list[list[int]]]:
-    """Eliminate unit pivots on sparse rows; (count, dense core left).
+def _unit_prepass(m) -> tuple[int, list[list[int]]]:
+    """Eliminate unit pivots on int rows; (count, dense core left).
 
     Each step pivots on the +-1 entry of least Markowitz cost
     (row nnz - 1) * (column nnz - 1), the shorter row on ties, and
@@ -270,15 +301,20 @@ def _unit_prepass(m: np.ndarray) -> tuple[int, list[list[int]]]:
     operations clear the pivot row without touching any other row, so the
     pivot row and column drop out and contribute one diagonal 1.  The core
     is what remains once no unit is left, with empty rows and columns
-    dropped: they contribute only zeros.
+    dropped: they contribute only zeros.  The rows of ``m`` are read in
+    order, not changed.
     """
+    width = len(m[0]) if m else 0
+    span = range(width)
     rows: dict[int, dict[int, int]] = {}
-    cols = [set() for _ in range(m.shape[1])]
-    nzr, nzc = np.nonzero(m)
-    for i, j, x in zip(nzr.tolist(), nzc.tolist(), m[nzr, nzc].tolist()):
-        rows.setdefault(i, {})[j] = x
-        cols[j].add(i)
-    by_len = [set() for _ in range(m.shape[1] + 1)]  # live rows by nnz
+    cols = [set() for _ in span]
+    for i, row in enumerate(m):
+        nz = list(compress(span, row))
+        if nz:
+            rows[i] = dict(zip(nz, map(row.__getitem__, nz)))
+            for j in nz:
+                cols[j].add(i)
+    by_len = [set() for _ in range(width + 1)]  # live rows by nnz
     for i, r in rows.items():
         by_len[len(r)].add(i)
     lone = [j for j, c in enumerate(cols) if len(c) == 1]  # may be stale
@@ -496,7 +532,8 @@ def smith_diagonal(m) -> tuple[int, ...]:
     m = _prep(m)
     ones, core = _unit_prepass(m)
     diag = [1] * ones + _modular_diagonal(core)
-    return tuple(diag + [0] * (min(m.shape) - len(diag)))
+    size = min(len(m), len(m[0])) if m else 0
+    return tuple(diag + [0] * (size - len(diag)))
 
 
 def cokernel_invariants(m) -> FgAbGroup:
@@ -505,10 +542,9 @@ def cokernel_invariants(m) -> FgAbGroup:
     The free rank is rows - rank(m); the invariant factors are the Smith
     diagonal entries exceeding 1.
     """
-    m = _prep(m)
     diag = smith_diagonal(m)
     rank = sum(1 for d in diag if d)
-    return FgAbGroup(m.shape[0] - rank, tuple(d for d in diag if d > 1))
+    return FgAbGroup(len(m) - rank, tuple(d for d in diag if d > 1))
 
 
 @dataclass(frozen=True)
@@ -535,6 +571,7 @@ class HermiteDecomposition:
         Forward substitution over the pivots of h; the solution is pulled
         back through u.
         """
+        import numpy as np
         v = as_intvec(v, self.h.shape[0]).copy()
         y = np.zeros(self.h.shape[1], dtype=object)
         for r, c in self.pivots:
@@ -569,7 +606,7 @@ def hermite_normal_form(m) -> HermiteDecomposition:
     of it until they vanish; the entries left of it are then reduced to
     [0, pivot).  The work runs on lists of Python-int columns.
     """
-    m = _prep(m)
+    m = _array(m)
     rows, cols = m.shape
     h, u = m.T.tolist(), identity(cols).tolist()  # columns of h and u
     pivots = []
@@ -618,7 +655,7 @@ def kernel_basis(m) -> np.ndarray:
 
 def lattice_solve(m, v) -> np.ndarray | None:
     """Integer x with m @ x = v, or None when v is outside the lattice."""
-    m = _prep(m)
+    m = _array(m)
     as_intvec(v, m.shape[0])
     return hermite_normal_form(m).solve(v)
 

@@ -16,11 +16,13 @@ and orders follow :func:`order_from_quotient`.  Only
 from __future__ import annotations
 
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import intmat
 from .groups import FgAbGroup
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class PresentedGroup:
@@ -258,6 +260,7 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
 
 def quotient_by_elements(p: PresentedGroup, elems) -> FgAbGroup:
     """Canonical form of p modulo the subgroup generated by elems."""
+    import numpy as np
     cols = []
     for e in elems:
         if e.group is not p:

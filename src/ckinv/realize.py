@@ -14,10 +14,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import intmat
-from .ck import ZeroOneMatrix, i_minus, validate
+from .ck import MAX_SIDE, ZeroOneMatrix, _i_minus_rows, _square, validate
 from .groups import FgAbGroup, Z, canonical_from_cyclic
 from .presented import GroupElement, PresentedGroup, quotient_by_elements
 
@@ -45,15 +43,9 @@ class RealizationError(RuntimeError):
     """The constructed matrix failed its own verification (a bug)."""
 
 
-# Largest matrix side realize_k0 builds.  At this side the construction
-# and its verification take up to a second and 200 MB (measured on a
-# 2-core x86-64 machine, Python 3.11); the side grows linearly in the
-# factors, so larger targets are refused up front.
-MAX_SIDE = 1000
-
 # Largest number of candidates range_witness tries.  Each costs one small
-# Smith diagonal, about 0.1 ms on the machine above, so a full search
-# takes about 10 s; larger searches are refused up front.
+# Smith diagonal, about 0.1 ms on a 2-core x86-64 machine (Python 3.11),
+# so a full search takes about 10 s; larger searches are refused up front.
 MAX_CANDIDATES = 100_000
 
 
@@ -66,7 +58,7 @@ def realize_k0(target: RealizationTarget) -> ZeroOneMatrix:
     connected without disturbing the cokernel.  The claimed invariants
     are re-verified from the finished matrix before returning.  A target
     needing a side above :data:`MAX_SIDE` raises ``ValueError`` before
-    anything is allocated.
+    anything is allocated; the side grows linearly in the factors.
     """
     r, factors = target.rank, target.factors
     s = r + sum(1 + n for n in factors)
@@ -74,22 +66,23 @@ def realize_k0(target: RealizationTarget) -> ZeroOneMatrix:
     if size > MAX_SIDE:
         raise ValueError(f"the target needs a {size} x {size} matrix; "
                          f"realize builds at most {MAX_SIDE} x {MAX_SIDE}")
-    a = np.zeros((size, size), dtype=np.int64)
+    a = _square(size, 0)
     for i in range(r):
-        a[i, i] = 1
+        a[i][i] = 1
     pos = r
     for n in factors:
-        a[pos:pos + 1 + n, pos:pos + 1 + n] = 1
+        for row in a[pos:pos + 1 + n]:
+            row[pos:pos + 1 + n] = [1] * (1 + n)
         pos += 1 + n
-    a[:s, s + 2] = 1                      # each block row ends with 0 0 1
-    a[s, :s] = 1                          # [1 ... 1 | 0 0 1]
-    a[s, s + 2] = 1
-    a[s + 1, s + 1] = 1                   # [0 ... 0 | 0 1 1]
-    a[s + 1, s + 2] = 1
-    a[s + 2, s:] = 1                      # [0 ... 0 | 1 1 1]
+    for row in a[:s]:
+        row[s + 2] = 1                    # each block row ends with 0 0 1
+    a[s][:s] = [1] * s                    # [1 ... 1 | 0 0 1]
+    a[s][s + 2] = 1
+    a[s + 1][s + 1:] = [1, 1]             # [0 ... 0 | 0 1 1]
+    a[s + 2][s:] = [1, 1, 1]              # [0 ... 0 | 1 1 1]
 
     matrix = validate(a)
-    got = intmat.cokernel_invariants(i_minus(matrix.entries))
+    got = intmat.cokernel_invariants(_i_minus_rows(matrix))
     want = target.group()
     if got != want:
         raise RealizationError(

@@ -11,8 +11,6 @@ import random
 import time
 from math import gcd
 
-import numpy as np
-
 from . import ck, intmat, realize
 from .groups import FgAbGroup, Z, TRIVIAL, canonical_from_cyclic
 
@@ -133,8 +131,7 @@ def check_smith_properties() -> bool:
     rng = random.Random(99)
     for _ in range(150):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        m = np.array([[rng.randint(-5, 5) for _ in range(cols)]
-                      for _ in range(rows)])
+        m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
         dec = intmat.smith_normal_form(m)
         if not ((dec.u @ intmat.as_intmat(m) @ dec.v) == dec.s).all():
             return False

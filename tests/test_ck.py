@@ -34,6 +34,8 @@ def test_validate_accepts_all_ones():
     ([[1, 1], [0, 1]], "reducible"),
     ([[0]], "reducible"),
     ([[1]], "permutation"),
+    ([[1, 1], [1]], "not-square"),              # ragged rows
+    ([], "not-square"),
 ])
 def test_validate_rejections(matrix, reason):
     with pytest.raises(ck.MatrixValidationError) as err:
@@ -426,6 +428,21 @@ def test_gen_amplified_block_layout():
         ck.gen_amplified(3, 0)
     with pytest.raises(ValueError):
         ck.gen_amplified(1, 2)
+
+
+def test_generators_refuse_sides_past_the_cap(monkeypatch):
+    assert ck.gen_cuntz(ck.MAX_SIDE).n == ck.MAX_SIDE
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated a matrix past the cap")
+
+    monkeypatch.setattr(ck, "_square", no_allocation)
+    for make in (lambda: ck.gen_cuntz(ck.MAX_SIDE + 1),
+                 lambda: ck.gen_amplified(2, ck.MAX_SIDE // 2 + 1),
+                 lambda: ck.gen_amplified(10 ** 9, 10 ** 9),
+                 lambda: ck.gen_random_irreducible(ck.MAX_SIDE + 1, 0.3, 1)):
+        with pytest.raises(ValueError, match="at most"):
+            make()
 
 
 def test_gen_random_deterministic_and_valid():

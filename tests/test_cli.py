@@ -298,6 +298,31 @@ def test_invariants_and_compare_refuse_a_matrix_past_the_cap(tmp_path):
         assert f"side at most {ck.MAX_INVARIANTS_SIDE}" in help_text
 
 
+def test_gen_refuses_a_side_past_the_cap():
+    for args in (["cuntz", str(ck.MAX_SIDE + 1)],
+                 ["amplified", "2", str(ck.MAX_SIDE // 2 + 1)],
+                 ["random", str(ck.MAX_SIDE + 1), "--seed", "1"]):
+        r = run_cli("gen", *args)
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:") and "at most" in r.stderr
+        assert r.stdout == "" and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("token", ["1_0", "+4", "\u0663", "9" * 5000])
+def test_gen_integers_follow_the_grammar(token, capsys):
+    # int() alone takes the first three; gen cuntz 1_0 used to write a
+    # 10 x 10 matrix
+    for args in (["cuntz", token], ["amplified", "2", token],
+                 ["random", token, "--seed", "1"],
+                 ["random", "3", "--seed", token]):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["gen", *args])
+        assert stop.value.code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error:")
+        assert "not an integer" in err and len(err) < 500
+
+
 def test_realize_refuses_an_oversized_target():
     # a side of about 10**6 would take terabytes; it is refused up front
     r = run_cli("realize", "--torsion", "1000000")
@@ -443,3 +468,47 @@ def test_fuzzed_matrix_files_end_in_an_exit_code(tmp_path, capsys):
         r = run_cli(*_fuzz_argv(rng, paths))
         assert r.returncode in (0, 1, 2)
         assert "Traceback" not in r.stderr
+
+
+# -- import cost ------------------------------------------------------------
+
+_NUMPY_FREE = """
+import contextlib, io, json, sys
+import ckinv.cli
+outs = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = ckinv.cli.main(argv)
+    outs.append([code, buf.getvalue()])
+print(json.dumps({"outs": outs, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_commands_on_int_rows_never_import_numpy(matrix_files, tmp_path,
+                                                 capsys):
+    # validate, invariants, compare, realize and gen run without numpy,
+    # and print what they print in a process that has it loaded
+    a, _ = matrix_files
+    b = tmp_path / "b.json"
+    b.write_text('{"matrix": [[1, 1, 1], [1, 1, 0], [1, 1, 0]]}')
+    commands = [["validate", str(a)], ["invariants", "--json", str(a)],
+                ["compare", str(a), str(b)],
+                ["realize", "--rank", "1", "--torsion", "4,6"],
+                ["gen", "random", "7", "--density", "0.3", "--seed", "4"]]
+    r = subprocess.run([sys.executable, "-c", _NUMPY_FREE,
+                        json.dumps(commands)], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["numpy"] is False
+    for argv, (code, out) in zip(commands, doc["outs"]):
+        assert code == cli.main(argv) == 0
+        assert out == capsys.readouterr().out
+    r = subprocess.run([sys.executable, "-c", "import sys, ckinv; "
+                        "print('numpy' in sys.modules)"],
+                       capture_output=True, text=True)
+    assert r.stdout == "False\n"
+    # exactseq still loads numpy, for its presented groups
+    r = run_cli("exactseq", str(a))
+    assert r.returncode == 0
+    assert r.stdout.count(": exact") == 5

@@ -213,6 +213,38 @@ def _check_core(core):
     return want
 
 
+def test_smith_diagonal_matches_dense_reference_when_rank_deficient():
+    # singular matrices whose rank drop survives the unit prepass and
+    # reaches the dense core: I - A with two equal rows (K1 != 0), and
+    # random matrices with few units and a row combining two others
+    rng = random.Random(2406)
+    cases = []
+    for n in (6, 9, 13, 21, 34, 50):
+        b = _with_kernel(ck.gen_random_irreducible(
+            n, rng.choice((0.3, 0.6)), rng.randrange(2 ** 31)))
+        ia = ck.i_minus(b.entries)
+        cases += [ia, ia.T, ck.i_minus(ck.hat_matrix(b))]
+    for _ in range(200):
+        rows = rng.randint(3, 10)
+        cols = rng.randint(rows, 10)  # rank below min(rows, cols)
+        m = [[rng.choice((0, 2, -2, 3, -4, 6, 9)) for _ in range(cols)]
+             for _ in range(rows)]
+        i, j, k = rng.sample(range(rows), 3)
+        x, y = rng.choice((1, -1, 2, 3)), rng.choice((1, -2, 5))
+        m[k] = [x * p + y * q for p, q in zip(m[i], m[j])]
+        cases += [np.array(m, dtype=np.int64), np.array(m).T * 2 ** 31]
+    singular_cores = 0
+    for m in cases:
+        diag = intmat.smith_diagonal(m)
+        assert list(diag) == numpy_smith_diagonal(m)
+        assert 0 in diag
+        core = _core(m)
+        singular_cores += bool(core) and \
+            len(intmat._modular_diagonal([r[:] for r in core])) < \
+            min(len(core), len(core[0]))
+    assert singular_cores >= 350
+
+
 def test_modular_core_matches_the_min_abs_loop(monkeypatch):
     # every core the unit prepass leaves of the five derived matrices, with
     # singular and rectangular ones, then cores that exercise each exit

@@ -75,7 +75,7 @@ def test_realize_refuses_sides_past_the_cap(monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("allocated a matrix for a refused target")
 
-    monkeypatch.setattr(realize.np, "zeros", no_allocation)
+    monkeypatch.setattr(realize, "_square", no_allocation)
     for target in (RealizationTarget(realize.MAX_SIDE - 2),
                    RealizationTarget(0, (10 ** 6,)),
                    RealizationTarget(1, (2, 10 ** 30))):
