@@ -96,14 +96,15 @@ def _int_rows(raw) -> list:
 
     A list or tuple of equal-length rows of Python ints is taken as it is;
     rows of differing lengths are not a square matrix.  Anything else goes
-    through numpy, which must see a 2-D integer array.
+    through numpy, which must see a 2-D integer array.  Booleans, Python or
+    numpy, count as the integers 0 and 1.
     """
     if type(raw) in (list, tuple) and \
             {list, tuple}.issuperset(map(type, raw)):
         if len(set(map(len, raw))) > 1:
             raise MatrixValidationError("not-square",
                                         "matrix rows differ in length")
-        if {int}.issuperset(map(type, chain.from_iterable(raw))):
+        if {int, bool}.issuperset(map(type, chain.from_iterable(raw))):
             return raw
     import numpy as np
     try:
@@ -111,7 +112,7 @@ def _int_rows(raw) -> list:
     except ValueError:  # nested sequences of differing lengths
         raise MatrixValidationError("not-square",
                                     "matrix rows differ in length")
-    if a.dtype == object or np.issubdtype(a.dtype, np.integer):
+    if a.dtype in (bool, object) or np.issubdtype(a.dtype, np.integer):
         try:
             a = a.astype(np.int64)
         except (OverflowError, TypeError, ValueError):
@@ -165,7 +166,8 @@ def validate(raw) -> ZeroOneMatrix:
 
     Raises :class:`MatrixValidationError` with reason ``not-square``,
     ``bad-entry``, ``permutation`` or ``reducible``.  Lists or tuples of
-    rows of Python ints are checked without numpy.
+    rows of Python ints are checked without numpy.  Boolean entries,
+    Python or numpy, count as 0 and 1, so ``validate(a.bits) == a``.
     """
     rows = _int_rows(raw)
     try:
@@ -341,16 +343,23 @@ def _base_groups(ia):
 MAX_INVARIANTS_SIDE = 330
 
 
+def _require_invariants_side(*mats) -> None:
+    """Check that the matrices are validated, and refuse a side above
+    :data:`MAX_INVARIANTS_SIDE` before any elimination: every Ext entry
+    point runs Smith diagonals of that side."""
+    side = max(_require_valid(a).n for a in mats)
+    if side > MAX_INVARIANTS_SIDE:
+        raise ValueError(f"invariants take a side of at most "
+                         f"{MAX_INVARIANTS_SIDE}, got {side}")
+
+
 def invariants(a: ZeroOneMatrix) -> CKReport:
     """Compute every invariant in one report.
 
     A matrix of side above :data:`MAX_INVARIANTS_SIDE` raises
     ``ValueError`` before any elimination.
     """
-    a = _require_valid(a)
-    if a.n > MAX_INVARIANTS_SIDE:
-        raise ValueError(f"invariants take a side of at most "
-                         f"{MAX_INVARIANTS_SIDE}, got {a.n}")
+    _require_invariants_side(a)
     ia = _i_minus_rows(a)
     k0, k1, ext_w1, ext_w0, ext_s1, ext_s0 = _base_groups(ia)
     return CKReport(
@@ -384,8 +393,12 @@ def _pi(ext1: FgAbGroup, ext0: FgAbGroup, k0: FgAbGroup, k1: FgAbGroup,
 
 
 def pi_aut(a: ZeroOneMatrix, n: int) -> FgAbGroup:
-    """pi_n of Aut(O_A) for n in {1, 2}."""
-    a = _require_valid(a)
+    """pi_n of Aut(O_A) for n in {1, 2}.
+
+    A matrix of side above :data:`MAX_INVARIANTS_SIDE` raises
+    ``ValueError`` before any elimination.
+    """
+    _require_invariants_side(a)
     k0, k1, _, _, ext_s1, ext_s0 = _base_groups(_i_minus_rows(a))
     return _pi(ext_s1, ext_s0, k0, k1, n)
 
@@ -394,9 +407,11 @@ def pi_aut_stable(a: ZeroOneMatrix, n: int) -> FgAbGroup:
     """pi_n of Aut(O_A tensor compacts) for n in {1, 2}.
 
     Stabilization replaces the strong extension groups by the weak ones;
-    degrees 1 and 2 then agree.
+    degrees 1 and 2 then agree.  A matrix of side above
+    :data:`MAX_INVARIANTS_SIDE` raises ``ValueError`` before any
+    elimination.
     """
-    a = _require_valid(a)
+    _require_invariants_side(a)
     k0, k1, ext_w1, ext_w0, _, _ = _base_groups(_i_minus_rows(a))
     return _pi(ext_w1, ext_w0, k0, k1, n)
 
@@ -405,9 +420,10 @@ def is_isomorphic_ck(a: ZeroOneMatrix, b: ZeroOneMatrix) -> bool:
     """Whether O_A and O_B are isomorphic.
 
     Decided by the complete invariant: the cokernels of I - A and of
-    I - A^hat must both match.
+    I - A^hat must both match.  A side above :data:`MAX_INVARIANTS_SIDE`
+    raises ``ValueError`` before any elimination.
     """
-    a, b = _require_valid(a), _require_valid(b)
+    _require_invariants_side(a, b)
     ia, ib = _i_minus_rows(a), _i_minus_rows(b)
     if intmat.cokernel_invariants(ia) != intmat.cokernel_invariants(ib):
         return False
@@ -419,9 +435,10 @@ def is_stably_isomorphic_ck(a: ZeroOneMatrix, b: ZeroOneMatrix) -> bool:
     """Whether O_A and O_B become isomorphic after tensoring with compacts.
 
     Equivalent to K_0(O_A) = K_0(O_B), and to agreement of the stabilized
-    homotopy groups.
+    homotopy groups.  A side above :data:`MAX_INVARIANTS_SIDE` raises
+    ``ValueError`` before any elimination.
     """
-    a, b = _require_valid(a), _require_valid(b)
+    _require_invariants_side(a, b)
     return (intmat.cokernel_invariants(_i_minus_rows(a))
             == intmat.cokernel_invariants(_i_minus_rows(b)))
 
@@ -494,39 +511,35 @@ def five_term_sequence(a: ZeroOneMatrix) -> FiveTermSequence:
     if n > MAX_SEQUENCE_SIDE:
         raise ValueError(f"the five-term sequence takes a side of at most "
                          f"{MAX_SEQUENCE_SIDE}, got {n}")
-    import numpy as np
     ia = _i_minus_rows(a)
     ia_hat = _hat_rows(ia)
-    ir1 = i_minus(ones_row_matrix(n))
 
-    ker_hat = intmat.kernel_basis(ia_hat)
-    ker_a = intmat.kernel_basis(ia)
-    e1_coords = intmat.lattice_solve(ker_hat, [1] + [0] * (n - 1))
+    ker_hat = intmat.hermite_normal_form(ia_hat).kernel
+    ker_a = intmat.hermite_normal_form(ia).kernel
+    e1_coords = intmat._hermite(ker_hat, n).solve([1] + [0] * (n - 1))
     if e1_coords is None:  # e_1 is always in Ker(I - A^hat)
         raise RuntimeError("e_1 not found in Ker(I - A^hat)")
 
-    g1 = PresentedGroup(ker_hat.shape[1], e1_coords[:, None])
-    g2 = PresentedGroup(ker_a.shape[1])
+    g1 = PresentedGroup._on_columns(len(ker_hat), [e1_coords])
+    g2 = PresentedGroup(len(ker_a))
     g3 = PresentedGroup(1)
     g4 = PresentedGroup(n, ia_hat)
     g5 = PresentedGroup(n, ia)
 
+    solve_a = intmat._hermite(ker_a, n).solve
     j_cols = []
-    for b in ker_hat.T:
-        x = intmat.lattice_solve(ker_a, ir1 @ b)
+    for b in ker_hat:
+        # (I - R_1) b = b - (sum of b) e_1
+        x = solve_a([b[0] - sum(b)] + b[1:])
         if x is None:
             raise RuntimeError("(I - R_1) does not map Ker(I - A^hat) "
                                "into Ker(I - A)")
         j_cols.append(x)
-    j_mat = (np.stack(j_cols, axis=1) if j_cols
-             else intmat.zeros(ker_a.shape[1], 0))
-    s_mat = ker_a.sum(axis=0)[None, :] if ker_a.size else \
-        intmat.zeros(1, ker_a.shape[1])
 
-    j = GroupHom(g1, g2, j_mat)
-    s = GroupHom(g2, g3, s_mat)
+    j = GroupHom._on_rows(g1, g2, intmat._transpose(j_cols, len(ker_a)))
+    s = GroupHom(g2, g3, [[sum(b) for b in ker_a]])  # coordinate sum
     iota = GroupHom(g3, g4, [r[:1] for r in ia])  # (I - A) e_1
-    q = GroupHom(g4, g5, intmat.identity(n))
+    q = GroupHom(g4, g5, intmat._identity_rows(n))
 
     wells = all(h.is_well_defined() for h in (j, s, iota, q))
     nodes = (

@@ -15,10 +15,15 @@ routines:
   * :func:`kernel_basis`, :func:`cokernel_invariants`
   * :func:`lattice_contains`, :func:`lattice_solve`
 
-Every elimination runs on lists of Python ints.  :func:`smith_diagonal`
-and :func:`cokernel_invariants` take lists or tuples of int rows as they
-are and import no numpy; other input, and the APIs that return arrays,
-import it on first use.
+Every elimination runs on lists of Python ints, and lists or tuples of
+int rows are taken as they are, with no numpy.  :func:`smith_diagonal`
+and :func:`cokernel_invariants` return no arrays and import no numpy on
+such input.  The Hermite routines share one core on int columns, whose
+:class:`HermiteDecomposition` keeps the columns of h and u as lists: its
+:meth:`~HermiteDecomposition.solve` and
+:attr:`~HermiteDecomposition.kernel` work on them, and its arrays ``h``
+and ``u``, like those :func:`kernel_basis` and :func:`lattice_solve`
+return, are built from them when asked for, which imports numpy then.
 :func:`smith_normal_form` runs a min-abs-pivot Smith loop on the whole
 matrix with its transforms.  :func:`smith_diagonal` first eliminates unit
 pivots on sparse rows, cheapest Markowitz cost first; on the dense core
@@ -37,7 +42,8 @@ Algebraic Number Theory, Alg. 2.4.14.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress
 from math import gcd, prod
 from typing import TYPE_CHECKING
@@ -78,20 +84,57 @@ def _array(data) -> np.ndarray:
     return _integers(a, "matrix")
 
 
-def _prep(data) -> list | tuple:
-    """Rows of Python ints for the eliminations, which only read them.
+def _shaped(data) -> tuple[list | tuple, int]:
+    """(rows of Python ints, column count) of a matrix; the eliminations
+    only read the rows.
 
     A list or tuple of equal-length list or tuple rows of Python ints is
     returned as it is, with no numpy; anything else goes through the
-    numpy checks of :func:`_array`.  A matrix with no rows loses its
-    column count.
+    numpy checks of :func:`_array`.  A matrix with no rows keeps its
+    column count only in the second item.
     """
     if (type(data) in (list, tuple)
             and {list, tuple}.issuperset(map(type, data))
             and len(set(map(len, data))) < 2
             and {int}.issuperset(map(type, chain.from_iterable(data)))):
-        return data
-    return _array(data).tolist()
+        return data, len(data[0]) if data else 0
+    a = _array(data)
+    return a.tolist(), a.shape[1]
+
+
+def _transpose(vectors, length: int) -> list[list[int]]:
+    """The columns of the matrix with these rows, or the rows of the one
+    with these columns, as new lists; ``length``, the length of each
+    vector given, is the count returned when none is given."""
+    if not vectors:
+        return [[] for _ in range(length)]
+    return [list(x) for x in zip(*vectors)]
+
+
+def _columns(data) -> tuple[list[list[int]], int]:
+    """(columns as new lists of Python ints, row count) of a matrix, with
+    the checks of :func:`_shaped`."""
+    rows, width = _shaped(data)
+    return _transpose(rows, width), len(rows)
+
+
+def _vector(data, length: int) -> tuple[int, ...]:
+    """A vector of ``length`` Python ints, as a tuple.
+
+    A list or tuple of Python ints is taken with no numpy; anything else
+    goes through :func:`as_intvec`.
+    """
+    if type(data) in (list, tuple) and {int}.issuperset(map(type, data)):
+        v = tuple(data)
+    else:
+        v = tuple(as_intvec(data).tolist())
+    if len(v) != length:
+        raise ValueError(f"expected length {length}, got {len(v)}")
+    return v
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def as_intmat(data) -> np.ndarray:
@@ -140,9 +183,16 @@ def hstack(*mats) -> np.ndarray:
     return np.hstack(mats)
 
 
-def _from_rows(rows: list[list[int]], shape: tuple[int, int]) -> np.ndarray:
+def _object_array(values, shape: tuple[int, ...]) -> np.ndarray:
+    """An object array of the given shape holding these Python ints, given
+    as nested sequences in row-major order."""
     import numpy as np
-    return np.array(rows, dtype=object).reshape(shape)
+    return np.array(values, dtype=object).reshape(shape)
+
+
+def _from_columns(columns, height: int) -> np.ndarray:
+    """The height x len(columns) object array with these columns."""
+    return _object_array(columns, (len(columns), height)).T
 
 
 @dataclass(frozen=True)
@@ -261,12 +311,12 @@ def smith_normal_form(m) -> SmithDecomposition:
     """
     m = _array(m)
     rows, cols = m.shape
-    u, vt = identity(rows).tolist(), identity(cols).tolist()
+    u, vt = _identity_rows(rows), _identity_rows(cols)
     s = zeros(rows, cols)
     for i, d in enumerate(_smith_rows(m.tolist(), u, vt)):
         s[i, i] = d
-    return SmithDecomposition(u=_from_rows(u, (rows, rows)), s=s,
-                              v=_from_rows(vt, (cols, cols)).T)
+    return SmithDecomposition(u=_object_array(u, (rows, rows)), s=s,
+                              v=_from_columns(vt, cols))
 
 
 def _cheapest_unit(rows, cols, by_len) -> tuple[int, int] | None:
@@ -529,10 +579,10 @@ def smith_diagonal(m) -> tuple[int, ...]:
     fraction-free elimination (see :func:`_modular_diagonal`), and zeros
     pad the result to ``min(m.shape)`` entries.
     """
-    m = _prep(m)
+    m, width = _shaped(m)
     ones, core = _unit_prepass(m)
     diag = [1] * ones + _modular_diagonal(core)
-    size = min(len(m), len(m[0])) if m else 0
+    size = min(len(m), width)
     return tuple(diag + [0] * (size - len(diag)))
 
 
@@ -554,36 +604,51 @@ class HermiteDecomposition:
     ``h`` is in column echelon form: the first nonzero entry of column j
     sits at row ``pivots[j][0]``, those rows strictly increasing, every
     pivot positive, and entries left of a pivot in its row reduced to
-    [0, pivot).  Columns past ``rank`` are zero.
+    [0, pivot).  Columns past ``rank`` are zero.  The columns of h, of
+    ``rows`` entries each, and those of u are held as lists of Python
+    ints; the arrays ``h`` and ``u`` are built from them on first access.
     """
 
-    h: np.ndarray
-    u: np.ndarray
+    h_columns: list[list[int]] = field(repr=False)
+    u_columns: list[list[int]] = field(repr=False)
     pivots: tuple[tuple[int, int], ...]
+    rows: int
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        return _from_columns(self.h_columns, self.rows)
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return _from_columns(self.u_columns, len(self.u_columns))
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def solve(self, v) -> np.ndarray | None:
-        """Integer x with (original matrix) @ x = v, or None.
+    @property
+    def kernel(self) -> list[list[int]]:
+        """The columns of u past the rank: a basis of the integer kernel
+        lattice {x : m @ x = 0}, since u is unimodular."""
+        return self.u_columns[self.rank:]
+
+    def solve(self, v) -> list[int] | None:
+        """Integer x with (original matrix) @ x = v, as a list, or None.
 
         Forward substitution over the pivots of h; the solution is pulled
         back through u.
         """
-        import numpy as np
-        v = as_intvec(v, self.h.shape[0]).copy()
-        y = np.zeros(self.h.shape[1], dtype=object)
+        v = list(_vector(v, self.rows))
+        x = [0] * len(self.u_columns)
         for r, c in self.pivots:
-            q, rem = divmod(int(v[r]), int(self.h[r, c]))
+            col = self.h_columns[c]
+            q, rem = divmod(v[r], col[r])
             if rem:
                 return None
             if q:
-                y[c] = q
-                v = v - q * self.h[:, c]
-        if any(x != 0 for x in v):
-            return None
-        return self.u @ y
+                _subtract(v, q, _support(col))
+                _subtract(x, -q, _support(self.u_columns[c]))
+        return None if any(v) else x
 
 
 def _reduce_columns(h, u, pc: int, r: int, ks) -> None:
@@ -598,17 +663,13 @@ def _reduce_columns(h, u, pc: int, r: int, ks) -> None:
             _subtract(u[k], q, up)
 
 
-def hermite_normal_form(m) -> HermiteDecomposition:
-    """Column-style Hermite normal form with its unimodular transform.
-
-    Row by row, the smallest-magnitude nonzero entry right of the last
-    pivot (first on ties) becomes the pivot and reduces the entries right
-    of it until they vanish; the entries left of it are then reduced to
-    [0, pivot).  The work runs on lists of Python-int columns.
-    """
-    m = _array(m)
-    rows, cols = m.shape
-    h, u = m.T.tolist(), identity(cols).tolist()  # columns of h and u
+def _hermite(columns, rows: int) -> HermiteDecomposition:
+    """Hermite decomposition of the rows x len(columns) matrix with these
+    int columns, which are read, not changed; see
+    :func:`hermite_normal_form`."""
+    h = [list(c) for c in columns]
+    cols = len(h)
+    u = _identity_rows(cols)  # columns of u
     pivots = []
     pc = 0
     for r in range(rows):
@@ -637,9 +698,18 @@ def hermite_normal_form(m) -> HermiteDecomposition:
             _reduce_columns(h, u, pc, r, range(pc))
             pivots.append((r, pc))
             pc += 1
-    return HermiteDecomposition(h=_from_rows(h, (cols, rows)).T,
-                                u=_from_rows(u, (cols, cols)).T,
-                                pivots=tuple(pivots))
+    return HermiteDecomposition(h, u, tuple(pivots), rows)
+
+
+def hermite_normal_form(m) -> HermiteDecomposition:
+    """Column-style Hermite normal form with its unimodular transform.
+
+    Row by row, the smallest-magnitude nonzero entry right of the last
+    pivot (first on ties) becomes the pivot and reduces the entries right
+    of it until they vanish; the entries left of it are then reduced to
+    [0, pivot).  The work runs on lists of Python-int columns.
+    """
+    return _hermite(*_columns(m))
 
 
 def kernel_basis(m) -> np.ndarray:
@@ -650,16 +720,15 @@ def kernel_basis(m) -> np.ndarray:
     the full kernel lattice, not a finite-index sublattice.
     """
     dec = hermite_normal_form(m)
-    return dec.u[:, dec.rank:]
+    return _from_columns(dec.kernel, len(dec.u_columns))
 
 
 def lattice_solve(m, v) -> np.ndarray | None:
     """Integer x with m @ x = v, or None when v is outside the lattice."""
-    m = _array(m)
-    as_intvec(v, m.shape[0])
-    return hermite_normal_form(m).solve(v)
+    x = hermite_normal_form(m).solve(v)
+    return None if x is None else _object_array(x, (len(x),))
 
 
 def lattice_contains(m, v) -> bool:
     """True iff v lies in the column lattice of m."""
-    return lattice_solve(m, v) is not None
+    return hermite_normal_form(m).solve(v) is not None

@@ -9,13 +9,22 @@ that of the relations with some columns appended, the group modulo some
 elements.  Columns lie in the relation lattice iff that quotient is
 isomorphic to the group, since finitely generated abelian groups are
 Hopfian; element equality, well-definedness and exactness use this rule,
-and orders follow :func:`order_from_quotient`.  Only
-:meth:`PresentedGroup.canonical_coords` computes Smith transforms.
+and orders follow :func:`order_from_quotient`.
+
+A group holds its relations as a list of int columns, a hom its matrix as
+a list of int rows and an element its coordinates as a tuple of ints, and
+every query above runs on these, with no numpy.  The arrays
+:attr:`PresentedGroup.relations`, :attr:`GroupHom.matrix` and
+:attr:`GroupElement.coords`, and those :meth:`GroupHom.kernel` and
+:meth:`GroupHom.image` return, are built from them when asked for, which
+imports numpy.  Only :meth:`PresentedGroup.canonical_coords` computes
+Smith transforms, and it imports numpy too.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import add, mul, sub
 from typing import TYPE_CHECKING
 
 from . import intmat
@@ -25,25 +34,49 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+def _images(rows, columns) -> list[list[int]]:
+    """The columns of (the matrix with these rows) @ (the one with these
+    columns)."""
+    return [[sum(map(mul, r, c)) for r in rows] for c in columns]
+
+
+def _cokernel(generators: int, columns) -> FgAbGroup:
+    """Canonical form of Z^generators modulo the span of the columns."""
+    return intmat.cokernel_invariants(intmat._transpose(columns, generators))
+
+
 class PresentedGroup:
     """Z^generators / (column lattice of relations)."""
 
     def __init__(self, generators: int, relations=None):
         if generators < 0:
             raise ValueError("generator count must be non-negative")
-        self.generators = generators
-        if relations is None:
-            relations = intmat.zeros(generators, 0)
-        relations = intmat.as_intmat(relations)
-        if relations.shape[0] != generators:
+        columns, rows = ([], generators) if relations is None \
+            else intmat._columns(relations)
+        if rows != generators:
             raise ValueError(
                 f"relation columns must have {generators} coordinates, "
-                f"got {relations.shape[0]}")
-        self.relations = relations
+                f"got {rows}")
+        self.generators = generators
+        self._relations = columns
+
+    @classmethod
+    def _on_columns(cls, generators: int, columns) -> "PresentedGroup":
+        """The group with these relation columns, lists of ``generators``
+        Python ints each, taken as they are."""
+        group = cls.__new__(cls)
+        group.generators, group._relations = generators, columns
+        return group
 
     def __repr__(self):
         return (f"PresentedGroup({self.generators}, "
-                f"{self.relations.shape[1]} relations; {self.canonical()})")
+                f"{len(self._relations)} relations; {self.canonical()})")
+
+    @cached_property
+    def relations(self) -> np.ndarray:
+        """The relation matrix, one column per relation, as an object
+        array of Python ints."""
+        return intmat._from_columns(self._relations, self.generators)
 
     @cached_property
     def _rel_snf(self) -> intmat.SmithDecomposition:
@@ -58,7 +91,7 @@ class PresentedGroup:
 
     @cached_property
     def _canonical(self) -> FgAbGroup:
-        return intmat.cokernel_invariants(self.relations)
+        return _cokernel(self.generators, self._relations)
 
     def canonical(self) -> FgAbGroup:
         """Canonical form; invariant under change of presentation.
@@ -68,7 +101,7 @@ class PresentedGroup:
         return self._canonical
 
     def element(self, coords) -> "GroupElement":
-        return GroupElement(self, intmat.as_intvec(coords, self.generators))
+        return GroupElement(self, coords)
 
     def zero(self) -> "GroupElement":
         return self.element([0] * self.generators)
@@ -80,22 +113,22 @@ class PresentedGroup:
         Vectors name the same group element iff these agree; the residues
         are listed per invariant factor > 1 in Smith order.
         """
-        y = self._rel_snf.u @ intmat.as_intvec(coords, self.generators)
-        free = tuple(int(y[i]) for i, d in enumerate(self._moduli) if d == 0)
-        tors = tuple(int(y[i]) % d for i, d in enumerate(self._moduli)
-                     if d > 1)
+        x = intmat._vector(coords, self.generators)
+        (y,) = _images(self._rel_snf.u.tolist(), [x])
+        free = tuple(y[i] for i, d in enumerate(self._moduli) if d == 0)
+        tors = tuple(y[i] % d for i, d in enumerate(self._moduli) if d > 1)
         return free, tors
 
-    def _contains(self, columns: np.ndarray) -> bool:
-        """True iff every column lies in the relation lattice.
+    def _contains(self, columns) -> bool:
+        """True iff every column, a sequence of ``generators`` ints, lies
+        in the relation lattice.
 
         Compares the canonical form of the group modulo the columns with
         the group's own.  No columns, or a trivial group, in which every
         column lies, cost no elimination.
         """
-        return (not columns.shape[1] or self.canonical().is_trivial
-                or intmat.cokernel_invariants(
-                    intmat.hstack(self.relations, columns))
+        return (not columns or self.canonical().is_trivial
+                or _cokernel(self.generators, self._relations + columns)
                 == self.canonical())
 
 
@@ -107,12 +140,21 @@ class GroupElement:
     correctness hazard, so it raises instead.
     """
 
-    __slots__ = ("group", "coords")
+    __slots__ = ("group", "_coords", "_array")
     __hash__ = None
 
     def __init__(self, group: PresentedGroup, coords):
         self.group = group
-        self.coords = intmat.as_intvec(coords, group.generators)
+        self._coords = intmat._vector(coords, group.generators)
+        self._array = None
+
+    @property
+    def coords(self) -> np.ndarray:
+        """The coordinates as a 1-D object array of Python ints."""
+        if self._array is None:
+            self._array = intmat._object_array(self._coords,
+                                               (len(self._coords),))
+        return self._array
 
     def _same_group(self, other: "GroupElement") -> None:
         if self.group is not other.group:
@@ -120,17 +162,20 @@ class GroupElement:
 
     def __add__(self, other):
         self._same_group(other)
-        return GroupElement(self.group, self.coords + other.coords)
+        return GroupElement(self.group,
+                            tuple(map(add, self._coords, other._coords)))
 
     def __sub__(self, other):
         self._same_group(other)
-        return GroupElement(self.group, self.coords - other.coords)
+        return GroupElement(self.group,
+                            tuple(map(sub, self._coords, other._coords)))
 
     def __neg__(self):
-        return GroupElement(self.group, -self.coords)
+        return GroupElement(self.group, tuple(-x for x in self._coords))
 
     def __mul__(self, k: int):
-        return GroupElement(self.group, self.coords * int(k))
+        k = int(k)
+        return GroupElement(self.group, tuple(x * k for x in self._coords))
 
     __rmul__ = __mul__
 
@@ -138,16 +183,16 @@ class GroupElement:
         if not isinstance(other, GroupElement):
             return NotImplemented
         self._same_group(other)
-        return self.group._contains((self.coords - other.coords)[:, None])
+        return self.group._contains([(self - other)._coords])
 
     def __repr__(self):
-        return f"GroupElement({list(self.coords)})"
+        return f"GroupElement({list(self._coords)})"
 
     def is_zero(self) -> bool:
-        return self.group._contains(self.coords[:, None])
+        return self.group._contains([self._coords])
 
     def canonical_coords(self):
-        return self.group.canonical_coords(self.coords)
+        return self.group.canonical_coords(self._coords)
 
     def order(self) -> int:
         """Order of the element; 0 encodes infinite order.
@@ -170,34 +215,61 @@ class GroupHom:
 
     def __init__(self, source: PresentedGroup, target: PresentedGroup,
                  matrix):
-        matrix = intmat.as_intmat(matrix)
-        if matrix.shape != (target.generators, source.generators):
+        rows, width = intmat._shaped(matrix)
+        if (len(rows), width) != (target.generators, source.generators):
             raise ValueError(
                 f"hom matrix must be {target.generators} x "
-                f"{source.generators}, got {matrix.shape}")
+                f"{source.generators}, got {(len(rows), width)}")
         self.source = source
         self.target = target
-        self.matrix = matrix
+        self._rows = [list(r) for r in rows]
+
+    @classmethod
+    def _on_rows(cls, source: PresentedGroup, target: PresentedGroup,
+                 rows) -> "GroupHom":
+        """The hom with these matrix rows, ``target.generators`` lists of
+        ``source.generators`` Python ints, taken as they are."""
+        hom = cls.__new__(cls)
+        hom.source, hom.target, hom._rows = source, target, rows
+        return hom
 
     def __repr__(self):
         return (f"GroupHom({self.source.canonical()} -> "
                 f"{self.target.canonical()})")
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The matrix as an object array of Python ints."""
+        return intmat._object_array(
+            self._rows, (self.target.generators, self.source.generators))
+
+    @cached_property
+    def _columns(self) -> list[list[int]]:
+        """Images of the source generators, in target coordinates."""
+        return intmat._transpose(self._rows, self.source.generators)
+
     def is_well_defined(self) -> bool:
         """True iff every source relation maps into the target lattice."""
-        return self.target._contains(self.matrix @ self.source.relations)
+        return self.target._contains(_images(self._rows,
+                                             self.source._relations))
 
     def apply(self, element: GroupElement) -> GroupElement:
         if element.group is not self.source:
             raise ValueError("element does not belong to the source group")
-        return GroupElement(self.target, self.matrix @ element.coords)
+        (image,) = _images(self._rows, [element._coords])
+        return GroupElement(self.target, image)
 
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self after inner."""
         if inner.target is not self.source:
             raise ValueError("homs are not composable")
-        return GroupHom(inner.source, self.target,
-                        self.matrix @ inner.matrix)
+        return GroupHom._on_rows(
+            inner.source, self.target,
+            intmat._transpose(_images(self._rows, inner._columns),
+                              self.target.generators))
+
+    def _image(self) -> list[list[int]]:
+        return self._columns + self.target._relations
 
     def image(self) -> np.ndarray:
         """Columns generating the image inside target coordinates.
@@ -205,7 +277,16 @@ class GroupHom:
         Images of the source generators together with the target relations;
         their column lattice is the preimage of im(f) in Z^target.
         """
-        return intmat.hstack(self.matrix, self.target.relations)
+        return intmat._from_columns(self._image(), self.target.generators)
+
+    def _kernel(self) -> tuple[PresentedGroup, list[list[int]]]:
+        if not self.is_well_defined():
+            raise ValueError("hom is not well-defined")
+        lift = _preimage_generators(self._columns, self.target._relations,
+                                    self.target.generators)
+        rel = _preimage_generators(lift, self.source._relations,
+                                   self.source.generators)
+        return PresentedGroup._on_columns(len(lift), rel), lift
 
     def kernel(self) -> tuple[PresentedGroup, np.ndarray]:
         """Kernel, presented on lifted generators.
@@ -214,31 +295,36 @@ class GroupHom:
         coordinate vectors generating the kernel and ``k`` presents the
         kernel on those generators.
         """
-        if not self.is_well_defined():
-            raise ValueError("hom is not well-defined")
-        lift = _preimage_generators(self.matrix, self.target.relations)
-        rel = _preimage_generators(lift, self.source.relations)
-        return PresentedGroup(lift.shape[1], rel), lift
+        k, lift = self._kernel()
+        return k, intmat._from_columns(lift, self.source.generators)
 
     def is_injective(self) -> bool:
-        k, _ = self.kernel()
-        return k.canonical().is_trivial
+        return self._kernel()[0].canonical().is_trivial
 
     def is_surjective(self) -> bool:
-        return intmat.cokernel_invariants(self.image()).is_trivial
+        return _cokernel(self.target.generators, self._image()).is_trivial
 
 
-def _preimage_generators(matrix: np.ndarray,
-                         lattice: np.ndarray) -> np.ndarray:
-    """Columns generating {x : matrix @ x is in the column lattice}.
+def _preimage_generators(columns, lattice, height: int) -> list[list[int]]:
+    """Coefficient vectors generating {x : sum x_i columns_i is in the
+    lattice}, given the columns and the lattice's generators, all of
+    ``height`` ints.
 
-    Solutions (x, y) of matrix @ x + lattice @ y = 0 are a full lattice
+    Solutions (x, y) of columns @ x + lattice @ y = 0 are a full lattice
     with a Hermite-derived basis; projecting onto x gives generators of
     the preimage.
     """
-    stacked = intmat.hstack(matrix, lattice)
-    basis = intmat.kernel_basis(stacked)
-    return basis[:matrix.shape[1], :]
+    k = len(columns)
+    return [b[:k] for b in intmat._hermite(columns + lattice, height).kernel]
+
+
+def _homology(f: GroupHom, g: GroupHom) -> PresentedGroup:
+    """ker(g)/im(f), presented on generators of ker(g) lifted to the
+    middle group f.target = g.source."""
+    ker_gens = _preimage_generators(g._columns, g.target._relations,
+                                    g.target.generators)
+    rel = _preimage_generators(ker_gens, f._image(), g.source.generators)
+    return PresentedGroup._on_columns(len(ker_gens), rel)
 
 
 def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
@@ -249,26 +335,19 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
     """
     if f.target is not g.source:
         raise ValueError("sequence is not composable at this node")
-    if not g.target._contains(g.matrix @ f.matrix):
+    if not g.target._contains(_images(g._rows, f._columns)):
         return False
-    ker_gens = _preimage_generators(g.matrix, g.target.relations)
-    image = f.image()
-    rel = _preimage_generators(ker_gens, image)
-    quotient = PresentedGroup(ker_gens.shape[1], rel)
-    return quotient.canonical().is_trivial
+    return _homology(f, g).canonical().is_trivial
 
 
 def quotient_by_elements(p: PresentedGroup, elems) -> FgAbGroup:
     """Canonical form of p modulo the subgroup generated by elems."""
-    import numpy as np
-    cols = []
+    coords = []
     for e in elems:
         if e.group is not p:
             raise ValueError("element does not belong to the presentation")
-        cols.append(e.coords)
-    extra = (np.stack(cols, axis=1) if cols
-             else intmat.zeros(p.generators, 0))
-    return intmat.cokernel_invariants(intmat.hstack(p.relations, extra))
+        coords.append(e._coords)
+    return _cokernel(p.generators, p._relations + coords)
 
 
 def order_from_quotient(group: FgAbGroup, quotient: FgAbGroup) -> int:

@@ -117,9 +117,9 @@ def ext_pair_from_k0_pair(g: PresentedGroup,
 def free_plus_presentation(m: FgAbGroup) -> PresentedGroup:
     """Presentation of Z + M: one free generator ahead of M's generators."""
     gens = 1 + m.free_rank + len(m.invariant_factors)
-    rel = intmat.zeros(gens, len(m.invariant_factors))
+    rel = [[0] * len(m.invariant_factors) for _ in range(gens)]
     for j, d in enumerate(m.invariant_factors):
-        rel[1 + m.free_rank + j, j] = d
+        rel[1 + m.free_rank + j][j] = d
     return PresentedGroup(gens, rel)
 
 

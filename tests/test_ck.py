@@ -43,6 +43,23 @@ def test_validate_rejections(matrix, reason):
     assert err.value.reason == reason
 
 
+def test_validate_reads_booleans_as_zero_and_one():
+    # a boolean array, rows of Python bools, and rows mixing bools and ints
+    a = ck.gen_random_irreducible(7, 0.3, seed=2)
+    bools = [[bool(x) for x in row] for row in a.rows]
+    mixed = [[x if j % 2 else bool(x) for j, x in enumerate(row)]
+             for row in a.rows]
+    for raw in (a.bits, bools, mixed):
+        assert ck.validate(raw) == a
+    assert ck.validate(np.array(bools, dtype=object)) == a
+    with pytest.raises(ck.MatrixValidationError) as err:
+        ck.validate([[True, True], [True, False], [True, True]])
+    assert err.value.reason == "not-square"
+    with pytest.raises(ck.MatrixValidationError) as err:
+        ck.validate(np.eye(3, dtype=bool))
+    assert err.value.reason == "permutation"
+
+
 def test_validate_realized_matrix():
     from ckinv.realize import RealizationTarget, realize_k0
     m = realize_k0(RealizationTarget(0, (2,)))
@@ -183,6 +200,24 @@ def test_invariants_refuse_sides_past_the_cap(monkeypatch):
     a = ck.gen_random_irreducible(ck.MAX_INVARIANTS_SIDE + 1, 0.3, seed=1)
     with pytest.raises(ValueError, match="at most"):
         ck.invariants(a)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda a: ck.pi_aut(a, 1), lambda a: ck.pi_aut_stable(a, 2),
+    lambda a: ck.is_isomorphic_ck(ck.gen_cuntz(3), a),
+    lambda a: ck.is_stably_isomorphic_ck(a, ck.gen_cuntz(3))],
+    ids=["pi_aut", "pi_aut_stable", "is_isomorphic_ck",
+         "is_stably_isomorphic_ck"])
+def test_ext_entry_points_refuse_sides_past_the_cap(monkeypatch, entry):
+    def no_elimination(m):
+        raise AssertionError("eliminated a matrix past the cap")
+
+    a = ck.gen_random_irreducible(ck.MAX_INVARIANTS_SIDE + 1, 0.3, seed=1)
+    for name in ("smith_diagonal", "smith_normal_form",
+                 "hermite_normal_form"):
+        monkeypatch.setattr(intmat, name, no_elimination)
+    with pytest.raises(ValueError, match="at most"):
+        entry(a)
 
 
 def test_rank_identities(reports500):

@@ -203,7 +203,7 @@ def _with_kernel(a):
 
 
 def _core(m):
-    return intmat._unit_prepass(intmat._prep(m))[1]
+    return intmat._unit_prepass(intmat._shaped(m)[0])[1]
 
 
 def _check_core(core):
@@ -395,6 +395,71 @@ def test_kernel_completeness():
         assert intmat.lattice_contains(kb, v)
         checked += 1
     assert checked > 50
+
+
+def _oracle_lattice(m) -> np.ndarray:
+    """The nonzero columns of the numpy reference's Hermite form of m:
+    equal for two matrices iff their columns span the same lattice."""
+    h, _, pivots = numpy_hermite_normal_form(m)
+    return h[:, :len(pivots)]
+
+
+def _matvec(rows, x):
+    return [sum(a * b for a, b in zip(row, x)) for row in rows]
+
+
+def test_row_level_kernel_and_solve_match_the_numpy_reference():
+    # the kernel basis and lattice_solve on int rows against the numpy
+    # Hermite elimination of oracles.py, on rectangular matrices, half of
+    # them rank-deficient (a product through fewer columns than either
+    # side) and many with entries past 2**64.  Bases may differ; their
+    # lattices, compared by Hermite form, may not.  Both sides must agree
+    # on which vectors are solvable.
+    rng = random.Random(6151)
+    deficient = big = 0
+    verdicts = []
+    for round_ in range(160):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        span = rng.choice((3, 2 ** 35 if round_ % 2 else 2 ** 70))
+        if round_ % 2 and min(rows, cols) > 1:
+            inner = rng.randint(1, min(rows, cols) - 1)
+            a = [[rng.randint(-span, span) for _ in range(inner)]
+                 for _ in range(rows)]
+            b = [[rng.randint(-span, span) for _ in range(cols)]
+                 for _ in range(inner)]
+            m = [_matvec(a, col) for col in zip(*b)]  # columns of a @ b
+            m = [list(r) for r in zip(*m)]
+            deficient += 1
+        else:
+            m = [[rng.choice((0, rng.randint(-span, span)))
+                  for _ in range(cols)] for _ in range(rows)]
+        big += max(abs(x) for row in m for x in row) > 2 ** 64
+        dec = intmat.hermite_normal_form(m)
+        kernel = dec.kernel
+        assert all(not any(_matvec(m, x)) for x in kernel)
+        _, hu, pivots = numpy_hermite_normal_form(m)
+        want = hu[:, len(pivots):]
+        got = np.array(kernel, dtype=object).reshape(len(kernel), cols).T
+        assert got.shape == want.shape
+        assert (_oracle_lattice(got) == _oracle_lattice(want)).all()
+        assert (intmat.kernel_basis(m) == got).all()
+        lattice = _oracle_lattice(m)
+        for _ in range(4):
+            x = [rng.randint(-5, 5) for _ in range(cols)]
+            v = _matvec(m, x)
+            v[rng.randrange(rows)] += rng.choice((0, 0, 1, 2 ** 66))
+            stacked = np.hstack([np.array(m, dtype=object),
+                                 np.array(v, dtype=object)[:, None]])
+            member = _oracle_lattice(stacked)
+            solvable = (member.shape == lattice.shape
+                        and (member == lattice).all())
+            sol = intmat.lattice_solve(m, v)
+            assert (sol is not None) == solvable
+            if sol is not None:
+                assert _matvec(m, sol) == v
+            verdicts.append(solvable)
+    assert deficient >= 50 and big >= 40
+    assert 150 <= sum(verdicts) <= len(verdicts) - 150
 
 
 # -- hermite ----------------------------------------------------------------
