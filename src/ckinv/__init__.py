@@ -14,16 +14,14 @@ carry no shared mutable state, so independent calls may run in parallel.
 from .groups import FgAbGroup, TRIVIAL, Z, Z2, canonical_from_cyclic, \
     free_abelian
 from .intmat import HermiteDecomposition, SmithDecomposition, as_intmat, \
-    as_intvec, cokernel_invariants, hermite_normal_form, hstack, identity, \
-    kernel_basis, lattice_contains, lattice_solve, smith_diagonal, \
-    smith_normal_form, zeros
+    cokernel_invariants, hermite_normal_form, kernel_basis, \
+    lattice_contains, lattice_solve, smith_diagonal, smith_normal_form
 from .presented import GroupElement, GroupHom, PresentedGroup, \
     is_exact_at, quotient_by_elements
 from .ck import CKReport, FiveTermSequence, MatrixValidationError, \
-    ZeroOneMatrix, augmented_matrix, ext_strong_presentation, \
-    five_term_sequence, gen_amplified, gen_cuntz, gen_random_irreducible, \
-    hat_matrix, i_minus, invariants, iota_one, is_isomorphic_ck, \
-    is_stably_isomorphic_ck, k0_pair, ones_row_matrix, pi_aut, \
+    ZeroOneMatrix, ext_strong_presentation, five_term_sequence, \
+    gen_amplified, gen_cuntz, gen_random_irreducible, i_minus, invariants, \
+    iota_one, is_isomorphic_ck, is_stably_isomorphic_ck, k0_pair, pi_aut, \
     pi_aut_stable, validate
 from .realize import RealizationError, RealizationTarget, \
     ext_pair_from_k0_pair, free_plus_presentation, pair_equivalent, \
@@ -34,18 +32,17 @@ __version__ = "0.1.0"
 __all__ = [
     "FgAbGroup", "TRIVIAL", "Z", "Z2", "canonical_from_cyclic",
     "free_abelian",
-    "SmithDecomposition", "HermiteDecomposition", "as_intmat", "as_intvec",
-    "cokernel_invariants", "hermite_normal_form", "hstack", "identity",
-    "kernel_basis", "lattice_contains", "lattice_solve", "smith_diagonal",
-    "smith_normal_form", "zeros",
+    "SmithDecomposition", "HermiteDecomposition", "as_intmat",
+    "cokernel_invariants", "hermite_normal_form", "kernel_basis",
+    "lattice_contains", "lattice_solve", "smith_diagonal",
+    "smith_normal_form",
     "PresentedGroup", "GroupElement", "GroupHom", "is_exact_at",
     "quotient_by_elements",
     "CKReport", "FiveTermSequence", "MatrixValidationError", "ZeroOneMatrix",
-    "augmented_matrix", "ext_strong_presentation", "five_term_sequence",
-    "gen_amplified", "gen_cuntz", "gen_random_irreducible", "hat_matrix",
-    "i_minus", "invariants", "iota_one", "is_isomorphic_ck",
-    "is_stably_isomorphic_ck", "k0_pair", "ones_row_matrix", "pi_aut",
-    "pi_aut_stable", "validate",
+    "ext_strong_presentation", "five_term_sequence", "gen_amplified",
+    "gen_cuntz", "gen_random_irreducible", "i_minus", "invariants",
+    "iota_one", "is_isomorphic_ck", "is_stably_isomorphic_ck", "k0_pair",
+    "pi_aut", "pi_aut_stable", "validate",
     "RealizationError", "RealizationTarget", "ext_pair_from_k0_pair",
     "free_plus_presentation", "pair_equivalent", "range_witness",
     "realize_k0",

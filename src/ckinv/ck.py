@@ -235,37 +235,9 @@ def _iota_quotient_rows(ia) -> list[list[int]]:
     return [h + [r[0]] for h, r in zip(_hat_rows(ia), ia)]
 
 
-def ones_row_matrix(n: int) -> np.ndarray:
-    """All-ones first row, zeros elsewhere (the matrix R_1)."""
-    import numpy as np
-    r = np.zeros((n, n), dtype=np.int64)
-    r[0, :] = 1
-    return r
-
-
-def hat_matrix(a: ZeroOneMatrix) -> np.ndarray:
-    """A + R_1 - A @ R_1; its first column is always e_1.
-
-    The cokernel of I minus this matrix is the strong extension group.
-    """
-    import numpy as np
-    return i_minus(np.array(_hat_rows(_i_minus_rows(a)),
-                            dtype=np.int64))
-
-
 def i_minus(m: np.ndarray) -> np.ndarray:
     import numpy as np
     return np.eye(m.shape[0], dtype=np.int64) - m
-
-
-def augmented_matrix(a: ZeroOneMatrix) -> np.ndarray:
-    """(N+1) x N matrix: all-ones row stacked on I - A.
-
-    Its integer kernel is the sum-zero part of the kernel of I - A, which
-    is the degree-0 strong extension group.
-    """
-    import numpy as np
-    return np.array(_augmented_rows(_i_minus_rows(a)), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -386,18 +358,22 @@ def _pi(ext1: FgAbGroup, ext0: FgAbGroup, k0: FgAbGroup, k1: FgAbGroup,
     """
     if n == 1:
         return ext1.tensor(k0).direct_sum(ext0.tensor(k1))
-    if n == 2:
-        return (ext1.tensor(k1).direct_sum(ext0.tensor(k0))
-                .direct_sum(ext1.tor(k0)))
-    raise ValueError(f"homotopy degree must be 1 or 2, got {n}")
+    return (ext1.tensor(k1).direct_sum(ext0.tensor(k0))
+            .direct_sum(ext1.tor(k0)))
+
+
+def _require_degree(n: int) -> None:
+    if n not in (1, 2):
+        raise ValueError(f"homotopy degree must be 1 or 2, got {n}")
 
 
 def pi_aut(a: ZeroOneMatrix, n: int) -> FgAbGroup:
     """pi_n of Aut(O_A) for n in {1, 2}.
 
-    A matrix of side above :data:`MAX_INVARIANTS_SIDE` raises
+    Another n, or a side above :data:`MAX_INVARIANTS_SIDE`, raises
     ``ValueError`` before any elimination.
     """
+    _require_degree(n)
     _require_invariants_side(a)
     k0, k1, _, _, ext_s1, ext_s0 = _base_groups(_i_minus_rows(a))
     return _pi(ext_s1, ext_s0, k0, k1, n)
@@ -407,10 +383,11 @@ def pi_aut_stable(a: ZeroOneMatrix, n: int) -> FgAbGroup:
     """pi_n of Aut(O_A tensor compacts) for n in {1, 2}.
 
     Stabilization replaces the strong extension groups by the weak ones;
-    degrees 1 and 2 then agree.  A matrix of side above
-    :data:`MAX_INVARIANTS_SIDE` raises ``ValueError`` before any
+    degrees 1 and 2 then agree.  Another n, or a side above
+    :data:`MAX_INVARIANTS_SIDE`, raises ``ValueError`` before any
     elimination.
     """
+    _require_degree(n)
     _require_invariants_side(a)
     k0, k1, ext_w1, ext_w0, _, _ = _base_groups(_i_minus_rows(a))
     return _pi(ext_w1, ext_w0, k0, k1, n)

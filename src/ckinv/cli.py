@@ -14,14 +14,10 @@ import argparse
 import json
 import re
 import sys
-from typing import TYPE_CHECKING
 
 from . import ck, realize
 from .ck import MatrixValidationError
 from .realize import RealizationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,8 +59,11 @@ def _int_list_argument(text: str) -> tuple[int, ...]:
     return tuple(map(_int_argument, text.split(","))) if text else ()
 
 
-def _text_rows(text: str) -> list[list[int]]:
-    """Rows of the plain-text matrix format; see :func:`parse_matrix_text`."""
+def parse_matrix_text(text: str) -> list[list[int]]:
+    """Parse the plain-text matrix format into rows of ints.
+
+    Every token must match ``-?[0-9]+`` and fit in 64 bits.
+    """
     rows = []
     n = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -95,22 +94,11 @@ def _text_rows(text: str) -> list[list[int]]:
     return rows
 
 
-def _int64_array(rows: list[list[int]]) -> np.ndarray:
-    import numpy as np
-    return np.array(rows, dtype=np.int64).reshape(
-        len(rows), len(rows[0]) if rows else 0)
+def parse_matrix_json(text: str) -> list[list[int]]:
+    """Parse a JSON document {"matrix": [[...]]} into rows of ints.
 
-
-def parse_matrix_text(text: str) -> np.ndarray:
-    """Parse the plain-text matrix format into a raw integer matrix.
-
-    Every token must match ``-?[0-9]+`` and fit in 64 bits.
+    Rows must have equal lengths and integer entries in 64 bits.
     """
-    return _int64_array(_text_rows(text))
-
-
-def _json_rows(text: str) -> list[list[int]]:
-    """Rows of a JSON matrix document; see :func:`parse_matrix_json`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -139,16 +127,9 @@ def _json_rows(text: str) -> list[list[int]]:
     return rows
 
 
-def parse_matrix_json(text: str) -> np.ndarray:
-    """Parse a JSON document {"matrix": [[...]]} into a raw integer matrix.
-
-    Rows must have equal lengths and integer entries in 64 bits.
-    """
-    return _int64_array(_json_rows(text))
-
-
-def _load_rows(path: str) -> list[list[int]]:
-    """Rows of a matrix file, dispatching on the leading character."""
+def load_matrix(path: str) -> list[list[int]]:
+    """Rows of ints of a matrix file, by the format its first character
+    names."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
             text = fp.read()
@@ -157,13 +138,8 @@ def _load_rows(path: str) -> list[list[int]]:
     except UnicodeDecodeError:
         raise MatrixParseError(f"{path} is not a text or JSON matrix file")
     if text.lstrip().startswith("{"):
-        return _json_rows(text)
-    return _text_rows(text)
-
-
-def load_matrix(path: str) -> np.ndarray:
-    """Read a matrix file, dispatching on the leading character."""
-    return _int64_array(_load_rows(path))
+        return parse_matrix_json(text)
+    return parse_matrix_text(text)
 
 
 def format_matrix_text(m, comment: str | None = None) -> str:
@@ -206,7 +182,7 @@ def render_report_text(rep: ck.CKReport) -> str:
 
 
 def _load_valid(path: str) -> ck.ZeroOneMatrix:
-    return ck.validate(_load_rows(path))
+    return ck.validate(load_matrix(path))
 
 
 def cmd_validate(args) -> int:

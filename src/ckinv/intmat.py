@@ -122,12 +122,16 @@ def _vector(data, length: int) -> tuple[int, ...]:
     """A vector of ``length`` Python ints, as a tuple.
 
     A list or tuple of Python ints is taken with no numpy; anything else
-    goes through :func:`as_intvec`.
+    must be a 1-D integer array for numpy, or an object array of ints.
     """
     if type(data) in (list, tuple) and {int}.issuperset(map(type, data)):
         v = tuple(data)
     else:
-        v = tuple(as_intvec(data).tolist())
+        import numpy as np
+        a = np.asarray(data)
+        if a.ndim != 1:
+            raise ValueError(f"expected a vector, got shape {a.shape}")
+        v = tuple(_integers(a, "vector").tolist()) if a.size else ()
     if len(v) != length:
         raise ValueError(f"expected length {length}, got {len(v)}")
     return v
@@ -143,44 +147,8 @@ def as_intmat(data) -> np.ndarray:
     Lists of lists, integer numpy arrays and existing object arrays are all
     accepted; an empty list becomes a 0 x 0 matrix.
     """
-    return _to_object(_array(data))
-
-
-def as_intvec(data, length: int | None = None) -> np.ndarray:
-    """Coerce array-like data to a 1-D object array of Python ints."""
-    import numpy as np
-    a = np.asarray(data)
-    if a.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {a.shape}")
-    if length is not None and a.shape[0] != length:
-        raise ValueError(f"expected length {length}, got {a.shape[0]}")
-    if a.size == 0:
-        return np.zeros(0, dtype=object)
-    return _to_object(_integers(a, "vector"))
-
-
-def _to_object(a: np.ndarray) -> np.ndarray:
+    a = _array(data)
     return a if a.dtype == object else a.astype(object)
-
-
-def identity(n: int) -> np.ndarray:
-    import numpy as np
-    return np.eye(n, dtype=object)
-
-
-def zeros(rows: int, cols: int) -> np.ndarray:
-    import numpy as np
-    return np.zeros((rows, cols), dtype=object)
-
-
-def hstack(*mats) -> np.ndarray:
-    """Column-concatenate matrices that share a row count."""
-    import numpy as np
-    mats = [as_intmat(m) for m in mats]
-    rows = {m.shape[0] for m in mats}
-    if len(rows) > 1:
-        raise ValueError(f"row counts differ: {sorted(rows)}")
-    return np.hstack(mats)
 
 
 def _object_array(values, shape: tuple[int, ...]) -> np.ndarray:
@@ -312,7 +280,7 @@ def smith_normal_form(m) -> SmithDecomposition:
     m = _array(m)
     rows, cols = m.shape
     u, vt = _identity_rows(rows), _identity_rows(cols)
-    s = zeros(rows, cols)
+    s = _object_array([[0] * cols for _ in range(rows)], (rows, cols))
     for i, d in enumerate(_smith_rows(m.tolist(), u, vt)):
         s[i, i] = d
     return SmithDecomposition(u=_object_array(u, (rows, rows)), s=s,

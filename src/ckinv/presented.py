@@ -14,17 +14,17 @@ and orders follow :func:`order_from_quotient`.
 A group holds its relations as a list of int columns, a hom its matrix as
 a list of int rows and an element its coordinates as a tuple of ints, and
 every query above runs on these, with no numpy.  The arrays
-:attr:`PresentedGroup.relations`, :attr:`GroupHom.matrix` and
-:attr:`GroupElement.coords`, and those :meth:`GroupHom.kernel` and
-:meth:`GroupHom.image` return, are built from them when asked for, which
-imports numpy.  Only :meth:`PresentedGroup.canonical_coords` computes
-Smith transforms, and it imports numpy too.
+:attr:`PresentedGroup.relations` and :attr:`GroupElement.coords`, and
+those :meth:`GroupHom.kernel` and :meth:`GroupHom.image` return, are
+built from them when asked for, which imports numpy.  Only
+:meth:`PresentedGroup.canonical_coords` computes Smith transforms, and it
+imports numpy too.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 from typing import TYPE_CHECKING
 
 from . import intmat
@@ -174,7 +174,7 @@ class GroupElement:
         return GroupElement(self.group, tuple(-x for x in self._coords))
 
     def __mul__(self, k: int):
-        k = int(k)
+        k = index(k)  # a float raises TypeError rather than truncating
         return GroupElement(self.group, tuple(x * k for x in self._coords))
 
     __rmul__ = __mul__
@@ -209,8 +209,8 @@ class GroupElement:
 class GroupHom:
     """Homomorphism between presented groups, as an integer matrix.
 
-    ``matrix`` has one column per source generator, giving its image in
-    target coordinates.
+    The matrix, given as rows of ints or an integer array, has one column
+    per source generator, giving its image in target coordinates.
     """
 
     def __init__(self, source: PresentedGroup, target: PresentedGroup,
@@ -236,12 +236,6 @@ class GroupHom:
     def __repr__(self):
         return (f"GroupHom({self.source.canonical()} -> "
                 f"{self.target.canonical()})")
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The matrix as an object array of Python ints."""
-        return intmat._object_array(
-            self._rows, (self.target.generators, self.source.generators))
 
     @cached_property
     def _columns(self) -> list[list[int]]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import intmat
@@ -22,16 +23,17 @@ from .presented import GroupElement, PresentedGroup, quotient_by_elements
 
 @dataclass(frozen=True)
 class RealizationTarget:
-    """Z^rank + sum of Z/factor; factors need not form a chain."""
+    """Z^rank + sum of Z/factor (integers); factors need not form a chain."""
 
     rank: int
     factors: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "rank", operator.index(self.rank))
         if self.rank < 0:
             raise ValueError("rank must be non-negative")
         object.__setattr__(self, "factors",
-                           tuple(int(f) for f in self.factors))
+                           tuple(map(operator.index, self.factors)))
         if any(f < 2 for f in self.factors):
             raise ValueError(f"torsion factors must be >= 2: {self.factors}")
 

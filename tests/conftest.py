@@ -1,4 +1,5 @@
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -6,13 +7,13 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
 
 from ckinv import ck
+from ckinv.selftest import make_corpus
 
 
-def make_corpus(count: int):
-    """Seed-fixed random valid matrices with sizes cycling over 2..12."""
-    return [ck.gen_random_irreducible(2 + i % 11, 0.15 + 0.08 * (i % 8),
-                                      seed=i)
-            for i in range(count)]
+class Reports(list):
+    """Invariant reports, with ``elapsed``, the seconds they took."""
+
+    elapsed: float
 
 
 @pytest.fixture(scope="session")
@@ -22,4 +23,7 @@ def corpus500():
 
 @pytest.fixture(scope="session")
 def reports500(corpus500):
-    return [ck.invariants(a) for a in corpus500]
+    start = time.perf_counter()
+    reports = Reports(ck.invariants(a) for a in corpus500)
+    reports.elapsed = time.perf_counter() - start
+    return reports

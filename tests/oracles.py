@@ -10,7 +10,9 @@ Smith transforms of its presentation (``canonical_coords``), a route the
 library's order rule no longer takes.
 The numpy Smith and Hermite eliminations with transforms, int64 start and
 mid-run promotion included, are the reference the list-based library
-routines must match entry for entry.
+routines must match entry for entry.  ``hat_matrix`` and
+``augmented_matrix`` build the derived matrices of a validated 0-1 matrix
+as int64 arrays, straight from their definitions.
 """
 
 from itertools import combinations
@@ -58,6 +60,25 @@ def bareiss_det(rows) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def ones_row_matrix(n: int) -> np.ndarray:
+    """R_1: an all-ones first row, zeros elsewhere."""
+    r = np.zeros((n, n), dtype=np.int64)
+    r[0] = 1
+    return r
+
+
+def hat_matrix(a) -> np.ndarray:
+    """A^hat = A + R_1 - A R_1 of a validated matrix A."""
+    m, r1 = a.entries, ones_row_matrix(a.n)
+    return m + r1 - m @ r1
+
+
+def augmented_matrix(a) -> np.ndarray:
+    """The all-ones row stacked on I - A, (N+1) x N."""
+    return np.vstack([np.ones((1, a.n), dtype=np.int64),
+                      np.eye(a.n, dtype=np.int64) - a.entries])
 
 
 def transforms_order(element) -> int:

@@ -2,10 +2,12 @@ import json
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from ckinv import ck, cli, intmat
+from ckinv import ck, cli, intmat, selftest
+from ckinv.groups import Z
 
 EX3_A_TEXT = "3\n1 1 1\n1 1 1\n1 0 0\n"
 EX3_B_TEXT = "3\n1 1 1\n1 1 0\n1 1 0\n"
@@ -29,8 +31,7 @@ def matrix_files(tmp_path):
 
 def test_parse_text_with_comments():
     text = "# a comment\n\n2\n# another\n1 1\n1 1\n"
-    m = cli.parse_matrix_text(text)
-    assert m.tolist() == [[1, 1], [1, 1]]
+    assert cli.parse_matrix_text(text) == [[1, 1], [1, 1]]
 
 
 def test_parse_text_errors_are_positioned():
@@ -62,8 +63,7 @@ def test_parse_rejects_entries_past_64_bits():
                  f"{'9' * 5000}\n1\n", f"1\n-{2 ** 63 + 1}\n"):
         with pytest.raises(cli.MatrixParseError, match="64-bit range"):
             cli.parse_matrix_text(text)
-    assert cli.parse_matrix_text(f"1\n-{2 ** 63}\n").tolist() == \
-        [[-2 ** 63]]
+    assert cli.parse_matrix_text(f"1\n-{2 ** 63}\n") == [[-2 ** 63]]
     with pytest.raises(cli.MatrixParseError, match="64-bit range"):
         cli.parse_matrix_json('{"matrix": [[%s]]}' % big)
     for doc in ('{"matrix": [[%s]]}' % ("9" * 5000),
@@ -73,8 +73,8 @@ def test_parse_rejects_entries_past_64_bits():
 
 
 def test_parse_json_document():
-    m = cli.parse_matrix_json('{"matrix": [[1, 1], [1, 0]]}')
-    assert m.tolist() == [[1, 1], [1, 0]]
+    assert cli.parse_matrix_json('{"matrix": [[1, 1], [1, 0]]}') == \
+        [[1, 1], [1, 0]]
     with pytest.raises(cli.MatrixParseError):
         cli.parse_matrix_json('{"rows": []}')
     with pytest.raises(cli.MatrixParseError, match="row 1"):
@@ -86,8 +86,7 @@ def test_parse_json_document():
 def test_matrix_text_roundtrip():
     import numpy as np
     m = np.array([[1, 0], [1, 1]])
-    assert cli.parse_matrix_text(cli.format_matrix_text(m)).tolist() \
-        == m.tolist()
+    assert cli.parse_matrix_text(cli.format_matrix_text(m)) == m.tolist()
 
 
 # -- subcommand behaviour ---------------------------------------------------
@@ -201,7 +200,7 @@ def test_realize_command(tmp_path):
     r = run_cli("realize", "--rank", "2")
     assert r.returncode == 0
     m = cli.parse_matrix_text(r.stdout)
-    assert m.shape == (5, 5)
+    assert [len(row) for row in m] == [5] * 5
 
     r = run_cli("realize", "--rank", "0", "--torsion", "2,4",
                 "--out", str(out))
@@ -214,14 +213,13 @@ def test_realize_command(tmp_path):
 def test_gen_command(tmp_path):
     out = tmp_path / "g.txt"
     assert run_cli("gen", "cuntz", "5", "--out", str(out)).returncode == 0
-    m = cli.parse_matrix_text(out.read_text())
-    assert m.shape == (5, 5) and (m == 1).all()
+    assert cli.parse_matrix_text(out.read_text()) == [[1] * 5] * 5
 
     assert run_cli("gen", "amplified", "3", "2",
                    "--out", str(out)).returncode == 0
     m = cli.parse_matrix_text(out.read_text())
-    assert m.shape == (6, 6)
-    assert (m[:3, 3:] == 1).all()
+    assert [len(row) for row in m] == [6] * 6
+    assert [row[3:] for row in m[:3]] == [[1] * 3] * 3
 
     r1 = run_cli("gen", "random", "6", "--density", "0.4", "--seed", "5")
     r2 = run_cli("gen", "random", "6", "--density", "0.4", "--seed", "5")
@@ -256,6 +254,43 @@ def test_selftest_command():
     assert r.returncode == 0
     assert "all fixtures pass" in r.stdout
     assert r.stdout.count("PASS") >= 10
+
+
+def test_selftest_checks_name_their_first_failure(monkeypatch):
+    # a check that cannot fail shows nothing: each one reports a wrong
+    # report, pair or matrix, and the runner prints FAIL with the reason
+    corpus = selftest.make_corpus(3)
+    good = [ck.invariants(a) for a in corpus]
+    bad = good[:1] + [replace(r, pi2_aut=r.pi2_aut.direct_sum(Z))
+                      for r in good[1:]]
+    assert selftest.check_torsion_splitting(good) is None
+    assert selftest.check_torsion_splitting(bad).startswith("report 1:")
+    bad = [replace(r, pi2_aut_stable=r.pi1_aut_stable.direct_sum(Z))
+           for r in good]
+    assert selftest.check_stable_equality(bad).startswith("report 0:")
+    bad = [replace(r, ext_s0=r.ext_s0.direct_sum(Z)) for r in good]
+    assert selftest.check_rank_identities(bad).startswith("report 0:")
+    bad = [replace(r, ext_s1=r.ext_s1.direct_sum(Z)) for r in good]
+    assert selftest.check_unit_class_cross_check(corpus, bad) \
+        .startswith("matrix 0:")
+    a, b = ck.gen_cuntz(3), ck.gen_cuntz(4)
+    assert selftest.check_isomorphism_coherence([(a, a), (a, b)]) is None
+    assert selftest.check_isomorphism_coherence([(a, b)]) == \
+        "0 isomorphic pairs, not 1 or more"
+    assert selftest.check_smith_properties([[[2, 0], [0, 3]]]) is None
+
+    def broken(*args):
+        raise ArithmeticError("a library fault")
+
+    monkeypatch.setattr(selftest, "check_stable_equality", lambda r: "why")
+    monkeypatch.setattr(selftest, "check_smith_properties", broken)
+    lines = []
+    assert not selftest.run_selftest(lines.append)
+    assert len(lines) == 13 and lines[-1] == "selftest FAILED"
+    assert [line.split()[0] for line in lines].count("FAIL") == 2
+    assert lines[6].startswith("FAIL  stable-equality (")
+    assert lines[6].endswith("): why")
+    assert lines[11].endswith("): ArithmeticError: a library fault")
 
 
 def test_bad_tokens_and_oversized_entries_exit_2(tmp_path):
@@ -488,7 +523,8 @@ print(json.dumps({"outs": outs, "numpy": "numpy" in sys.modules}))
 def test_commands_on_int_rows_never_import_numpy(matrix_files, tmp_path,
                                                  capsys):
     # validate, invariants, compare, exactseq, realize and gen run without
-    # numpy, and print what they print in a process that has it loaded
+    # numpy, and print what they print in a process that has it loaded;
+    # so does selftest
     a, _ = matrix_files
     b = tmp_path / "b.json"
     b.write_text('{"matrix": [[1, 1, 1], [1, 1, 0], [1, 1, 0]]}')
@@ -501,15 +537,21 @@ def test_commands_on_int_rows_never_import_numpy(matrix_files, tmp_path,
                 ["compare", str(a), str(b)], ["exactseq", str(a)],
                 ["exactseq", str(c)],
                 ["realize", "--rank", "1", "--torsion", "4,6"],
-                ["gen", "random", "7", "--density", "0.3", "--seed", "4"]]
+                ["gen", "random", "7", "--density", "0.3", "--seed", "4"],
+                ["selftest"]]
     r = subprocess.run([sys.executable, "-c", _NUMPY_FREE,
                         json.dumps(commands)], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout)
     assert doc["numpy"] is False
-    for argv, (code, out) in zip(commands, doc["outs"]):
+    *outs, (selftest_code, selftest) = doc["outs"]
+    for argv, (code, out) in zip(commands, outs):
         assert code == cli.main(argv) == 0
         assert out == capsys.readouterr().out
+    # selftest prints its timings, so its lines are read, not compared
+    lines = selftest.splitlines()
+    assert selftest_code == 0 and lines[-1] == "all fixtures pass"
+    assert [line.split()[0] for line in lines[:-1]] == ["PASS"] * 12
     r = subprocess.run([sys.executable, "-c", "import sys, ckinv; "
                         "print('numpy' in sys.modules)"],
                        capture_output=True, text=True)

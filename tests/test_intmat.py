@@ -6,10 +6,11 @@ import pytest
 
 from ckinv import ck, intmat
 from ckinv.groups import FgAbGroup, Z
+from ckinv.presented import PresentedGroup
 
-from oracles import bareiss_det, cofactor_det, minor_gcd_diagonal, \
-    numpy_hermite_normal_form, numpy_smith_diagonal, \
-    numpy_smith_normal_form
+from oracles import augmented_matrix, bareiss_det, cofactor_det, \
+    hat_matrix, minor_gcd_diagonal, numpy_hermite_normal_form, \
+    numpy_smith_diagonal, numpy_smith_normal_form
 
 EX3_A = [[1, 1, 1], [1, 1, 1], [1, 0, 0]]
 
@@ -136,8 +137,7 @@ def test_transforms_match_the_numpy_reference():
         a = ck.gen_random_irreducible(n, rng.choice((0.1, 0.3, 0.6)),
                                       rng.randrange(2 ** 31))
         ia = ck.i_minus(a.entries)
-        cases += [ia, ia.T, ck.i_minus(ck.hat_matrix(a)),
-                  ck.augmented_matrix(a)]
+        cases += [ia, ia.T, ck.i_minus(hat_matrix(a)), augmented_matrix(a)]
     assert any(min(m.shape) == 0 for m in cases)
     grew = []
     for m in cases:
@@ -168,8 +168,8 @@ def test_smith_diagonal_matches_dense_reference():
         a = ck.gen_random_irreducible(n, rng.choice((0.1, 0.3, 0.6)),
                                       rng.randrange(2 ** 31))
         ia = ck.i_minus(a.entries)
-        cases += [ia, ia.T, ck.i_minus(ck.hat_matrix(a)),
-                  ck.augmented_matrix(a), ck.augmented_matrix(a).T]
+        cases += [ia, ia.T, ck.i_minus(hat_matrix(a)), augmented_matrix(a),
+                  augmented_matrix(a).T]
     for _ in range(300):
         rows, cols = rng.randint(0, 9), rng.randint(0, 9)
         m = np.array([[rng.choice((0, 0, 0, 1, -1, 2, -3, 4))
@@ -189,8 +189,8 @@ def test_smith_diagonal_matches_dense_reference():
 def _derived(a):
     # the five matrices ck.invariants eliminates
     ia = ck.i_minus(a.entries)
-    ih = ck.i_minus(ck.hat_matrix(a))
-    return [ia.T, ia, ck.augmented_matrix(a), ih, np.hstack([ih, ia[:, :1]])]
+    ih = ck.i_minus(hat_matrix(a))
+    return [ia.T, ia, augmented_matrix(a), ih, np.hstack([ih, ia[:, :1]])]
 
 
 def _with_kernel(a):
@@ -223,7 +223,7 @@ def test_smith_diagonal_matches_dense_reference_when_rank_deficient():
         b = _with_kernel(ck.gen_random_irreducible(
             n, rng.choice((0.3, 0.6)), rng.randrange(2 ** 31)))
         ia = ck.i_minus(b.entries)
-        cases += [ia, ia.T, ck.i_minus(ck.hat_matrix(b))]
+        cases += [ia, ia.T, ck.i_minus(hat_matrix(b))]
     for _ in range(200):
         rows = rng.randint(3, 10)
         cols = rng.randint(rows, 10)  # rank below min(rows, cols)
@@ -539,10 +539,8 @@ def test_lattice_solve_outside():
 
 def test_matrix_algebra_via_numpy():
     a = intmat.as_intmat([[1, 2], [3, 4]])
-    assert ((intmat.identity(2) @ a) == a).all()
+    assert ((np.eye(2, dtype=object) @ a) == a).all()
     assert (a.T.T == a).all()
-    with pytest.raises(ValueError):
-        intmat.hstack(a, intmat.zeros(3, 1))
 
 
 def test_as_intmat_rejects_non_integers():
@@ -552,16 +550,17 @@ def test_as_intmat_rejects_non_integers():
         intmat.as_intmat(np.array([["a", "b"]], dtype=object))
     with pytest.raises(ValueError):
         intmat.as_intmat([1, 2, 3])
-    # vectors go through the same coercion
-    assert [type(x) for x in intmat.as_intvec(np.array([1, 2]))] == \
+    # the coordinates of an element go through the same coercion
+    p = PresentedGroup(2)
+    assert [type(x) for x in p.element(np.array([1, 2])).coords] == \
         [int, int]
-    assert list(intmat.as_intvec(np.array([np.int8(3), 4], dtype=object))) \
+    assert list(p.element(np.array([np.int8(3), 4], dtype=object)).coords) \
         == [3, 4]
     with pytest.raises(TypeError):
-        intmat.as_intvec([1.5, 2])
+        p.element([1.5, 2])
     with pytest.raises(TypeError):
-        intmat.as_intvec(np.array(["a", "b"], dtype=object))
+        p.element(np.array(["a", "b"], dtype=object))
     with pytest.raises(ValueError):
-        intmat.as_intvec([[1, 2]])
+        p.element([[1, 2]])
     with pytest.raises(ValueError):
-        intmat.as_intvec([1, 2], length=3)
+        PresentedGroup(3).element([1, 2])

@@ -88,6 +88,13 @@ def test_realize_rejects_bad_targets():
         RealizationTarget(-1, ())
     with pytest.raises(ValueError):
         RealizationTarget(0, (1,))
+    # a non-integer is refused at once, not truncated
+    for rank, factors in ((1.5, ()), (0, (2.9,)), (0, (2, 4.0)), ("1", ())):
+        with pytest.raises(TypeError):
+            RealizationTarget(rank, factors)
+    t = RealizationTarget(np.int64(1), (np.int8(2),))
+    assert (t.rank, t.factors) == (1, (2,))
+    assert {type(t.rank), *map(type, t.factors)} == {int}
 
 
 # -- quotients and pairs ----------------------------------------------------
