@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain, compress
+from math import gcd
 from operator import or_
 from typing import TYPE_CHECKING
 
@@ -457,7 +458,11 @@ class FiveTermSequence:
     Maps: j (induced by I - R_1 on kernel coordinates), s (coordinate
     sum), iota (1 maps to the class of (I-A) e_1) and q (identity on
     generator coordinates).  ``nodes_exact`` lists, in order: injectivity
-    of j, exactness at G2, G3, G4, and surjectivity of q.
+    of j, exactness at G2, G3, G4, and surjectivity of q.  The first two
+    and the last are decided by the generic queries of
+    :mod:`ckinv.presented`; exactness at G3 and G4 is read off the
+    cokernel of [I - A^hat | (I - A) e_1], as :func:`five_term_sequence`
+    explains.
     """
 
     groups: tuple[PresentedGroup, ...]
@@ -467,21 +472,47 @@ class FiveTermSequence:
     verified: bool
 
 
-# Largest matrix side five_term_sequence accepts.  The entries of its
-# Hermite kernel transforms swell steeply with the side: over densities
-# 0.1, 0.3 and 0.6 with three seeds each, the slowest random matrix took
-# 49 s at side 109 and 63 s at side 110 (2-core x86-64, Python 3.11), so
-# larger matrices are refused up front.
-MAX_SEQUENCE_SIDE = 109
+def _iota_nodes(ker_a, quotient_rows, ext_s1: FgAbGroup,
+                ext_w1: FgAbGroup) -> tuple[bool, bool]:
+    """Exactness at Z and at coker(I - A^hat), given the basis of
+    Ker(I - A) that s sums, the rows of [I - A^hat | (I - A) e_1], and
+    both extension groups.
+
+    The cokernel Q of those rows is coker(I - A^hat) modulo iota_1.  At Z,
+    im(s) = gZ with g the gcd of the coordinate sums of the basis, and
+    ker(iota) = kZ with k the order of iota_1, read off Q (both 0 when
+    iota_1 has infinite order); the node is exact iff g = k.  At
+    coker(I - A^hat), ker(q) is L(I - A) / L(I - A^hat) and im(iota) is
+    (L(I - A^hat) + Z (I - A) e_1) / L(I - A^hat).  The former contains
+    the latter, since q is well defined and (I - A) e_1 is a column of
+    I - A, so they agree iff Q is isomorphic to coker(I - A).
+    """
+    quotient = intmat.cokernel_invariants(quotient_rows)
+    k = order_from_quotient(ext_s1, quotient)
+    return gcd(*map(sum, ker_a)) == k, quotient == ext_w1
+
+
+# Largest matrix side five_term_sequence accepts.  The entries of its two
+# Hermite kernel transforms, of I - A and I - A^hat, swell steeply with the
+# side: over densities 0.1, 0.3 and 0.6 with three seeds each, the slowest
+# random matrix took 5.6 s at side 109, 20 s at side 130, 42 s at side 140
+# and 64 s at side 145 (2-core x86-64, Python 3.11), so larger matrices
+# are refused up front.
+MAX_SEQUENCE_SIDE = 140
 
 
 def five_term_sequence(a: ZeroOneMatrix) -> FiveTermSequence:
     """Build and verify the extension-group exact sequence of O_A.
 
     A False verdict anywhere signals an implementation bug, never bad
-    input; every valid matrix yields an exact sequence.  A matrix of side
-    above :data:`MAX_SEQUENCE_SIDE` raises ``ValueError`` before any
-    elimination.
+    input; every valid matrix yields an exact sequence.  The four maps are
+    checked to be well defined.  The generic queries of
+    :mod:`ckinv.presented` decide j's injectivity, exactness at Ker(I-A)
+    and q's surjectivity; all but the last run on groups of the kernels'
+    ranks.  One Smith diagonal, of [I - A^hat | (I - A) e_1], decides
+    exactness at Z and at coker(I - A^hat); see :func:`_iota_nodes`.  A
+    matrix of side above :data:`MAX_SEQUENCE_SIDE` raises ``ValueError``
+    before any elimination.
     """
     a = _require_valid(a)
     n = a.n
@@ -522,8 +553,8 @@ def five_term_sequence(a: ZeroOneMatrix) -> FiveTermSequence:
     nodes = (
         j.is_injective(),
         is_exact_at(j, s),
-        is_exact_at(s, iota),
-        is_exact_at(iota, q),
+        *_iota_nodes(ker_a, _iota_quotient_rows(ia), g4.canonical(),
+                     g5.canonical()),
         q.is_surjective(),
     )
     return FiveTermSequence(

@@ -4,12 +4,17 @@ A :class:`PresentedGroup` is Z^n modulo the lattice spanned by the columns
 of a relation matrix.  Elements are integer coordinate vectors; two vectors
 name the same element when their difference lies in the relation lattice.
 Homomorphisms are integer matrices mapping source generators to target
-coordinates.  Every query reads one Smith diagonal from :mod:`ckinv.intmat`:
-that of the relations with some columns appended, the group modulo some
-elements.  Columns lie in the relation lattice iff that quotient is
-isomorphic to the group, since finitely generated abelian groups are
-Hopfian; element equality, well-definedness and exactness use this rule,
-and orders follow :func:`order_from_quotient`.
+coordinates.  Membership queries read one Smith diagonal from
+:mod:`ckinv.intmat`: that of the relations with some columns appended,
+the group modulo some elements.  Columns lie in the relation lattice iff
+that quotient is isomorphic to the group, since finitely generated
+abelian groups are Hopfian; element equality, well-definedness and
+exactness use this rule, and orders follow :func:`order_from_quotient`.
+In a group with no relations, membership is a zero test.  Exactness of
+f, g at the middle is membership too: g after f must vanish, and the
+generators of ker(g), lifted to the middle's coordinates by one Hermite
+kernel, must lie in the lattice that im(f) and the middle's relations
+span.  No presentation of ker(g)/im(f) is built.
 
 A group holds its relations as a list of int columns, a hom its matrix as
 a list of int rows and an element its coordinates as a tuple of ints, and
@@ -125,8 +130,11 @@ class PresentedGroup:
 
         Compares the canonical form of the group modulo the columns with
         the group's own.  No columns, or a trivial group, in which every
-        column lies, cost no elimination.
+        column lies, cost no elimination; neither does a group with no
+        relations, whose lattice holds the zero column alone.
         """
+        if not self._relations:
+            return not any(map(any, columns))
         return (not columns or self.canonical().is_trivial
                 or _cokernel(self.generators, self._relations + columns)
                 == self.canonical())
@@ -312,26 +320,23 @@ def _preimage_generators(columns, lattice, height: int) -> list[list[int]]:
     return [b[:k] for b in intmat._hermite(columns + lattice, height).kernel]
 
 
-def _homology(f: GroupHom, g: GroupHom) -> PresentedGroup:
-    """ker(g)/im(f), presented on generators of ker(g) lifted to the
-    middle group f.target = g.source."""
-    ker_gens = _preimage_generators(g._columns, g.target._relations,
-                                    g.target.generators)
-    rel = _preimage_generators(ker_gens, f._image(), g.source.generators)
-    return PresentedGroup._on_columns(len(ker_gens), rel)
-
-
 def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
     """Exactness of source --f--> middle --g--> target at the middle.
 
-    True iff g after f is zero and ker(g)/im(f) presents the trivial
-    group; both conditions are decided by exact lattice arithmetic.
+    True iff g after f is zero and ker(g) lies in im(f).  The middle
+    modulo im(f) is presented by the columns of ``f.image()``; ker(g),
+    lifted to the middle's coordinates, lies in im(f) iff appending its
+    generators to those columns leaves the cokernel unchanged, the
+    Hopfian rule of element equality.  Both conditions are decided by
+    exact lattice arithmetic.
     """
     if f.target is not g.source:
         raise ValueError("sequence is not composable at this node")
     if not g.target._contains(_images(g._rows, f._columns)):
         return False
-    return _homology(f, g).canonical().is_trivial
+    middle = PresentedGroup._on_columns(f.target.generators, f._image())
+    return middle._contains(_preimage_generators(
+        g._columns, g.target._relations, g.target.generators))
 
 
 def quotient_by_elements(p: PresentedGroup, elems) -> FgAbGroup:

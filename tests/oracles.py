@@ -5,9 +5,12 @@ come from cofactor expansion, Smith diagonals from determinant divisors
 (gcds of k x k minors), from a naive first-nonzero elimination on lists,
 or from the dense numpy elimination that ``smith_diagonal`` used before
 its sparse unit-pivot prepass.  They are deliberately slow and simple.
-The one exception, ``transforms_order``, reads an element's order off the
-Smith transforms of its presentation (``canonical_coords``), a route the
-library's order rule no longer takes.
+The exceptions build library groups and read them the long way round:
+``transforms_order`` reads an element's order off the Smith transforms of
+its presentation (``canonical_coords``), a route the library's order rule
+no longer takes, and ``homology`` presents ker(g)/im(f) outright, on
+kernels from the numpy Hermite reference, where the library's exactness
+test decides lattice membership instead.
 The numpy Smith and Hermite eliminations with transforms, int64 start and
 mid-run promotion included, are the reference the list-based library
 routines must match entry for entry.  ``hat_matrix`` and
@@ -19,6 +22,8 @@ from itertools import combinations
 from math import gcd, lcm
 
 import numpy as np
+
+from ckinv.presented import GroupHom, PresentedGroup
 
 
 def cofactor_det(rows) -> int:
@@ -406,3 +411,48 @@ def numpy_hermite_normal_form(m):
     """(h, u, pivots) with m @ u = h, h and u as object arrays."""
     h, u, pivots = _hermite_run(_working(_object_matrix(m)))
     return (*_objects(h, u), pivots)
+
+
+# -- exactness by homology ----------------------------------------------------
+
+def _kernel_columns(m: np.ndarray) -> np.ndarray:
+    """Basis of {x : m @ x = 0}, as columns: the columns of the numpy
+    Hermite transform past the rank."""
+    _, u, pivots = numpy_hermite_normal_form(m)
+    return u[:, len(pivots):]
+
+
+def _preimage(h: GroupHom) -> np.ndarray:
+    """Columns generating {x : h(x) = 0}, in source coordinates: the
+    source parts of the solutions of [h columns | target relations]."""
+    return _kernel_columns(h.image())[:h.source.generators]
+
+
+def homology(f: GroupHom, g: GroupHom) -> PresentedGroup:
+    """ker(g)/im(f), presented on generators of ker(g) lifted to the
+    middle group f.target = g.source."""
+    ker = _preimage(g)
+    rel = _kernel_columns(np.hstack([ker, f.image()]))[:ker.shape[1]]
+    return PresentedGroup(ker.shape[1], rel)
+
+
+def is_exact_by_homology(f: GroupHom, g: GroupHom) -> bool:
+    """g after f is zero, its kernel being the whole source, and
+    ker(g)/im(f) is trivial."""
+    gf = g.compose(f)
+    return (PresentedGroup(gf.source.generators, _preimage(gf))
+            .canonical().is_trivial
+            and homology(f, g).canonical().is_trivial)
+
+
+def sequence_exactness(groups, maps) -> tuple[bool, ...]:
+    """Exactness by homology at each group of 0 -> groups[0] -> ... ->
+    groups[-1] -> 0, the maps joining neighbouring groups."""
+    first, last = groups[0], groups[-1]
+    chain = (GroupHom(PresentedGroup(0), first,
+                      np.zeros((first.generators, 0), dtype=object)),
+             *maps,
+             GroupHom(last, PresentedGroup(0),
+                      np.zeros((0, last.generators), dtype=object)))
+    return tuple(is_exact_by_homology(f, g)
+                 for f, g in zip(chain, chain[1:]))

@@ -5,11 +5,12 @@ import pytest
 
 from ckinv import ck, intmat
 from ckinv.groups import FgAbGroup, TRIVIAL, Z
+from ckinv.presented import GroupHom
 from ckinv.selftest import AMPLIFIED_SHAPES, CUNTZ_SIDES, \
     check_amplified_fixtures, check_cuntz_fixtures
 
 from oracles import augmented_matrix, hat_matrix, ones_row_matrix, \
-    transforms_order
+    sequence_exactness, transforms_order
 
 EX3_A = [[1, 1, 1], [1, 1, 1], [1, 0, 0]]
 EX3_B = [[1, 1, 1], [1, 1, 0], [1, 1, 0]]  # the transpose of EX3_A
@@ -305,6 +306,74 @@ def test_five_term_groups_match_report(corpus500, reports500):
         assert seq.groups[1].canonical() == r.ext_w0
         assert seq.groups[3].canonical() == r.ext_s1
         assert seq.groups[4].canonical() == r.ext_w1
+
+
+def _sequence_fixtures(corpus500):
+    return (corpus500[:80] + [ck.gen_cuntz(n) for n in CUNTZ_SIDES]
+            + [ck.gen_amplified(n, k) for n, k in AMPLIFIED_SHAPES])
+
+
+def test_five_term_nodes_match_the_homology_oracle(corpus500):
+    # every verdict, those read off the iota quotient included, equals
+    # exactness read off ker(g)/im(f) presented outright
+    for a in _sequence_fixtures(corpus500):
+        seq = ck.five_term_sequence(a)
+        assert seq.nodes_exact == sequence_exactness(seq.groups, seq.maps)
+
+
+def test_iota_nodes_fail_where_the_oracle_does_on_broken_maps(corpus500):
+    # doubling the iota column, or one vector of the Ker(I - A) basis that
+    # s sums, breaks exactness at Z or at coker(I - A^hat) for many of the
+    # matrices; the rule must then say False exactly where the oracle does.
+    # Five of the 80 corpus matrices have Ker(I - A) = Z, three of them
+    # with a basis vector of nonzero sum, which doubling breaks
+    broken = {"iota": 0, "basis": 0}
+    for a in _sequence_fixtures(corpus500):
+        seq = ck.five_term_sequence(a)
+        j, s, iota, q = seq.maps
+        g2, g3, g4, g5 = seq.groups[1:]
+        ia = ck._i_minus_rows(a)
+        ker_a = intmat.hermite_normal_form(ia).kernel
+        assert s.image()[0].tolist() == [sum(b) for b in ker_a]
+        exts = g4.canonical(), g5.canonical()
+        assert ck._iota_nodes(ker_a, ck._iota_quotient_rows(ia), *exts) \
+            == seq.nodes_exact[2:4] == (True, True)
+
+        doubled = GroupHom(g3, g4, [[2 * r[0]] for r in ia])
+        rows = [h + [2 * r[0]] for h, r in zip(ck._hat_rows(ia), ia)]
+        nodes = ck._iota_nodes(ker_a, rows, *exts)
+        assert nodes == sequence_exactness(seq.groups,
+                                           (j, s, doubled, q))[2:4]
+        broken["iota"] += not all(nodes)
+
+        if ker_a:
+            basis = [[2 * x for x in ker_a[0]]] + ker_a[1:]
+            summed = GroupHom(g2, g3, [[sum(b) for b in basis]])
+            at_z, _ = ck._iota_nodes(basis, ck._iota_quotient_rows(ia),
+                                     *exts)
+            assert at_z == sequence_exactness(seq.groups,
+                                              (j, summed, iota, q))[2]
+            broken["basis"] += not at_z
+    assert broken["iota"] >= 40 and broken["basis"] >= 3, broken
+
+
+def test_five_term_sequence_transforms_no_stacked_matrix(monkeypatch):
+    # the Hermite transforms of height n are the two kernels and the
+    # solves against their bases; a stacked one such as [I | I - A] or
+    # [(I - A) e_1 | I - A^hat] would take more than n columns
+    n = 60
+    widths = []
+    hermite = intmat._hermite
+
+    def counted(columns, rows):
+        if rows == n:
+            widths.append(len(columns))
+        return hermite(columns, rows)
+
+    monkeypatch.setattr(intmat, "_hermite", counted)
+    assert ck.five_term_sequence(
+        ck.gen_random_irreducible(n, 0.3, seed=7)).verified
+    assert widths and max(widths) <= n, widths
 
 
 # -- the distinguished class ------------------------------------------------

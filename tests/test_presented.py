@@ -8,9 +8,10 @@ import pytest
 from ckinv import ck, intmat
 from ckinv.groups import FgAbGroup, TRIVIAL, Z
 from ckinv.presented import GroupElement, GroupHom, PresentedGroup, \
-    _homology, is_exact_at, quotient_by_elements
+    is_exact_at, quotient_by_elements
 
-from oracles import minor_gcd_diagonal, transforms_order
+from oracles import homology, is_exact_by_homology, minor_gcd_diagonal, \
+    transforms_order
 
 
 def z_mod(n):
@@ -105,14 +106,15 @@ def _check_against_transforms(p: PresentedGroup) -> None:
 
 
 def test_canonical_on_swollen_relations():
-    # the quotients ker(g)/im(f) that is_exact_at builds in the five-term
-    # sequence, their relations taken from Hermite kernel transforms
+    # the quotients ker(g)/im(f) of the five-term sequence, presented by
+    # the homology oracle, their relations taken from Hermite kernel
+    # transforms
     for n, density, seed in ((30, 0.3, 1), (36, 0.6, 2), (40, 0.3, 3),
                              (70, 0.3, 3)):
         seq = ck.five_term_sequence(ck.gen_random_irreducible(n, density,
                                                               seed))
         for f, g in zip(seq.maps, seq.maps[1:]):
-            _check_against_transforms(_homology(f, g))
+            _check_against_transforms(homology(f, g))
     # the same, and small I - A^hat and I - A with torsion, under a change
     # of generators with entries past 2**64
     rng = random.Random(29)
@@ -123,7 +125,7 @@ def test_canonical_on_swollen_relations():
                  ck.i_minus(a.entries)]
         seq = ck.five_term_sequence(a)
         for f, g in zip(seq.maps, seq.maps[1:]):
-            rels.append(_homology(f, g).relations)
+            rels.append(homology(f, g).relations)
     torsion = 0
     for rel in rels:
         rel = intmat.as_intmat(rel)
@@ -138,11 +140,12 @@ def test_canonical_on_swollen_relations():
 
 
 def test_queries_in_a_trivial_group_cost_no_elimination(monkeypatch):
-    # the 70-generator quotient ker(g)/im(f) that is_exact_at builds in
-    # the n=70 sequence; its relations reach 35 bits, and a Smith diagonal
-    # per query took 4 s for the orders of all generators
+    # the 70-generator quotient ker(g)/im(f) at coker(I - A^hat) of the
+    # n=70 sequence, presented by the homology oracle; its relations reach
+    # 35 bits, and a Smith diagonal per query took 4 s for the orders of
+    # all generators
     seq = ck.five_term_sequence(ck.gen_random_irreducible(70, 0.3, 3))
-    p = _homology(seq.maps[2], seq.maps[3])
+    p = homology(seq.maps[2], seq.maps[3])
     assert p.generators == 70 and p.canonical() == TRIVIAL
     calls = []
     diagonal = intmat.smith_diagonal
@@ -292,11 +295,12 @@ def _in_lattice(lattice, columns) -> bool:
 
 def test_membership_matches_lattice_solve():
     # well-definedness and the g o f = 0 test of exactness compare
-    # cokernels; the Hermite solve of each column is the oracle.  Odd
-    # rounds put the images into the target lattice, so about half the
-    # homs are well-defined.
+    # cokernels; the Hermite solve of each column is the oracle, and
+    # ker(g)/im(f) presented outright that of exactness.  Odd rounds put
+    # the images into the target lattice, so about half the homs are
+    # well-defined.
     rng = random.Random(37)
-    verdicts = {"hom": [], "composite": []}
+    verdicts = {"hom": [], "composite": [], "exact": []}
     for round_ in range(200):
         na, nb, nc = (rng.randint(1, 5) for _ in range(3))
         a_rel = _random_matrix(rng, na, rng.randint(0, 4))
@@ -316,10 +320,27 @@ def test_membership_matches_lattice_solve():
         zero = pc._contains((gm @ fm).T.tolist())
         assert zero == _in_lattice(c_rel, gm @ fm)
         verdicts["composite"].append(zero)
-        if not zero:
-            assert not is_exact_at(f, g)
-    for seen in verdicts.values():
-        assert 60 <= sum(seen) <= 140
+        exact = is_exact_at(f, g)
+        assert exact == is_exact_by_homology(f, g)
+        assert zero or not exact
+        verdicts["exact"].append(exact)
+    for kind in ("hom", "composite"):
+        assert 60 <= sum(verdicts[kind]) <= 140
+    assert sum(verdicts["exact"]) >= 10
+
+
+def test_membership_in_a_free_group_costs_no_elimination(monkeypatch):
+    # with no relations the lattice is zero: membership is a zero test
+    calls = []
+    diagonal = intmat.smith_diagonal
+    monkeypatch.setattr(intmat, "smith_diagonal",
+                        lambda m: calls.append(m) or diagonal(m))
+    p = free(3)
+    assert p._contains([[0, 0, 0], [0, 0, 0]]) and p._contains([])
+    assert not p._contains([[0, 0, 0], [0, 2, 0]])
+    assert p.element([1, 0, 0]) != p.element([0, 1, 0])
+    assert GroupHom(free(1), p, [[1], [2], [3]]).is_well_defined()
+    assert calls == []
 
 
 # -- exactness --------------------------------------------------------------
