@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain, compress
 from math import gcd
-from operator import or_
+from operator import mul, or_
 from typing import TYPE_CHECKING
 
 from . import intmat
@@ -455,11 +455,15 @@ class FiveTermSequence:
     """0 -> G1 -> G2 -> G3 -> G4 -> G5 -> 0 with its verification verdicts.
 
     Groups: Ker(I-A^hat)/(Z e_1), Ker(I-A), Z, coker(I-A^hat), coker(I-A).
-    Maps: j (induced by I - R_1 on kernel coordinates), s (coordinate
-    sum), iota (1 maps to the class of (I-A) e_1) and q (identity on
-    generator coordinates).  ``nodes_exact`` lists, in order: injectivity
-    of j, exactness at G2, G3, G4, and surjectivity of q.  The first two
-    and the last are decided by the generic queries of
+    G2 is free on a basis B of Ker(I - A).  G1 is presented on the basis
+    e_1, B c_1, ..., B c_k of Ker(I - A^hat), where the c_i are a basis of
+    the coefficient vectors whose combination of B sums to zero, with the
+    single relation e_1.  Maps: j (induced by I - R_1, which sends e_1 to
+    0 and B c to itself, so on coordinates e_1 maps to 0 and B c_i to
+    c_i), s (coordinate sum), iota (1 maps to the class of (I-A) e_1) and
+    q (identity on generator coordinates).  ``nodes_exact`` lists, in
+    order: injectivity of j, exactness at G2, G3, G4, and surjectivity of
+    q.  The first two and the last are decided by the generic queries of
     :mod:`ckinv.presented`; exactness at G3 and G4 is read off the
     cokernel of [I - A^hat | (I - A) e_1], as :func:`five_term_sequence`
     explains.
@@ -470,6 +474,33 @@ class FiveTermSequence:
     map_names: tuple[str, ...]
     nodes_exact: tuple[bool, ...]
     verified: bool
+
+
+def _sequence_kernels(ia, ext_w1: FgAbGroup, ext_s1: FgAbGroup):
+    """(B, C, K) from the rows of I - A and both extension groups: a basis
+    B of Ker(I - A), the coefficient vectors C, and the basis K of
+    Ker(I - A^hat) made of e_1 and the B c, c in C.
+
+    I - A^hat = (I - A)(I - R_1), and I - R_1 maps Z^n onto the sum-zero
+    lattice S with kernel Z e_1, fixing S.  So Ker(I - A^hat) is
+    Z e_1 + (Ker(I - A) meet S), and Ker(I - A) meet S is B C, with C a
+    basis of the kernel of the 1 x m row of the coordinate sums of B.  B
+    is empty when ExtW1 has free rank 0, with no elimination; otherwise it
+    comes from one Hermite transform of I - A, and C from a Hermite
+    transform of that one row.  K is checked against I - A^hat, and its
+    size against the free rank of ExtS1, the corank of I - A^hat.
+    """
+    n = len(ia)
+    ker_a = intmat.hermite_normal_form(ia).kernel if ext_w1.free_rank else []
+    coeffs = intmat._hermite([[sum(b)] for b in ker_a], 1).kernel
+    b_rows = list(zip(*ker_a))
+    ker_hat = [[1] + [0] * (n - 1)] + [
+        [sum(map(mul, c, r)) for r in b_rows] for c in coeffs]
+    if len(ker_hat) != ext_s1.free_rank or any(
+            sum(map(mul, r, v)) for r in _hat_rows(ia) for v in ker_hat):
+        raise RuntimeError("Ker(I - A^hat) basis does not match "
+                           "Ker(I - A) and ExtS1")
+    return ker_a, coeffs, ker_hat
 
 
 def _iota_nodes(ker_a, quotient_rows, ext_s1: FgAbGroup,
@@ -492,21 +523,26 @@ def _iota_nodes(ker_a, quotient_rows, ext_s1: FgAbGroup,
     return gcd(*map(sum, ker_a)) == k, quotient == ext_w1
 
 
-# Largest matrix side five_term_sequence accepts.  The entries of its two
-# Hermite kernel transforms, of I - A and I - A^hat, swell steeply with the
-# side: over densities 0.1, 0.3 and 0.6 with three seeds each, the slowest
-# random matrix took 5.6 s at side 109, 20 s at side 130, 42 s at side 140
-# and 64 s at side 145 (2-core x86-64, Python 3.11), so larger matrices
-# are refused up front.
-MAX_SEQUENCE_SIDE = 140
+# Largest matrix side five_term_sequence accepts.  With Ker(I - A) = 0 no
+# Hermite transform of the side runs, and over densities 0.1, 0.3 and 0.6
+# with three seeds each the slowest random matrix took 3.5 s at side 150
+# and 12 s at side 200.  A nonzero Ker(I - A) costs one Hermite transform
+# of I - A, whose entries swell steeply with the side: on such matrices
+# (two equal rows of I - A) the slowest took 44 s at side 150 and 80 s at
+# side 160 (2-core x86-64, Python 3.11), so larger matrices are refused up
+# front.
+MAX_SEQUENCE_SIDE = 150
 
 
 def five_term_sequence(a: ZeroOneMatrix) -> FiveTermSequence:
     """Build and verify the extension-group exact sequence of O_A.
 
     A False verdict anywhere signals an implementation bug, never bad
-    input; every valid matrix yields an exact sequence.  The four maps are
-    checked to be well defined.  The generic queries of
+    input; every valid matrix yields an exact sequence.  Both kernels come
+    from theory (see :func:`_sequence_kernels`): when ExtW1 has free rank
+    0 no Hermite transform of side n runs, and otherwise one runs, of
+    I - A; j is read off the kernel bases, not solved for.  The four maps
+    are checked to be well defined.  The generic queries of
     :mod:`ckinv.presented` decide j's injectivity, exactness at Ker(I-A)
     and q's surjectivity; all but the last run on groups of the kernels'
     ranks.  One Smith diagonal, of [I - A^hat | (I - A) e_1], decides
@@ -520,31 +556,19 @@ def five_term_sequence(a: ZeroOneMatrix) -> FiveTermSequence:
         raise ValueError(f"the five-term sequence takes a side of at most "
                          f"{MAX_SEQUENCE_SIDE}, got {n}")
     ia = _i_minus_rows(a)
-    ia_hat = _hat_rows(ia)
-
-    ker_hat = intmat.hermite_normal_form(ia_hat).kernel
-    ker_a = intmat.hermite_normal_form(ia).kernel
-    e1_coords = intmat._hermite(ker_hat, n).solve([1] + [0] * (n - 1))
-    if e1_coords is None:  # e_1 is always in Ker(I - A^hat)
-        raise RuntimeError("e_1 not found in Ker(I - A^hat)")
-
-    g1 = PresentedGroup._on_columns(len(ker_hat), [e1_coords])
-    g2 = PresentedGroup(len(ker_a))
-    g3 = PresentedGroup(1)
-    g4 = PresentedGroup(n, ia_hat)
+    g4 = PresentedGroup(n, _hat_rows(ia))
     g5 = PresentedGroup(n, ia)
+    ext_s1, ext_w1 = g4.canonical(), g5.canonical()
+    ker_a, coeffs, _ = _sequence_kernels(ia, ext_w1, ext_s1)
+    m = len(ker_a)
 
-    solve_a = intmat._hermite(ker_a, n).solve
-    j_cols = []
-    for b in ker_hat:
-        # (I - R_1) b = b - (sum of b) e_1
-        x = solve_a([b[0] - sum(b)] + b[1:])
-        if x is None:
-            raise RuntimeError("(I - R_1) does not map Ker(I - A^hat) "
-                               "into Ker(I - A)")
-        j_cols.append(x)
+    g1 = PresentedGroup._on_columns(1 + len(coeffs),
+                                    [[1] + [0] * len(coeffs)])  # e_1
+    g2 = PresentedGroup(m)
+    g3 = PresentedGroup(1)
 
-    j = GroupHom._on_rows(g1, g2, intmat._transpose(j_cols, len(ker_a)))
+    # e_1 maps to 0, B c to c
+    j = GroupHom._on_rows(g1, g2, intmat._transpose([[0] * m] + coeffs, m))
     s = GroupHom(g2, g3, [[sum(b) for b in ker_a]])  # coordinate sum
     iota = GroupHom(g3, g4, [r[:1] for r in ia])  # (I - A) e_1
     q = GroupHom(g4, g5, intmat._identity_rows(n))
@@ -553,8 +577,7 @@ def five_term_sequence(a: ZeroOneMatrix) -> FiveTermSequence:
     nodes = (
         j.is_injective(),
         is_exact_at(j, s),
-        *_iota_nodes(ker_a, _iota_quotient_rows(ia), g4.canonical(),
-                     g5.canonical()),
+        *_iota_nodes(ker_a, _iota_quotient_rows(ia), ext_s1, ext_w1),
         q.is_surjective(),
     )
     return FiveTermSequence(

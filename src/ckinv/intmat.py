@@ -26,17 +26,19 @@ and ``u``, like those :func:`kernel_basis` and :func:`lattice_solve`
 return, are built from them when asked for, which imports numpy then.
 :func:`smith_normal_form` runs a min-abs-pivot Smith loop on the whole
 matrix with its transforms.  :func:`smith_diagonal` first eliminates unit
-pivots on sparse rows, cheapest Markowitz cost first; on the dense core
-left, fraction-free (Bareiss) elimination gives the rank r and a gcd D of
-r x r minors, which every diagonal entry divides, and the core is then
-diagonalized modulo D: unit pivots by one Schur pass each, the rest by
-extended-gcd (Bezout) steps.  Entries never grow past D there, where the
-min-abs loop needs many rounds per diagonal entry.  The diagonal entries
-are read off as gcds with D, put into a divisibility chain, and copies of
-D past the rank are dropped.  On a square nonsingular core D = |det| is
-the product of the diagonal, so only the first r - 1 entries are read,
-modulo a gcd of (r-1) x (r-1) minors, which is usually 1.  See Hafner and
-McCurley, SIAM J. Comput. 20 (1991), and Cohen, A Course in Computational
+pivots, each in the shortest row that holds one and there in the
+shortest column, keeping the row and column nonzero counts as the Schur
+updates change them.  On the dense core left, fraction-free (Bareiss)
+elimination gives the rank r and a gcd D of r x r minors, which every
+diagonal entry divides, and the core is then diagonalized modulo D: unit
+pivots by one Schur pass each, the rest by extended-gcd (Bezout) steps.
+Entries never grow past D there, where the min-abs loop needs many
+rounds per diagonal entry.  The diagonal entries are read off as gcds
+with D, put into a divisibility chain, and copies of D past the rank are
+dropped.  On a square nonsingular core D = |det| is the product of the
+diagonal, so only the first r - 1 entries are read, modulo a gcd of
+(r-1) x (r-1) minors, which is usually 1.  See Hafner and McCurley,
+SIAM J. Comput. 20 (1991), and Cohen, A Course in Computational
 Algebraic Number Theory, Alg. 2.4.14.
 """
 
@@ -287,100 +289,70 @@ def smith_normal_form(m) -> SmithDecomposition:
                               v=_from_columns(vt, cols))
 
 
-def _cheapest_unit(rows, cols, by_len) -> tuple[int, int] | None:
-    """Unit entry of least Markowitz cost, shorter rows first, or None.
-
-    No column may hold a lone unit entry, so with c the shortest column
-    of two or more entries every candidate in a row of length L costs at
-    least (L - 1) * (c - 1); the scan stops as soon as no row still to
-    come can cost less than the best so far.
-    """
-    floor = min((c for c in set(map(len, cols)) if c > 1), default=2) - 1
-    best = None
-    for length in range(1, len(by_len)):
-        for i in by_len[length]:
-            if best is not None and best[0] <= (length - 1) * floor:
-                return best[1:]
-            for j, x in rows[i].items():
-                if x == 1 or x == -1:
-                    cost = (length - 1) * (len(cols[j]) - 1)
-                    if best is None or cost < best[0]:
-                        best = cost, i, j
-    return best and best[1:]
-
-
 def _unit_prepass(m) -> tuple[int, list[list[int]]]:
     """Eliminate unit pivots on int rows; (count, dense core left).
 
-    Each step pivots on the +-1 entry of least Markowitz cost
-    (row nnz - 1) * (column nnz - 1), the shorter row on ties, and
-    subtracts multiples of its row from the other rows.  A unit pivot
-    makes that Schur update exact over the integers, and then column
-    operations clear the pivot row without touching any other row, so the
-    pivot row and column drop out and contribute one diagonal 1.  The core
-    is what remains once no unit is left, with empty rows and columns
-    dropped: they contribute only zeros.  The rows of ``m`` are read in
-    order, not changed.
+    Each step pivots on a +-1 entry of the shortest live row that holds
+    one, and in that row on the unit whose column is shortest: a cheap
+    stand-in for least Markowitz cost (row nnz - 1) * (column nnz - 1).
+    It subtracts multiples of the pivot row from the rows hit by the
+    pivot column.  A unit pivot makes that Schur update exact over the
+    integers, and then column operations clear the pivot row without
+    touching any other row, so the pivot row and column drop out and
+    contribute one diagonal 1.  The rows are copied once and updated in
+    place; the nonzero count of every row and column changes only where
+    an update makes an entry zero or nonzero, and a row is searched for a
+    unit again only once an update has touched it.  The core is what
+    remains once no live row holds a unit, with empty rows and columns
+    dropped: they contribute only zeros.  The rows of ``m`` are read, not
+    changed.
     """
-    width = len(m[0]) if m else 0
+    a = [list(row) for row in m]
+    if not a:
+        return 0, []
+    height, width = len(a), len(a[0])
     span = range(width)
-    rows: dict[int, dict[int, int]] = {}
-    cols = [set() for _ in span]
-    for i, row in enumerate(m):
-        nz = list(compress(span, row))
-        if nz:
-            rows[i] = dict(zip(nz, map(row.__getitem__, nz)))
-            for j in nz:
-                cols[j].add(i)
-    by_len = [set() for _ in range(width + 1)]  # live rows by nnz
-    for i, r in rows.items():
-        by_len[len(r)].add(i)
-    lone = [j for j, c in enumerate(cols) if len(c) == 1]  # may be stale
+    row_nnz = [width - row.count(0) for row in a]
+    col_nnz = [height - col.count(0) for col in zip(*a)]
+    live = list(range(height))
+    maybe_unit = set(live)  # live rows not yet seen to hold no unit
     ones = 0
-    while True:
-        pivot = None
-        while lone and pivot is None:  # cost 0: the column's only entry
-            j = lone.pop()
-            if len(cols[j]) == 1:
-                i = next(iter(cols[j]))
-                if rows[i][j] in (1, -1):
-                    pivot = i, j
-        if pivot is None:
-            pivot = _cheapest_unit(rows, cols, by_len)
-            if pivot is None:
-                break
-        i, j = pivot
-        prow = rows.pop(i)
-        by_len[len(prow)].discard(i)
-        unit = prow.pop(j)
-        for c in prow:
-            cols[c].discard(i)
-            if len(cols[c]) == 1:
-                lone.append(c)
-        hit, cols[j] = cols[j], set()
-        hit.discard(i)
-        for k in hit:
-            r = rows[k]
-            before = len(r)
-            f = r.pop(j) * unit
-            for c, x in prow.items():
-                y = r.get(c, 0) - f * x
-                if y:
-                    r[c] = y
-                    cols[c].add(k)
-                else:
-                    del r[c]
-                    cols[c].discard(k)
-                    if len(cols[c]) == 1:
-                        lone.append(c)
-            by_len[before].discard(k)
-            if r:
-                by_len[len(r)].add(k)
-            else:
-                del rows[k]
+    while maybe_unit:
+        i = min(maybe_unit, key=row_nnz.__getitem__)
+        maybe_unit.discard(i)
+        prow = a[i]
+        pairs = [(c, prow[c]) for c in compress(span, prow)]
+        units = [c for c, x in pairs if x == 1 or x == -1]
+        if not units:
+            continue
+        j = min(units, key=col_nnz.__getitem__)
+        unit = prow[j]
+        live.remove(i)
+        for c, _ in pairs:
+            col_nnz[c] -= 1
+        if col_nnz[j]:
+            for k in live:
+                row = a[k]
+                if not row[j]:
+                    continue
+                f = row[j] * unit
+                nnz = row_nnz[k]
+                for c, x in pairs:
+                    y = row[c]
+                    z = y - f * x
+                    row[c] = z
+                    if y:
+                        if not z:
+                            nnz -= 1
+                            col_nnz[c] -= 1
+                    elif z:
+                        nnz += 1
+                        col_nnz[c] += 1
+                row_nnz[k] = nnz
+                maybe_unit.add(k)
         ones += 1
-    live = [j for j, c in enumerate(cols) if c]
-    return ones, [[r.get(j, 0) for j in live] for r in rows.values()]
+    keep = [c > 0 for c in col_nnz]
+    return ones, [list(compress(a[k], keep)) for k in live if row_nnz[k]]
 
 
 def _bareiss(a: list[list[int]]) -> list[int]:
@@ -541,7 +513,7 @@ def _modular_diagonal(a: list[list[int]]) -> list[int]:
 def smith_diagonal(m) -> tuple[int, ...]:
     """Diagonal of the Smith normal form, without transforms.
 
-    Unit pivots are eliminated first on sparse rows of Python ints (see
+    Unit pivots are eliminated first on rows of Python ints (see
     :func:`_unit_prepass`); each gives a 1.  The dense core left over is
     diagonalized modulo a gcd of r x r minors, r its rank, both found by
     fraction-free elimination (see :func:`_modular_diagonal`), and zeros

@@ -4,7 +4,10 @@ Nothing here imports library internals beyond plain arrays: determinants
 come from cofactor expansion, Smith diagonals from determinant divisors
 (gcds of k x k minors), from a naive first-nonzero elimination on lists,
 or from the dense numpy elimination that ``smith_diagonal`` used before
-its sparse unit-pivot prepass.  They are deliberately slow and simple.
+its sparse unit-pivot prepass.  ``markowitz_unit_prepass`` is that
+prepass as it pivoted before, by least Markowitz cost, on sparse rows:
+the library's count-based one must leave cores of the same diagonal and
+about the same size.  They are deliberately slow and simple.
 The exceptions build library groups and read them the long way round:
 ``transforms_order`` reads an element's order off the Smith transforms of
 its presentation (``canonical_coords``), a route the library's order rule
@@ -15,10 +18,11 @@ The numpy Smith and Hermite eliminations with transforms, int64 start and
 mid-run promotion included, are the reference the list-based library
 routines must match entry for entry.  ``hat_matrix`` and
 ``augmented_matrix`` build the derived matrices of a validated 0-1 matrix
-as int64 arrays, straight from their definitions.
+as int64 arrays, straight from their definitions, and ``with_kernel``
+turns a matrix into one whose I - A has equal rows.
 """
 
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd, lcm
 
 import numpy as np
@@ -84,6 +88,18 @@ def augmented_matrix(a) -> np.ndarray:
     """The all-ones row stacked on I - A, (N+1) x N."""
     return np.vstack([np.ones((1, a.n), dtype=np.int64),
                       np.eye(a.n, dtype=np.int64) - a.entries])
+
+
+def with_kernel(a, pairs: int = 1):
+    """A validated matrix like a with rows 2t and 2t + 1 of I - A made
+    equal for each t < pairs, so that K1 = Ker(I - A) is nonzero."""
+    from ckinv import ck
+    m = a.entries.copy()
+    for t in range(0, 2 * pairs, 2):
+        m[t + 1] = m[t]
+        m[t, t] = m[t + 1, t + 1] = 1
+        m[t, t + 1] = m[t + 1, t] = 0
+    return ck.validate(m)
 
 
 def transforms_order(element) -> int:
@@ -188,6 +204,106 @@ def naive_snf_diagonal(rows) -> list:
         t += 1
     diag += [0] * (min(nr, nc) - len(diag))
     return diag
+
+
+# -- the Markowitz unit prepass ----------------------------------------------
+
+def _cheapest_unit(rows, cols, by_len) -> tuple[int, int] | None:
+    """Unit entry of least Markowitz cost, shorter rows first, or None.
+
+    No column may hold a lone unit entry, so with c the shortest column
+    of two or more entries every candidate in a row of length L costs at
+    least (L - 1) * (c - 1); the scan stops as soon as no row still to
+    come can cost less than the best so far.
+    """
+    floor = min((c for c in set(map(len, cols)) if c > 1), default=2) - 1
+    best = None
+    for length in range(1, len(by_len)):
+        for i in by_len[length]:
+            if best is not None and best[0] <= (length - 1) * floor:
+                return best[1:]
+            for j, x in rows[i].items():
+                if x == 1 or x == -1:
+                    cost = (length - 1) * (len(cols[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = cost, i, j
+    return best and best[1:]
+
+
+def markowitz_unit_prepass(m) -> tuple[int, list[list[int]]]:
+    """Eliminate unit pivots on int rows; (count, dense core left).
+
+    The prepass ``smith_diagonal`` ran before its count-based one, on a
+    dict of sparse rows and a set of row indices per column.  Each step
+    pivots on the +-1 entry of least Markowitz cost
+    (row nnz - 1) * (column nnz - 1), the shorter row on ties, and
+    subtracts multiples of its row from the other rows.  A unit pivot
+    makes that Schur update exact over the integers, and then column
+    operations clear the pivot row without touching any other row, so the
+    pivot row and column drop out and contribute one diagonal 1.  The core
+    is what remains once no unit is left, with empty rows and columns
+    dropped: they contribute only zeros.  The rows of ``m`` are read in
+    order, not changed.
+    """
+    width = len(m[0]) if m else 0
+    span = range(width)
+    rows: dict[int, dict[int, int]] = {}
+    cols = [set() for _ in span]
+    for i, row in enumerate(m):
+        nz = list(compress(span, row))
+        if nz:
+            rows[i] = dict(zip(nz, map(row.__getitem__, nz)))
+            for j in nz:
+                cols[j].add(i)
+    by_len = [set() for _ in range(width + 1)]  # live rows by nnz
+    for i, r in rows.items():
+        by_len[len(r)].add(i)
+    lone = [j for j, c in enumerate(cols) if len(c) == 1]  # may be stale
+    ones = 0
+    while True:
+        pivot = None
+        while lone and pivot is None:  # cost 0: the column's only entry
+            j = lone.pop()
+            if len(cols[j]) == 1:
+                i = next(iter(cols[j]))
+                if rows[i][j] in (1, -1):
+                    pivot = i, j
+        if pivot is None:
+            pivot = _cheapest_unit(rows, cols, by_len)
+            if pivot is None:
+                break
+        i, j = pivot
+        prow = rows.pop(i)
+        by_len[len(prow)].discard(i)
+        unit = prow.pop(j)
+        for c in prow:
+            cols[c].discard(i)
+            if len(cols[c]) == 1:
+                lone.append(c)
+        hit, cols[j] = cols[j], set()
+        hit.discard(i)
+        for k in hit:
+            r = rows[k]
+            before = len(r)
+            f = r.pop(j) * unit
+            for c, x in prow.items():
+                y = r.get(c, 0) - f * x
+                if y:
+                    r[c] = y
+                    cols[c].add(k)
+                else:
+                    del r[c]
+                    cols[c].discard(k)
+                    if len(cols[c]) == 1:
+                        lone.append(c)
+            by_len[before].discard(k)
+            if r:
+                by_len[len(r)].add(k)
+            else:
+                del rows[k]
+        ones += 1
+    live = [j for j, c in enumerate(cols) if c]
+    return ones, [[r.get(j, 0) for j in live] for r in rows.values()]
 
 
 class _Overflow(Exception):

@@ -9,8 +9,9 @@ from ckinv.presented import GroupHom
 from ckinv.selftest import AMPLIFIED_SHAPES, CUNTZ_SIDES, \
     check_amplified_fixtures, check_cuntz_fixtures
 
-from oracles import augmented_matrix, hat_matrix, ones_row_matrix, \
-    sequence_exactness, transforms_order
+from oracles import augmented_matrix, hat_matrix, \
+    numpy_hermite_normal_form, ones_row_matrix, sequence_exactness, \
+    transforms_order, with_kernel
 
 EX3_A = [[1, 1, 1], [1, 1, 1], [1, 0, 0]]
 EX3_B = [[1, 1, 1], [1, 1, 0], [1, 1, 0]]  # the transpose of EX3_A
@@ -358,9 +359,10 @@ def test_iota_nodes_fail_where_the_oracle_does_on_broken_maps(corpus500):
 
 
 def test_five_term_sequence_transforms_no_stacked_matrix(monkeypatch):
-    # the Hermite transforms of height n are the two kernels and the
-    # solves against their bases; a stacked one such as [I | I - A] or
-    # [(I - A) e_1 | I - A^hat] would take more than n columns
+    # Ker(I - A) = 0 gives both kernels with no Hermite transform of
+    # height n; a nonzero Ker(I - A) takes exactly one, of I - A itself.
+    # Neither runs a stacked matrix such as [(I - A) e_1 | I - A^hat], a
+    # Hermite of I - A^hat, or a solve against a kernel basis
     n = 60
     widths = []
     hermite = intmat._hermite
@@ -371,9 +373,51 @@ def test_five_term_sequence_transforms_no_stacked_matrix(monkeypatch):
         return hermite(columns, rows)
 
     monkeypatch.setattr(intmat, "_hermite", counted)
-    assert ck.five_term_sequence(
-        ck.gen_random_irreducible(n, 0.3, seed=7)).verified
-    assert widths and max(widths) <= n, widths
+    seq = ck.five_term_sequence(ck.gen_random_irreducible(n, 0.3, seed=7))
+    assert seq.verified and seq.groups[1].generators == 0
+    assert widths == []
+    seq = ck.five_term_sequence(
+        with_kernel(ck.gen_random_irreducible(n, 0.3, seed=8)))
+    assert seq.verified and seq.groups[1].generators >= 1
+    assert widths == [n]
+
+
+def _lattice(basis):
+    # the Hermite form of the lattice spanned by the basis vectors
+    if not basis:
+        return []
+    h, _, pivots = numpy_hermite_normal_form(
+        np.array(basis, dtype=object).T)
+    return h[:, :len(pivots)].T.tolist()
+
+
+def test_sequence_kernels_span_the_hermite_kernel_lattices(corpus500):
+    # Ker(I - A) and Ker(I - A^hat) from theory against the Hermite
+    # kernels of I - A and I - A^hat: equal lattices, compared by their
+    # Hermite forms, never basis by basis
+    rng = random.Random(2415)
+    kernel_mats = [with_kernel(ck.gen_random_irreducible(
+        n, 0.4, rng.randrange(2 ** 31)), pairs)
+        for n in (12, 16, 24, 30) for pairs in (1, 2, 3)]
+    nullities = []
+    for a in _sequence_fixtures(corpus500) + kernel_mats:
+        ia = ck._i_minus_rows(a)
+        ext_w1 = intmat.cokernel_invariants(ia)
+        ext_s1 = intmat.cokernel_invariants(ck._hat_rows(ia))
+        ker_a, coeffs, ker_hat = ck._sequence_kernels(ia, ext_w1, ext_s1)
+        want_a = intmat.hermite_normal_form(ia).kernel
+        want_hat = intmat.hermite_normal_form(ck._hat_rows(ia)).kernel
+        assert len(ker_a) == len(want_a)
+        assert _lattice(ker_a) == _lattice(want_a)
+        assert _lattice(ker_hat) == _lattice(want_hat)
+        seq = ck.five_term_sequence(a)
+        assert seq.groups[0].generators == len(ker_hat) == 1 + len(coeffs)
+        assert seq.maps[1]._rows == [[sum(b) for b in ker_a]]
+        nullities.append(len(ker_a))
+        with pytest.raises(RuntimeError, match="does not match"):
+            ck._sequence_kernels(ia, ext_w1,
+                                 FgAbGroup(ext_s1.free_rank + 1))
+    assert nullities.count(1) >= 5 and sum(k >= 2 for k in nullities) >= 3
 
 
 # -- the distinguished class ------------------------------------------------

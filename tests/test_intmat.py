@@ -4,13 +4,15 @@ import time
 import numpy as np
 import pytest
 
-from ckinv import ck, intmat
+from ckinv import ck, intmat, realize
 from ckinv.groups import FgAbGroup, Z
 from ckinv.presented import PresentedGroup
+from ckinv.selftest import random_targets
 
 from oracles import augmented_matrix, bareiss_det, cofactor_det, \
-    hat_matrix, minor_gcd_diagonal, numpy_hermite_normal_form, \
-    numpy_smith_diagonal, numpy_smith_normal_form
+    hat_matrix, markowitz_unit_prepass, minor_gcd_diagonal, \
+    numpy_hermite_normal_form, numpy_smith_diagonal, \
+    numpy_smith_normal_form, with_kernel
 
 EX3_A = [[1, 1, 1], [1, 1, 1], [1, 0, 0]]
 
@@ -193,15 +195,6 @@ def _derived(a):
     return [ia.T, ia, augmented_matrix(a), ih, np.hstack([ih, ia[:, :1]])]
 
 
-def _with_kernel(a):
-    # rows 0 and 1 of I - A made equal, so that K1 = Ker(I - A) is nonzero
-    m = a.entries.copy()
-    m[1] = m[0]
-    m[0, 0] = m[1, 1] = 1
-    m[0, 1] = m[1, 0] = 0
-    return ck.validate(m)
-
-
 def _core(m):
     return intmat._unit_prepass(intmat._shaped(m)[0])[1]
 
@@ -220,7 +213,7 @@ def test_smith_diagonal_matches_dense_reference_when_rank_deficient():
     rng = random.Random(2406)
     cases = []
     for n in (6, 9, 13, 21, 34, 50):
-        b = _with_kernel(ck.gen_random_irreducible(
+        b = with_kernel(ck.gen_random_irreducible(
             n, rng.choice((0.3, 0.6)), rng.randrange(2 ** 31)))
         ia = ck.i_minus(b.entries)
         cases += [ia, ia.T, ck.i_minus(hat_matrix(b))]
@@ -256,10 +249,12 @@ def test_modular_core_matches_the_min_abs_loop(monkeypatch):
                         lambda x, y: steps.append(1) or bezout(x, y))
     singular = rectangular = 0
     for n in (80, 100):
-        a = ck.gen_random_irreducible(n, 0.3, seed=7)
-        b = _with_kernel(ck.gen_random_irreducible(n, 0.3, seed=8))
-        assert 0 in intmat.smith_diagonal(ck.i_minus(b.entries))  # K1 != 0
-        for m in _derived(a) + _derived(b):
+        mats = [ck.gen_random_irreducible(n, 0.3, seed=7)]
+        for seed in (8, 9):  # K1 != 0
+            b = with_kernel(ck.gen_random_irreducible(n, 0.3, seed))
+            assert 0 in intmat.smith_diagonal(ck.i_minus(b.entries))
+            mats.append(b)
+        for m in (m for a in mats for m in _derived(a)):
             core = _core(m)
             rows, cols = len(core), len(core[0])
             diag = _check_core(core)
@@ -307,6 +302,48 @@ def test_modular_core_matches_the_min_abs_loop(monkeypatch):
     for rows, cols in ((5, 5), (7, 4), (4, 9)):
         _check_core([[rng.randint(-2 ** 70, 2 ** 70) for _ in range(cols)]
                      for _ in range(rows)])
+
+
+def test_smith_diagonal_matches_the_min_abs_loop(corpus500):
+    # the count-based unit prepass and the modular core against the
+    # min-abs Smith loop on the whole matrix: the five derived matrices of
+    # the corpus grid and of matrices with K1 != 0, those of realize
+    # outputs, and random rectangular matrices
+    rng = random.Random(2413)
+    mats = corpus500[:88] + [realize.realize_k0(t)
+                             for t in random_targets(30, 2413)]
+    for n in (6, 9, 13, 21, 34):
+        mats.append(with_kernel(ck.gen_random_irreducible(
+            n, rng.choice((0.3, 0.6)), rng.randrange(2 ** 31)), 1 + n % 2))
+    cases = [m.tolist() for a in mats for m in _derived(a)]
+    for _ in range(300):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        cases.append([[rng.choice((0, 0, 0, 1, -1, 2, -3, 6))
+                       for _ in range(cols)] for _ in range(rows)])
+    singular = 0
+    for m in cases:
+        want = intmat._smith_rows([row[:] for row in m])
+        size = min(len(m), len(m[0]))
+        assert intmat.smith_diagonal(m) == \
+            tuple(want + [0] * (size - len(want)))
+        singular += len(want) < size
+    assert singular >= 100
+
+
+def test_unit_prepass_cores_stay_near_the_markowitz_ones():
+    # the shortest-row, shortest-column rule against least Markowitz cost:
+    # Bareiss on the core left costs about the cube of its side, so the
+    # side may exceed the Markowitz one by at most 2
+    for n in (100, 200, 300):
+        ia = ck._i_minus_rows(ck.gen_random_irreducible(n, 0.3, seed=7))
+        ones, core = intmat._unit_prepass(ia)
+        markowitz_ones, markowitz_core = markowitz_unit_prepass(ia)
+        assert len(core) <= len(markowitz_core) + 2
+        assert len(core[0]) <= len(markowitz_core[0]) + 2
+        if n == 100:
+            assert [1] * ones + intmat._modular_diagonal(core) == \
+                [1] * markowitz_ones + \
+                intmat._modular_diagonal(markowitz_core)
 
 
 def test_smith_diagonal_at_the_frontier():
