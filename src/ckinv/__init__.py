@@ -19,10 +19,10 @@ from .intmat import HermiteDecomposition, SmithDecomposition, as_intmat, \
 from .presented import GroupElement, GroupHom, PresentedGroup, \
     is_exact_at, quotient_by_elements
 from .ck import CKReport, FiveTermSequence, MatrixValidationError, \
-    ZeroOneMatrix, ext_strong_presentation, five_term_sequence, \
-    gen_amplified, gen_cuntz, gen_random_irreducible, i_minus, invariants, \
-    iota_one, is_isomorphic_ck, is_stably_isomorphic_ck, k0_pair, pi_aut, \
-    pi_aut_stable, validate
+    VerificationError, ZeroOneMatrix, ext_strong_presentation, \
+    five_term_sequence, gen_amplified, gen_cuntz, gen_random_irreducible, \
+    i_minus, invariants, iota_one, is_isomorphic_ck, \
+    is_stably_isomorphic_ck, k0_pair, pi_aut, pi_aut_stable, validate
 from .realize import RealizationError, RealizationTarget, \
     ext_pair_from_k0_pair, free_plus_presentation, pair_equivalent, \
     range_witness, realize_k0
@@ -38,11 +38,12 @@ __all__ = [
     "smith_normal_form",
     "PresentedGroup", "GroupElement", "GroupHom", "is_exact_at",
     "quotient_by_elements",
-    "CKReport", "FiveTermSequence", "MatrixValidationError", "ZeroOneMatrix",
-    "ext_strong_presentation", "five_term_sequence", "gen_amplified",
-    "gen_cuntz", "gen_random_irreducible", "i_minus", "invariants",
-    "iota_one", "is_isomorphic_ck", "is_stably_isomorphic_ck", "k0_pair",
-    "pi_aut", "pi_aut_stable", "validate",
+    "CKReport", "FiveTermSequence", "MatrixValidationError",
+    "VerificationError", "ZeroOneMatrix", "ext_strong_presentation",
+    "five_term_sequence", "gen_amplified", "gen_cuntz",
+    "gen_random_irreducible", "i_minus", "invariants", "iota_one",
+    "is_isomorphic_ck", "is_stably_isomorphic_ck", "k0_pair", "pi_aut",
+    "pi_aut_stable", "validate",
     "RealizationError", "RealizationTarget", "ext_pair_from_k0_pair",
     "free_plus_presentation", "pair_equivalent", "range_witness",
     "realize_k0",

@@ -52,6 +52,10 @@ class MatrixValidationError(ValueError):
         self.reason = reason
 
 
+class VerificationError(RuntimeError):
+    """An internal cross-check failed: a library fault, never bad input."""
+
+
 @dataclass(frozen=True)
 class ZeroOneMatrix:
     """Validated N x N irreducible non-permutation matrix over {0, 1}.
@@ -299,7 +303,7 @@ def _base_groups(ia):
     k0 = intmat.cokernel_invariants(list(zip(*ia)))  # I - A^t
     ext_w1 = intmat.cokernel_invariants(ia)
     if k0 != ext_w1:
-        raise ArithmeticError("Smith forms of I-A and I-A^t disagree")
+        raise VerificationError("Smith forms of I-A and I-A^t disagree")
     free = free_abelian(ext_w1.free_rank)  # kernel rank, by rank-nullity
     diag = intmat.smith_diagonal(_augmented_rows(ia))
     ext_s0 = free_abelian(len(ia) - sum(1 for d in diag if d))
@@ -463,10 +467,7 @@ class FiveTermSequence:
     c_i), s (coordinate sum), iota (1 maps to the class of (I-A) e_1) and
     q (identity on generator coordinates).  ``nodes_exact`` lists, in
     order: injectivity of j, exactness at G2, G3, G4, and surjectivity of
-    q.  The first two and the last are decided by the generic queries of
-    :mod:`ckinv.presented`; exactness at G3 and G4 is read off the
-    cokernel of [I - A^hat | (I - A) e_1], as :func:`five_term_sequence`
-    explains.
+    q; :func:`five_term_sequence` explains how each is decided.
     """
 
     groups: tuple[PresentedGroup, ...]
@@ -498,39 +499,19 @@ def _sequence_kernels(ia, ext_w1: FgAbGroup, ext_s1: FgAbGroup):
         [sum(map(mul, c, r)) for r in b_rows] for c in coeffs]
     if len(ker_hat) != ext_s1.free_rank or any(
             sum(map(mul, r, v)) for r in _hat_rows(ia) for v in ker_hat):
-        raise RuntimeError("Ker(I - A^hat) basis does not match "
-                           "Ker(I - A) and ExtS1")
+        raise VerificationError("Ker(I - A^hat) basis does not match "
+                                "Ker(I - A) and ExtS1")
     return ker_a, coeffs, ker_hat
 
 
-def _iota_nodes(ker_a, quotient_rows, ext_s1: FgAbGroup,
-                ext_w1: FgAbGroup) -> tuple[bool, bool]:
-    """Exactness at Z and at coker(I - A^hat), given the basis of
-    Ker(I - A) that s sums, the rows of [I - A^hat | (I - A) e_1], and
-    both extension groups.
-
-    The cokernel Q of those rows is coker(I - A^hat) modulo iota_1.  At Z,
-    im(s) = gZ with g the gcd of the coordinate sums of the basis, and
-    ker(iota) = kZ with k the order of iota_1, read off Q (both 0 when
-    iota_1 has infinite order); the node is exact iff g = k.  At
-    coker(I - A^hat), ker(q) is L(I - A) / L(I - A^hat) and im(iota) is
-    (L(I - A^hat) + Z (I - A) e_1) / L(I - A^hat).  The former contains
-    the latter, since q is well defined and (I - A) e_1 is a column of
-    I - A, so they agree iff Q is isomorphic to coker(I - A).
-    """
-    quotient = intmat.cokernel_invariants(quotient_rows)
-    k = order_from_quotient(ext_s1, quotient)
-    return gcd(*map(sum, ker_a)) == k, quotient == ext_w1
-
-
-# Largest matrix side five_term_sequence accepts.  With Ker(I - A) = 0 no
-# Hermite transform of the side runs, and over densities 0.1, 0.3 and 0.6
-# with three seeds each the slowest random matrix took 3.5 s at side 150
-# and 12 s at side 200.  A nonzero Ker(I - A) costs one Hermite transform
-# of I - A, whose entries swell steeply with the side: on such matrices
-# (two equal rows of I - A) the slowest took 44 s at side 150 and 80 s at
-# side 160 (2-core x86-64, Python 3.11), so larger matrices are refused up
-# front.
+# Largest matrix side five_term_sequence accepts.  With Ker(I - A) = 0 it
+# runs two Smith diagonals of the side and no Hermite transform, and over
+# densities 0.1, 0.3 and 0.6 with three seeds each the slowest random
+# matrix took 0.9 s at side 150 and 2.8 s at side 200.  A nonzero
+# Ker(I - A) costs one Hermite transform of I - A, whose entries swell
+# steeply with the side: on such matrices (two equal rows of I - A) the
+# slowest took 41 s at side 150 (2-core x86-64, Python 3.11), so larger
+# matrices are refused up front.
 MAX_SEQUENCE_SIDE = 150
 
 
@@ -538,17 +519,26 @@ def five_term_sequence(a: ZeroOneMatrix) -> FiveTermSequence:
     """Build and verify the extension-group exact sequence of O_A.
 
     A False verdict anywhere signals an implementation bug, never bad
-    input; every valid matrix yields an exact sequence.  Both kernels come
-    from theory (see :func:`_sequence_kernels`): when ExtW1 has free rank
-    0 no Hermite transform of side n runs, and otherwise one runs, of
-    I - A; j is read off the kernel bases, not solved for.  The four maps
-    are checked to be well defined.  The generic queries of
-    :mod:`ckinv.presented` decide j's injectivity, exactness at Ker(I-A)
-    and q's surjectivity; all but the last run on groups of the kernels'
-    ranks.  One Smith diagonal, of [I - A^hat | (I - A) e_1], decides
-    exactness at Z and at coker(I - A^hat); see :func:`_iota_nodes`.  A
-    matrix of side above :data:`MAX_SEQUENCE_SIDE` raises ``ValueError``
-    before any elimination.
+    input; every valid matrix yields an exact sequence.  Two Smith
+    diagonals of side n run, of I - A^hat and I - A, and one Hermite
+    transform of I - A when ExtW1 has free rank above 0 (see
+    :func:`_sequence_kernels`); j is read off the kernel bases.
+
+    Since I - A^hat = (I - A)(I - R_1), each relation column k of G4 is
+    column k of G5's minus column 1, iota's column is column 1 and q is
+    the identity.  This witness is checked entry by entry before any
+    elimination, and :class:`VerificationError` is raised if it fails.
+    It proves q well defined and onto, and L(I - A^hat) + Z (I - A) e_1 =
+    L(I - A), so im(iota) = L(I - A) / L(I - A^hat) = ker(q), which is
+    exactness at coker(I - A^hat), and ExtS1 modulo iota_1 is ExtW1.  At
+    Z, im(s) = gZ with g the gcd of the coordinate sums of the basis of
+    Ker(I - A), and ker(iota) = kZ with k the order of iota_1, read off
+    ExtS1 and ExtW1 (both 0 when it is infinite); the node is exact iff
+    g = k.  When Ker(I - A) = 0, G1 and G2 are 0 and j's two nodes hold;
+    otherwise the generic queries of :mod:`ckinv.presented` decide them,
+    on groups of the kernels' ranks.  A matrix of side above
+    :data:`MAX_SEQUENCE_SIDE` raises ``ValueError`` before any
+    elimination.
     """
     a = _require_valid(a)
     n = a.n
@@ -556,8 +546,18 @@ def five_term_sequence(a: ZeroOneMatrix) -> FiveTermSequence:
         raise ValueError(f"the five-term sequence takes a side of at most "
                          f"{MAX_SEQUENCE_SIDE}, got {n}")
     ia = _i_minus_rows(a)
+    g3 = PresentedGroup(1)
     g4 = PresentedGroup(n, _hat_rows(ia))
     g5 = PresentedGroup(n, ia)
+    iota = GroupHom(g3, g4, [r[:1] for r in ia])  # (I - A) e_1
+    q = GroupHom(g4, g5, intmat._identity_rows(n))
+    first = g5._relations[0]
+    if (g4._relations != [[x - y for x, y in zip(c, first)]
+                          for c in g5._relations]
+            or iota._columns != [first]
+            or q._rows != intmat._identity_rows(n)):
+        raise VerificationError("I - A^hat, iota and q do not match "
+                                "(I - A)(I - R_1)")
     ext_s1, ext_w1 = g4.canonical(), g5.canonical()
     ker_a, coeffs, _ = _sequence_kernels(ia, ext_w1, ext_s1)
     m = len(ker_a)
@@ -565,20 +565,15 @@ def five_term_sequence(a: ZeroOneMatrix) -> FiveTermSequence:
     g1 = PresentedGroup._on_columns(1 + len(coeffs),
                                     [[1] + [0] * len(coeffs)])  # e_1
     g2 = PresentedGroup(m)
-    g3 = PresentedGroup(1)
-
     # e_1 maps to 0, B c to c
     j = GroupHom._on_rows(g1, g2, intmat._transpose([[0] * m] + coeffs, m))
     s = GroupHom(g2, g3, [[sum(b) for b in ker_a]])  # coordinate sum
-    iota = GroupHom(g3, g4, [r[:1] for r in ia])  # (I - A) e_1
-    q = GroupHom(g4, g5, intmat._identity_rows(n))
 
-    wells = all(h.is_well_defined() for h in (j, s, iota, q))
+    wells = all(h.is_well_defined() for h in (j, s, iota))
     nodes = (
-        j.is_injective(),
-        is_exact_at(j, s),
-        *_iota_nodes(ker_a, _iota_quotient_rows(ia), ext_s1, ext_w1),
-        q.is_surjective(),
+        *((j.is_injective(), is_exact_at(j, s)) if m else (True, True)),
+        gcd(*map(sum, ker_a)) == order_from_quotient(ext_s1, ext_w1),
+        True, True,  # by the witness
     )
     return FiveTermSequence(
         groups=(g1, g2, g3, g4, g5),

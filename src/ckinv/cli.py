@@ -16,7 +16,7 @@ import re
 import sys
 
 from . import ck, realize
-from .ck import MatrixValidationError
+from .ck import MatrixValidationError, VerificationError
 from .realize import RealizationError
 
 EXIT_OK = 0
@@ -378,6 +378,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except VerificationError as e:
+        print(f"verification failed: {e}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -13,7 +13,10 @@ The exceptions build library groups and read them the long way round:
 its presentation (``canonical_coords``), a route the library's order rule
 no longer takes, and ``homology`` presents ker(g)/im(f) outright, on
 kernels from the numpy Hermite reference, where the library's exactness
-test decides lattice membership instead.
+test decides lattice membership instead.  ``iota_nodes`` decides
+exactness at Z and at coker(I - A^hat) from one Smith diagonal of
+[I - A^hat | (I - A) e_1], the rule the library ran before it read both
+nodes off a witness of I - A^hat = (I - A)(I - R_1).
 The numpy Smith and Hermite eliminations with transforms, int64 start and
 mid-run promotion included, are the reference the list-based library
 routines must match entry for entry.  ``hat_matrix`` and
@@ -27,7 +30,8 @@ from math import gcd, lcm
 
 import numpy as np
 
-from ckinv.presented import GroupHom, PresentedGroup
+from ckinv import intmat
+from ckinv.presented import GroupHom, PresentedGroup, order_from_quotient
 
 
 def cofactor_det(rows) -> int:
@@ -572,3 +576,22 @@ def sequence_exactness(groups, maps) -> tuple[bool, ...]:
                       np.zeros((0, last.generators), dtype=object)))
     return tuple(is_exact_by_homology(f, g)
                  for f, g in zip(chain, chain[1:]))
+
+
+def iota_nodes(ker_a, quotient_rows, ext_s1, ext_w1) -> tuple[bool, bool]:
+    """Exactness at Z and at coker(I - A^hat), given the basis of
+    Ker(I - A) that s sums, the rows of [I - A^hat | (I - A) e_1], and
+    both extension groups.
+
+    The cokernel Q of those rows is coker(I - A^hat) modulo iota_1.  At Z,
+    im(s) = gZ with g the gcd of the coordinate sums of the basis, and
+    ker(iota) = kZ with k the order of iota_1, read off Q (both 0 when
+    iota_1 has infinite order); the node is exact iff g = k.  At
+    coker(I - A^hat), ker(q) is L(I - A) / L(I - A^hat) and im(iota) is
+    (L(I - A^hat) + Z (I - A) e_1) / L(I - A^hat).  The former contains
+    the latter when q is well defined, since (I - A) e_1 is a column of
+    I - A, so they agree iff Q is isomorphic to coker(I - A).
+    """
+    quotient = intmat.cokernel_invariants(quotient_rows)
+    k = order_from_quotient(ext_s1, quotient)
+    return gcd(*map(sum, ker_a)) == k, quotient == ext_w1

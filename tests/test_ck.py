@@ -9,7 +9,7 @@ from ckinv.presented import GroupHom
 from ckinv.selftest import AMPLIFIED_SHAPES, CUNTZ_SIDES, \
     check_amplified_fixtures, check_cuntz_fixtures
 
-from oracles import augmented_matrix, hat_matrix, \
+from oracles import augmented_matrix, hat_matrix, iota_nodes, \
     numpy_hermite_normal_form, ones_row_matrix, sequence_exactness, \
     transforms_order, with_kernel
 
@@ -314,6 +314,14 @@ def _sequence_fixtures(corpus500):
             + [ck.gen_amplified(n, k) for n, k in AMPLIFIED_SHAPES])
 
 
+def _kernel_fixtures():
+    # 1, 2 or 3 pairs of equal rows of I - A, so K1 = Ker(I - A) != 0
+    rng = random.Random(2415)
+    return [with_kernel(ck.gen_random_irreducible(
+        n, 0.4, rng.randrange(2 ** 31)), pairs)
+        for n in (12, 16, 24, 30) for pairs in (1, 2, 3)]
+
+
 def test_five_term_nodes_match_the_homology_oracle(corpus500):
     # every verdict, those read off the iota quotient included, equals
     # exactness read off ker(g)/im(f) presented outright
@@ -323,8 +331,9 @@ def test_five_term_nodes_match_the_homology_oracle(corpus500):
 
 
 def test_iota_nodes_fail_where_the_oracle_does_on_broken_maps(corpus500):
-    # doubling the iota column, or one vector of the Ker(I - A) basis that
-    # s sums, breaks exactness at Z or at coker(I - A^hat) for many of the
+    # the Smith rule the witness replaced, kept as a reference: doubling
+    # the iota column, or one vector of the Ker(I - A) basis that s sums,
+    # breaks exactness at Z or at coker(I - A^hat) for many of the
     # matrices; the rule must then say False exactly where the oracle does.
     # Five of the 80 corpus matrices have Ker(I - A) = Z, three of them
     # with a basis vector of nonzero sum, which doubling breaks
@@ -337,12 +346,12 @@ def test_iota_nodes_fail_where_the_oracle_does_on_broken_maps(corpus500):
         ker_a = intmat.hermite_normal_form(ia).kernel
         assert s.image()[0].tolist() == [sum(b) for b in ker_a]
         exts = g4.canonical(), g5.canonical()
-        assert ck._iota_nodes(ker_a, ck._iota_quotient_rows(ia), *exts) \
+        assert iota_nodes(ker_a, ck._iota_quotient_rows(ia), *exts) \
             == seq.nodes_exact[2:4] == (True, True)
 
         doubled = GroupHom(g3, g4, [[2 * r[0]] for r in ia])
         rows = [h + [2 * r[0]] for h, r in zip(ck._hat_rows(ia), ia)]
-        nodes = ck._iota_nodes(ker_a, rows, *exts)
+        nodes = iota_nodes(ker_a, rows, *exts)
         assert nodes == sequence_exactness(seq.groups,
                                            (j, s, doubled, q))[2:4]
         broken["iota"] += not all(nodes)
@@ -350,8 +359,7 @@ def test_iota_nodes_fail_where_the_oracle_does_on_broken_maps(corpus500):
         if ker_a:
             basis = [[2 * x for x in ker_a[0]]] + ker_a[1:]
             summed = GroupHom(g2, g3, [[sum(b) for b in basis]])
-            at_z, _ = ck._iota_nodes(basis, ck._iota_quotient_rows(ia),
-                                     *exts)
+            at_z, _ = iota_nodes(basis, ck._iota_quotient_rows(ia), *exts)
             assert at_z == sequence_exactness(seq.groups,
                                               (j, summed, iota, q))[2]
             broken["basis"] += not at_z
@@ -362,24 +370,89 @@ def test_five_term_sequence_transforms_no_stacked_matrix(monkeypatch):
     # Ker(I - A) = 0 gives both kernels with no Hermite transform of
     # height n; a nonzero Ker(I - A) takes exactly one, of I - A itself.
     # Neither runs a stacked matrix such as [(I - A) e_1 | I - A^hat], a
-    # Hermite of I - A^hat, or a solve against a kernel basis
+    # Hermite of I - A^hat, or a solve against a kernel basis.  The only
+    # Smith diagonals of height n are those of I - A^hat and I - A: the
+    # witness stands in for [I - A | I - A^hat], [I | I - A] and
+    # [I - A^hat | (I - A) e_1]
     n = 60
-    widths = []
-    hermite = intmat._hermite
+    widths, diagonals = [], []
+    hermite, diagonal = intmat._hermite, intmat.smith_diagonal
 
     def counted(columns, rows):
         if rows == n:
             widths.append(len(columns))
         return hermite(columns, rows)
 
+    def counted_diagonal(m):
+        if len(m) == n:
+            diagonals.append(len(m[0]))
+        return diagonal(m)
+
     monkeypatch.setattr(intmat, "_hermite", counted)
+    monkeypatch.setattr(intmat, "smith_diagonal", counted_diagonal)
     seq = ck.five_term_sequence(ck.gen_random_irreducible(n, 0.3, seed=7))
     assert seq.verified and seq.groups[1].generators == 0
-    assert widths == []
+    assert widths == [] and diagonals == [n, n]
+    diagonals.clear()
     seq = ck.five_term_sequence(
         with_kernel(ck.gen_random_irreducible(n, 0.3, seed=8)))
     assert seq.verified and seq.groups[1].generators >= 1
-    assert widths == [n]
+    assert widths == [n] and len(diagonals) <= 2
+
+
+def test_witnessed_verdicts_match_the_rules_they_replace(corpus500):
+    # the witness decides that q is well defined and onto and that the
+    # sequence is exact at coker(I - A^hat), and gives ExtW1 as the iota_1
+    # quotient; each verdict equals q's generic queries, the Smith rule of
+    # the iota quotient and exactness read off ker(g)/im(f), on matrices
+    # with K1 = 0 and with K1 of rank 1 to 3
+    for a in _sequence_fixtures(corpus500) + _kernel_fixtures():
+        seq = ck.five_term_sequence(a)
+        q = seq.maps[3]
+        ia = ck._i_minus_rows(a)
+        ker_a = intmat.hermite_normal_form(ia).kernel
+        exts = seq.groups[3].canonical(), seq.groups[4].canonical()
+        assert seq.verified and q.is_well_defined()
+        assert seq.nodes_exact[2:] == (
+            *iota_nodes(ker_a, ck._iota_quotient_rows(ia), *exts),
+            q.is_surjective())
+        assert seq.nodes_exact == sequence_exactness(seq.groups, seq.maps)
+
+
+@pytest.mark.parametrize("broken", ["hat", "iota", "q"])
+def test_five_term_sequence_raises_when_the_witness_fails(monkeypatch,
+                                                         broken):
+    # one entry of I - A^hat changed, iota's column doubled, or q moved off
+    # the identity: the witness fails before any elimination
+    a = ck.gen_random_irreducible(12, 0.3, seed=7)
+    hat_rows = ck._hat_rows
+
+    def bumped(ia):
+        rows = hat_rows(ia)
+        rows[1][2] += 1
+        return rows
+
+    class Mutated(GroupHom):
+        def __init__(self, source, target, matrix):
+            rows = [list(r) for r in matrix]
+            if broken == "iota" and source.generators == 1 < a.n == \
+                    target.generators:
+                rows = [[2 * x for x in r] for r in rows]
+            if broken == "q" and source.generators == target.generators:
+                rows[0][1] += 1
+            super().__init__(source, target, rows)
+
+    def no_elimination(*args):
+        raise AssertionError("eliminated before checking the witness")
+
+    if broken == "hat":
+        monkeypatch.setattr(ck, "_hat_rows", bumped)
+    else:
+        monkeypatch.setattr(ck, "GroupHom", Mutated)
+    for name in ("smith_diagonal", "_hermite"):
+        monkeypatch.setattr(intmat, name, no_elimination)
+    with pytest.raises(ck.VerificationError, match="do not match"):
+        ck.five_term_sequence(a)
 
 
 def _lattice(basis):
@@ -395,12 +468,8 @@ def test_sequence_kernels_span_the_hermite_kernel_lattices(corpus500):
     # Ker(I - A) and Ker(I - A^hat) from theory against the Hermite
     # kernels of I - A and I - A^hat: equal lattices, compared by their
     # Hermite forms, never basis by basis
-    rng = random.Random(2415)
-    kernel_mats = [with_kernel(ck.gen_random_irreducible(
-        n, 0.4, rng.randrange(2 ** 31)), pairs)
-        for n in (12, 16, 24, 30) for pairs in (1, 2, 3)]
     nullities = []
-    for a in _sequence_fixtures(corpus500) + kernel_mats:
+    for a in _sequence_fixtures(corpus500) + _kernel_fixtures():
         ia = ck._i_minus_rows(a)
         ext_w1 = intmat.cokernel_invariants(ia)
         ext_s1 = intmat.cokernel_invariants(ck._hat_rows(ia))

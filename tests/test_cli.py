@@ -3,11 +3,14 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from ckinv import ck, cli, intmat, selftest
 from ckinv.groups import Z
+
+from oracles import with_kernel
 
 EX3_A_TEXT = "3\n1 1 1\n1 1 1\n1 0 0\n"
 EX3_B_TEXT = "3\n1 1 1\n1 1 0\n1 1 0\n"
@@ -475,6 +478,38 @@ def _fuzz_input(rng) -> bytes:
             data[rng.randrange(len(data))] = rng.randrange(256)
         data = bytes(data)
     return data
+
+
+@pytest.mark.parametrize("command,fault", [
+    ("exactseq", "witness"), ("invariants", "k0"), ("exactseq", "kernel")])
+def test_a_failed_cross_check_exits_3_in_one_line(tmp_path, monkeypatch,
+                                                  capsys, command, fault):
+    # a library fault that an internal cross-check catches (the witness of
+    # the five-term sequence, K0 = ExtW1, or the Ker(I - A^hat) basis)
+    # raises VerificationError, which ends in exit 3 and no traceback
+    path = tmp_path / "m.txt"
+    path.write_text(cli.format_matrix_text(
+        with_kernel(ck.gen_random_irreducible(12, 0.3, seed=7)).rows))
+    if fault == "witness":
+        hat_rows = ck._hat_rows
+        monkeypatch.setattr(ck, "_hat_rows", lambda ia: [
+            r[:-1] + [r[-1] + 1] for r in hat_rows(ia)])
+    elif fault == "k0":  # the first cokernel, K0's, gains a Z
+        cokernel, calls = intmat.cokernel_invariants, []
+
+        def skewed(m):
+            calls.append(m)
+            return cokernel(m).direct_sum(Z) if len(calls) == 1 \
+                else cokernel(m)
+
+        monkeypatch.setattr(intmat, "cokernel_invariants", skewed)
+    else:  # each Ker(I - A) basis vector listed twice
+        hermite = intmat.hermite_normal_form
+        monkeypatch.setattr(intmat, "hermite_normal_form", lambda m: (
+            SimpleNamespace(kernel=2 * hermite(m).kernel)))
+    assert cli.main([command, str(path)]) == cli.EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed:") and err.count("\n") == 1
 
 
 def _fuzz_argv(rng, paths):
