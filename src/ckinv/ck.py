@@ -313,10 +313,9 @@ def _base_groups(ia):
 
 # Largest matrix side invariants accepts.  Its five Smith diagonals take
 # time growing about as the fourth power of the side: over densities 0.1,
-# 0.3 and 0.6 with three seeds each, the slowest random matrix took 6.4 s
-# at side 200, 33 s at side 300 and 47 s at side 330, and one at side 350
-# took 58 s (2-core x86-64, Python 3.11), so larger matrices are refused
-# up front.
+# 0.3 and 0.6 with seeds 1 to 3, the slowest random matrix took 3.2 s at
+# side 200, 17 s at side 300 and 35 s at side 330 (2-core x86-64, Python
+# 3.11), so larger matrices are refused up front.
 MAX_INVARIANTS_SIDE = 330
 
 
@@ -486,14 +485,16 @@ def _sequence_kernels(ia, ext_w1: FgAbGroup, ext_s1: FgAbGroup):
     lattice S with kernel Z e_1, fixing S.  So Ker(I - A^hat) is
     Z e_1 + (Ker(I - A) meet S), and Ker(I - A) meet S is B C, with C a
     basis of the kernel of the 1 x m row of the coordinate sums of B.  B
-    is empty when ExtW1 has free rank 0, with no elimination; otherwise it
-    comes from one Hermite transform of I - A, and C from a Hermite
-    transform of that one row.  K is checked against I - A^hat, and its
-    size against the free rank of ExtS1, the corank of I - A^hat.
+    and C are empty when ExtW1 has free rank 0, with no elimination;
+    otherwise B comes from one Hermite transform of I - A, and C from a
+    Hermite transform of that one row.  K is checked against I - A^hat,
+    and its size against the free rank of ExtS1, the corank of I - A^hat.
     """
     n = len(ia)
-    ker_a = intmat.hermite_normal_form(ia).kernel if ext_w1.free_rank else []
-    coeffs = intmat._hermite([[sum(b)] for b in ker_a], 1).kernel
+    ker_a, coeffs = [], []
+    if ext_w1.free_rank:
+        ker_a = intmat.hermite_normal_form(ia).kernel
+        coeffs = intmat._hermite([[sum(b)] for b in ker_a], 1).kernel
     b_rows = list(zip(*ker_a))
     ker_hat = [[1] + [0] * (n - 1)] + [
         [sum(map(mul, c, r)) for r in b_rows] for c in coeffs]

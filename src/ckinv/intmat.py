@@ -30,7 +30,8 @@ pivots, each in the shortest row that holds one and there in the
 shortest column, keeping the row and column nonzero counts as the Schur
 updates change them.  On the dense core left, fraction-free (Bareiss)
 elimination gives the rank r and a gcd D of r x r minors, which every
-diagonal entry divides, and the core is then diagonalized modulo D: unit
+diagonal entry divides; it takes two pivots per pass (Bareiss, Math.
+Comp. 22 (1968)).  The core is then diagonalized modulo D: unit
 pivots by one Schur pass each, the rest by extended-gcd (Bezout) steps.
 Entries never grow past D there, where the min-abs loop needs many
 rounds per diagonal entry.  The diagonal entries are read off as gcds
@@ -364,6 +365,15 @@ def _bareiss(a: list[list[int]]) -> list[int]:
     minors that the k-th pivot's row and column hold, the pivot among
     them, so it is nonzero and d_1 ... d_k divides it (d_i the Smith
     diagonal).  A column with no pivot is skipped.
+
+    A pass takes two pivots where it can (Bareiss's two-step method, Math.
+    Comp. 22 (1968)).  Pivot row r, p = r[0], gives each other row its
+    next column-1 entry t = (p row[1] - row[0] r[1]) / prev; the first row
+    with t != 0 is the second pivot row s, p2 its t.  The others go two
+    levels down at once, to (p2 y + c r[j] - t s[j]) / prev for j >= 2,
+    with c = (row[1] s[0] - s[1] row[0]) / prev: 3 products and 1 exact
+    division (Sylvester's identity) where two passes take 4 and 2.  A pass
+    on fewer than 3 rows or 2 columns, or with no t != 0, takes one pivot.
     """
     gs, prev = [], 1
     while a and a[0]:
@@ -376,6 +386,22 @@ def _bareiss(a: list[list[int]]) -> list[int]:
         p = prow.pop(0)
         xs = [row.pop(0) for row in a]
         gs.append(gcd(p, *prow, *xs))
+        if len(a) > 1 and prow:
+            r1 = prow[0]
+            ts = [(p * row[0] - x * r1) // prev for row, x in zip(a, xs)]
+            k = next((k for k, t in enumerate(ts) if t), None)
+            if k is not None:
+                srow, s0, p2 = a.pop(k), xs.pop(k), ts.pop(k)
+                s1 = srow.pop(0)
+                del prow[0]
+                gs.append(gcd(p2, *ts, *((p * y - s0 * z) // prev
+                                         for y, z in zip(srow, prow))))
+                for i, (row, x, t) in enumerate(zip(a, xs, ts)):
+                    c = (row.pop(0) * s0 - s1 * x) // prev
+                    a[i] = [(p2 * y + c * z - t * w) // prev
+                            for y, z, w in zip(row, prow, srow)]
+                prev = p2
+                continue
         for i, (row, x) in enumerate(zip(a, xs)):
             a[i] = [(p * y - x * z) // prev for y, z in zip(row, prow)]
         prev = p
@@ -492,9 +518,10 @@ def _leading_factors(a: list[list[int]], d: int, count: int) -> list[int]:
 def _modular_diagonal(a: list[list[int]]) -> list[int]:
     """Nonzero Smith diagonal d_1 | ... | d_r of equal-length int rows.
 
-    :func:`_bareiss` gives the rank r and minor gcds g_1, ..., g_r, with
-    d_1 ... d_k dividing g_k.  So every d_i divides g_r, and the diagonal
-    is read off the rows modulo g_r (:func:`_leading_factors`).  When the
+    :func:`_bareiss`, two pivots per pass (Bareiss, Math. Comp. 22
+    (1968)), gives the rank r and minor gcds g_1, ..., g_r, with d_1 ...
+    d_k dividing g_k.  So every d_i divides g_r, and the diagonal is read
+    off the rows modulo g_r (:func:`_leading_factors`).  When the
     rows are square and nonsingular, g_r = |det| = d_1 ... d_r: then
     d_1, ..., d_(r-1) are read modulo g_(r-1), usually 1 or small, and
     d_r is the quotient.  Entries stay below the modulus throughout.

@@ -7,7 +7,10 @@ or from the dense numpy elimination that ``smith_diagonal`` used before
 its sparse unit-pivot prepass.  ``markowitz_unit_prepass`` is that
 prepass as it pivoted before, by least Markowitz cost, on sparse rows:
 the library's count-based one must leave cores of the same diagonal and
-about the same size.  They are deliberately slow and simple.
+about the same size.  ``one_step_bareiss`` is the fraction-free pass the
+library ran before it took two pivots per pass: its minor gcds must
+match ``intmat._bareiss`` list for list.  They are deliberately slow and
+simple.
 The exceptions build library groups and read them the long way round:
 ``transforms_order`` reads an element's order off the Smith transforms of
 its presentation (``canonical_coords``), a route the library's order rule
@@ -73,6 +76,28 @@ def bareiss_det(rows) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def one_step_bareiss(a: list[list[int]]) -> list[int]:
+    """Minor gcds g_1, ..., g_r as ``intmat._bareiss`` returns them, by
+    one pivot per pass: the first row with a nonzero leading entry
+    pivots, g is the gcd of the pivot, the rest of its row and the rest of
+    its column, and every other row goes one level down.  Consumes a."""
+    gs, prev = [], 1
+    while a and a[0]:
+        k = next((k for k, row in enumerate(a) if row[0]), None)
+        if k is None:
+            for row in a:
+                del row[0]
+            continue
+        prow = a.pop(k)
+        p = prow.pop(0)
+        xs = [row.pop(0) for row in a]
+        gs.append(gcd(p, *prow, *xs))
+        for i, (row, x) in enumerate(zip(a, xs)):
+            a[i] = [(p * y - x * z) // prev for y, z in zip(row, prow)]
+        prev = p
+    return gs
 
 
 def ones_row_matrix(n: int) -> np.ndarray:

@@ -400,6 +400,25 @@ def test_five_term_sequence_transforms_no_stacked_matrix(monkeypatch):
     assert widths == [n] and len(diagonals) <= 2
 
 
+def test_five_term_sequence_with_k1_zero_runs_no_hermite(monkeypatch,
+                                                        corpus500):
+    # Ker(I - A) = 0: no Hermite transform at all, not even one of the
+    # empty row of coordinate sums of an empty kernel basis
+    calls = []
+    hermite = intmat._hermite
+    monkeypatch.setattr(intmat, "_hermite",
+                        lambda *args: calls.append(args) or hermite(*args))
+    mats = [a for a in corpus500[:40] if not ck.invariants(a).k1.free_rank]
+    mats.append(ck.gen_random_irreducible(60, 0.3, seed=7))
+    assert len(mats) >= 20
+    for a in mats:
+        seq = ck.five_term_sequence(a)
+        assert seq.verified and seq.groups[1].generators == 0
+    assert calls == []
+    seq = ck.five_term_sequence(with_kernel(mats[-1]))
+    assert seq.verified and calls[0][1] == 60  # the Hermite of I - A
+
+
 def test_witnessed_verdicts_match_the_rules_they_replace(corpus500):
     # the witness decides that q is well defined and onto and that the
     # sequence is exact at coker(I - A^hat), and gives ExtW1 as the iota_1

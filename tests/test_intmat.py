@@ -12,7 +12,7 @@ from ckinv.selftest import random_targets
 from oracles import augmented_matrix, bareiss_det, cofactor_det, \
     hat_matrix, markowitz_unit_prepass, minor_gcd_diagonal, \
     numpy_hermite_normal_form, numpy_smith_diagonal, \
-    numpy_smith_normal_form, with_kernel
+    numpy_smith_normal_form, one_step_bareiss, with_kernel
 
 EX3_A = [[1, 1, 1], [1, 1, 1], [1, 0, 0]]
 
@@ -302,6 +302,55 @@ def test_modular_core_matches_the_min_abs_loop(monkeypatch):
     for rows, cols in ((5, 5), (7, 4), (4, 9)):
         _check_core([[rng.randint(-2 ** 70, 2 ** 70) for _ in range(cols)]
                      for _ in range(rows)])
+
+
+def test_two_step_bareiss_matches_the_one_step_oracle():
+    # the minor gcds of the two-pivot pass against the one-pivot pass, list
+    # for list: cores of the five derived matrices, with K1 != 0 ones,
+    # random rectangular and singular matrices with zero columns, rows
+    # whose second pivot never appears, and entries past 2**64
+    def same(m):
+        want = one_step_bareiss([row[:] for row in m])
+        assert intmat._bareiss([row[:] for row in m]) == want
+        return want
+
+    rng = random.Random(2416)
+    cores = []
+    for n in (20, 60, 100):
+        mats = [ck.gen_random_irreducible(n, 0.3, seed=n),
+                with_kernel(ck.gen_random_irreducible(n, 0.6, n + 1), 2)]
+        cores += [_core(m) for a in mats for m in _derived(a)]
+    assert min(len(core) for core in cores[-10:]) >= 40
+    deficient = 0
+    for core in cores:
+        deficient += len(same(core)) < min(len(core), len(core[0]))
+    assert deficient >= 6
+    for _ in range(2000):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        m = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 6)) for _ in range(cols)]
+             for _ in range(rows)]
+        for j in rng.sample(range(cols), rng.randint(0, cols // 2)):
+            for row in m:
+                row[j] = 0
+        if rows > 2 and rng.random() < 0.5:
+            m[0] = [x + 2 * y for x, y in zip(m[1], m[2])]
+        deficient += len(same(m)) < min(rows, cols)
+    assert deficient >= 1000
+    # t = 0 for every row after the first pivot, so that pass takes one
+    assert same([[1, 2, 3], [2, 4, 5]]) == [1, 1]
+    assert same([[1, 2, 3, 4], [2, 4, 5, 6], [3, 6, 7, 9], [0, 0, 2, 2]]) \
+        == [1, 1, 1]
+    grew = 0
+    for n, seed in ((20, 3), (30, 4)):
+        for m in _derived(ck.gen_random_irreducible(n, 0.3, seed)):
+            core = _core(m)
+            u = [[int(i == j) if j >= i else rng.randint(-2 ** 70, 2 ** 70)
+                  for j in range(len(core))] for i in range(len(core))]
+            big = (np.array(u, dtype=object) @ np.array(core, dtype=object)
+                   ).tolist()
+            grew += max(abs(x) for row in big for x in row) > 2 ** 64
+            assert len(same(big)) == len(same(core))
+    assert grew >= 8
 
 
 def test_smith_diagonal_matches_the_min_abs_loop(corpus500):
