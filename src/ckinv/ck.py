@@ -2,27 +2,27 @@
 
 A Cuntz-Krieger algebra O_A is determined by an N x N irreducible
 non-permutation matrix A with entries in {0, 1}.  All of its K-theoretic
-data reduces to exact integer linear algebra on matrices derived from A:
+data is read off one Smith diagonal of I - A and one of I - A^hat, in
+:func:`_weak` and :func:`_strong`:
 
   ==============  =====================================================
-  K_0             cokernel of I - A^t  (canonically = cokernel of I - A)
-  K_1             kernel of I - A  (free)
-  Ext weak 1/0    cokernel / kernel of I - A
+  K_0 = ExtW 1    cokernel of I - A  (classically, of I - A^t)
+  K_1 = ExtW 0    kernel of I - A: free, of the free rank of K_0
   Ext strong 1    cokernel of I - A^hat,  A^hat = A + R_1 - A @ R_1
-  Ext strong 0    kernel of the ones-row augmentation of I - A  (free)
+  Ext strong 0    free, of the free rank of Ext strong 1 less 1
   ==============  =====================================================
 
 where R_1 has an all-ones first row and zeros elsewhere.  The homotopy
 groups of the automorphism group Aut(O_A) and of its stabilization are
-closed tensor/Tor expressions in those six groups, and the pair
+closed tensor/Tor expressions in those groups, and the pair
 (K_0, Ext strong 1) decides isomorphism of the algebras.
 
 The class iota_1 of (I - A) e_1 in Ext strong 1 has Ext weak 1 as its
-quotient.  The report reads its order off one more Smith diagonal, of
-I - A^hat with (I - A) e_1 appended as a column: that cokernel is the
-quotient by the class, and :func:`ckinv.presented.order_from_quotient`
-turns it into the order, the same rule :meth:`GroupElement.order` uses
-on the element :func:`iota_one`.
+quotient, and :func:`ckinv.presented.order_from_quotient` turns the pair
+into its order.  :func:`invariants` cross-checks by the classical routes:
+coker(I - A^t) and the cokernel of [I - A^hat | (I - A) e_1] must be
+Ext weak 1, and the ones-row augmentation of I - A must have a kernel of
+the rank of Ext strong 0.
 """
 
 from __future__ import annotations
@@ -260,9 +260,9 @@ class CKReport:
     pi2_aut: FgAbGroup
     pi1_aut_stable: FgAbGroup
     pi2_aut_stable: FgAbGroup
-    # order of iota_1, 0 if infinite: |T(ExtS1)| / |T(ExtS1/<iota_1>)|
-    # when the free ranks agree, the quotient read off the Smith diagonal
-    # of [I - A^hat | (I - A) e_1]; no transforms are computed
+    # order of iota_1, 0 if infinite: |T(ExtS1)| / |T(ExtW1)| when the
+    # free ranks agree, ExtS1/<iota_1> being ExtW1, which the report
+    # checks against the cokernel of [I - A^hat | (I - A) e_1]
     iota_one_order: int
 
     def to_json(self) -> dict:
@@ -298,17 +298,17 @@ def _require_valid(a) -> ZeroOneMatrix:
     return a
 
 
-def _base_groups(ia):
-    """(k0, k1, ext_w1, ext_w0, ext_s1, ext_s0) from the rows of I - A."""
-    k0 = intmat.cokernel_invariants(list(zip(*ia)))  # I - A^t
+def _weak(ia) -> tuple[FgAbGroup, FgAbGroup]:
+    """(ExtW1, ExtW0) = (K0, K1) from the rows of I - A."""
     ext_w1 = intmat.cokernel_invariants(ia)
-    if k0 != ext_w1:
-        raise VerificationError("Smith forms of I-A and I-A^t disagree")
-    free = free_abelian(ext_w1.free_rank)  # kernel rank, by rank-nullity
-    diag = intmat.smith_diagonal(_augmented_rows(ia))
-    ext_s0 = free_abelian(len(ia) - sum(1 for d in diag if d))
+    return ext_w1, free_abelian(ext_w1.free_rank)  # rank-nullity
+
+
+def _strong(ia) -> tuple[FgAbGroup, FgAbGroup]:
+    """(ExtS1, ExtS0) from the rows of I - A: Ker(I - A^hat) is Z e_1
+    plus ExtS0, Ker(I - A) meet the sum-zero lattice."""
     ext_s1 = intmat.cokernel_invariants(_hat_rows(ia))
-    return k0, free, ext_w1, free, ext_s1, ext_s0
+    return ext_s1, free_abelian(ext_s1.free_rank - 1)
 
 
 # Largest matrix side invariants accepts.  Its five Smith diagonals take
@@ -332,12 +332,22 @@ def _require_invariants_side(*mats) -> None:
 def invariants(a: ZeroOneMatrix) -> CKReport:
     """Compute every invariant in one report.
 
+    Three Smith diagonals past those of :func:`_weak` and :func:`_strong`
+    cross-check the groups; a mismatch raises :class:`VerificationError`.
     A matrix of side above :data:`MAX_INVARIANTS_SIDE` raises
     ``ValueError`` before any elimination.
     """
     _require_invariants_side(a)
     ia = _i_minus_rows(a)
-    k0, k1, ext_w1, ext_w0, ext_s1, ext_s0 = _base_groups(ia)
+    ext_w1, ext_w0 = k0, k1 = _weak(ia)
+    ext_s1, ext_s0 = _strong(ia)
+    if intmat.cokernel_invariants(list(zip(*ia))) != ext_w1:
+        raise VerificationError("Smith forms of I-A and I-A^t disagree")
+    if a.n - sum(map(bool, intmat.smith_diagonal(_augmented_rows(ia)))) \
+            != ext_s0.free_rank:
+        raise VerificationError("the augmented I-A does not match ExtS0")
+    if intmat.cokernel_invariants(_iota_quotient_rows(ia)) != ext_w1:
+        raise VerificationError("ExtS1 modulo iota_1 is not ExtW1")
     return CKReport(
         n=a.n,
         k0=k0, k1=k1,
@@ -347,8 +357,7 @@ def invariants(a: ZeroOneMatrix) -> CKReport:
         pi2_aut=_pi(ext_s1, ext_s0, k0, k1, 2),
         pi1_aut_stable=_pi(ext_w1, ext_w0, k0, k1, 1),
         pi2_aut_stable=_pi(ext_w1, ext_w0, k0, k1, 2),
-        iota_one_order=order_from_quotient(
-            ext_s1, intmat.cokernel_invariants(_iota_quotient_rows(ia))),
+        iota_one_order=order_from_quotient(ext_s1, ext_w1),
     )
 
 
@@ -379,8 +388,8 @@ def pi_aut(a: ZeroOneMatrix, n: int) -> FgAbGroup:
     """
     _require_degree(n)
     _require_invariants_side(a)
-    k0, k1, _, _, ext_s1, ext_s0 = _base_groups(_i_minus_rows(a))
-    return _pi(ext_s1, ext_s0, k0, k1, n)
+    ia = _i_minus_rows(a)
+    return _pi(*_strong(ia), *_weak(ia), n)
 
 
 def pi_aut_stable(a: ZeroOneMatrix, n: int) -> FgAbGroup:
@@ -393,8 +402,8 @@ def pi_aut_stable(a: ZeroOneMatrix, n: int) -> FgAbGroup:
     """
     _require_degree(n)
     _require_invariants_side(a)
-    k0, k1, ext_w1, ext_w0, _, _ = _base_groups(_i_minus_rows(a))
-    return _pi(ext_w1, ext_w0, k0, k1, n)
+    weak = _weak(_i_minus_rows(a))
+    return _pi(*weak, *weak, n)
 
 
 def is_isomorphic_ck(a: ZeroOneMatrix, b: ZeroOneMatrix) -> bool:
@@ -406,10 +415,7 @@ def is_isomorphic_ck(a: ZeroOneMatrix, b: ZeroOneMatrix) -> bool:
     """
     _require_invariants_side(a, b)
     ia, ib = _i_minus_rows(a), _i_minus_rows(b)
-    if intmat.cokernel_invariants(ia) != intmat.cokernel_invariants(ib):
-        return False
-    return (intmat.cokernel_invariants(_hat_rows(ia))
-            == intmat.cokernel_invariants(_hat_rows(ib)))
+    return _weak(ia) == _weak(ib) and _strong(ia) == _strong(ib)
 
 
 def is_stably_isomorphic_ck(a: ZeroOneMatrix, b: ZeroOneMatrix) -> bool:
@@ -420,8 +426,7 @@ def is_stably_isomorphic_ck(a: ZeroOneMatrix, b: ZeroOneMatrix) -> bool:
     ``ValueError`` before any elimination.
     """
     _require_invariants_side(a, b)
-    return (intmat.cokernel_invariants(_i_minus_rows(a))
-            == intmat.cokernel_invariants(_i_minus_rows(b)))
+    return _weak(_i_minus_rows(a)) == _weak(_i_minus_rows(b))
 
 
 def ext_strong_presentation(a: ZeroOneMatrix) -> PresentedGroup:
@@ -476,33 +481,35 @@ class FiveTermSequence:
     verified: bool
 
 
-def _sequence_kernels(ia, ext_w1: FgAbGroup, ext_s1: FgAbGroup):
-    """(B, C, K) from the rows of I - A and both extension groups: a basis
-    B of Ker(I - A), the coefficient vectors C, and the basis K of
-    Ker(I - A^hat) made of e_1 and the B c, c in C.
+def _sequence_kernels(ia, ext_w1: FgAbGroup, ext_s1: FgAbGroup,
+                      z: PresentedGroup):
+    """(B, s, K) from the rows of I - A, both extension groups and the
+    group z = Z: a basis B of Ker(I - A), s the coordinate sum from the
+    free group on B to z, and the basis K of Ker(I - A^hat) made of e_1
+    and the B c, c in C = ``s._lift``.
 
     I - A^hat = (I - A)(I - R_1), and I - R_1 maps Z^n onto the sum-zero
     lattice S with kernel Z e_1, fixing S.  So Ker(I - A^hat) is
     Z e_1 + (Ker(I - A) meet S), and Ker(I - A) meet S is B C, with C a
-    basis of the kernel of the 1 x m row of the coordinate sums of B.  B
-    and C are empty when ExtW1 has free rank 0, with no elimination;
-    otherwise B comes from one Hermite transform of I - A, and C from a
-    Hermite transform of that one row.  K is checked against I - A^hat,
-    and its size against the free rank of ExtS1, the corank of I - A^hat.
+    basis of the kernel of s.  B and C are empty when ExtW1 has free
+    rank 0, with no elimination; otherwise B comes from one Hermite
+    transform of I - A, and C from a Hermite transform of s's one row.
+    K is checked against I - A^hat, and its size against the free rank
+    of ExtS1, the corank of I - A^hat.
     """
     n = len(ia)
-    ker_a, coeffs = [], []
-    if ext_w1.free_rank:
-        ker_a = intmat.hermite_normal_form(ia).kernel
-        coeffs = intmat._hermite([[sum(b)] for b in ker_a], 1).kernel
+    ker_a = intmat.hermite_normal_form(ia).kernel if ext_w1.free_rank \
+        else []
+    s = GroupHom._on_rows(PresentedGroup(len(ker_a)), z,
+                          [[sum(b) for b in ker_a]])
     b_rows = list(zip(*ker_a))
     ker_hat = [[1] + [0] * (n - 1)] + [
-        [sum(map(mul, c, r)) for r in b_rows] for c in coeffs]
+        [sum(map(mul, c, r)) for r in b_rows] for c in s._lift]
     if len(ker_hat) != ext_s1.free_rank or any(
             sum(map(mul, r, v)) for r in _hat_rows(ia) for v in ker_hat):
         raise VerificationError("Ker(I - A^hat) basis does not match "
                                 "Ker(I - A) and ExtS1")
-    return ker_a, coeffs, ker_hat
+    return ker_a, s, ker_hat
 
 
 # Largest matrix side five_term_sequence accepts.  With Ker(I - A) = 0 it
@@ -560,15 +567,13 @@ def five_term_sequence(a: ZeroOneMatrix) -> FiveTermSequence:
         raise VerificationError("I - A^hat, iota and q do not match "
                                 "(I - A)(I - R_1)")
     ext_s1, ext_w1 = g4.canonical(), g5.canonical()
-    ker_a, coeffs, _ = _sequence_kernels(ia, ext_w1, ext_s1)
-    m = len(ker_a)
+    ker_a, s, _ = _sequence_kernels(ia, ext_w1, ext_s1, g3)
+    coeffs, g2, m = s._lift, s.source, len(ker_a)
 
     g1 = PresentedGroup._on_columns(1 + len(coeffs),
                                     [[1] + [0] * len(coeffs)])  # e_1
-    g2 = PresentedGroup(m)
     # e_1 maps to 0, B c to c
     j = GroupHom._on_rows(g1, g2, intmat._transpose([[0] * m] + coeffs, m))
-    s = GroupHom(g2, g3, [[sum(b) for b in ker_a]])  # coordinate sum
 
     wells = all(h.is_well_defined() for h in (j, s, iota))
     nodes = (

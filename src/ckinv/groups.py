@@ -186,11 +186,21 @@ class FgAbGroup:
         return cls(int(data["rank"]), tuple(int(d) for d in data["torsion"]))
 
 
+def _chain(ds: list[int]) -> list[int]:
+    """Invariant factors of the direct sum of Z/d, by gcd/lcm swaps, in
+    place: after the swaps at i, entry i divides every later one, so one
+    pass leaves a divisibility chain, with any 1s in front."""
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            g = gcd(ds[i], ds[j])
+            ds[i], ds[j] = g, ds[i] * ds[j] // g
+    return ds
+
+
 def canonical_from_cyclic(moduli: Iterable[int]) -> FgAbGroup:
     """Canonical form of a direct sum of cyclic groups Z/m (m = 0 means Z).
 
-    The moduli need not form a chain; they are merged pairwise by
-    (a, b) -> (gcd, lcm), which preserves the group and terminates in the
+    The moduli need not form a chain; :func:`_chain` merges them into the
     unique invariant-factor decomposition.
 
     >>> canonical_from_cyclic([0, 0])
@@ -210,20 +220,7 @@ def canonical_from_cyclic(moduli: Iterable[int]) -> FgAbGroup:
             free += 1
         elif m != 1:
             work.append(m)
-    work.sort()
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(work) - 1):
-            a, b = work[i], work[i + 1]
-            if b % a:
-                g = gcd(a, b)
-                work[i], work[i + 1] = g, a * b // g
-                changed = True
-        if changed:
-            work = [m for m in work if m != 1]
-            work.sort()
-    return FgAbGroup(free, tuple(work))
+    return FgAbGroup(free, tuple(m for m in _chain(work) if m != 1))
 
 
 def free_abelian(rank: int) -> FgAbGroup:

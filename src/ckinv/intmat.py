@@ -51,7 +51,7 @@ from itertools import chain, compress
 from math import gcd, prod
 from typing import TYPE_CHECKING
 
-from .groups import FgAbGroup
+from .groups import FgAbGroup, _chain
 
 if TYPE_CHECKING:
     import numpy as np
@@ -480,15 +480,6 @@ def _diagonal_mod(a: list[list[int]], d: int) -> list[int]:
             del row[j]
         out.append(gcd(x, d))
     return out
-
-
-def _chain(ds: list[int]) -> list[int]:
-    """Invariant factors of the direct sum of Z/d, by gcd/lcm swaps."""
-    for i in range(len(ds)):
-        for j in range(i + 1, len(ds)):
-            g = gcd(ds[i], ds[j])
-            ds[i], ds[j] = g, ds[i] * ds[j] // g
-    return ds
 
 
 def _leading_factors(a: list[list[int]], d: int, count: int) -> list[int]:

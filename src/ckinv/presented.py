@@ -281,11 +281,17 @@ class GroupHom:
         """
         return intmat._from_columns(self._image(), self.target.generators)
 
+    @cached_property
+    def _lift(self) -> list[list[int]]:
+        """Generators of ker(self) in source coordinates, read by
+        :meth:`kernel` and :func:`is_exact_at` alike."""
+        return _preimage_generators(self._columns, self.target._relations,
+                                    self.target.generators)
+
     def _kernel(self) -> tuple[PresentedGroup, list[list[int]]]:
         if not self.is_well_defined():
             raise ValueError("hom is not well-defined")
-        lift = _preimage_generators(self._columns, self.target._relations,
-                                    self.target.generators)
+        lift = self._lift
         rel = _preimage_generators(lift, self.source._relations,
                                    self.source.generators)
         return PresentedGroup._on_columns(len(lift), rel), lift
@@ -314,9 +320,11 @@ def _preimage_generators(columns, lattice, height: int) -> list[list[int]]:
 
     Solutions (x, y) of columns @ x + lattice @ y = 0 are a full lattice
     with a Hermite-derived basis; projecting onto x gives generators of
-    the preimage.
+    the preimage.  With no columns there is nothing to lift.
     """
     k = len(columns)
+    if not k:
+        return []
     return [b[:k] for b in intmat._hermite(columns + lattice, height).kernel]
 
 
@@ -335,8 +343,7 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
     if not g.target._contains(_images(g._rows, f._columns)):
         return False
     middle = PresentedGroup._on_columns(f.target.generators, f._image())
-    return middle._contains(_preimage_generators(
-        g._columns, g.target._relations, g.target.generators))
+    return middle._contains(g._lift)
 
 
 def quotient_by_elements(p: PresentedGroup, elems) -> FgAbGroup:

@@ -16,7 +16,8 @@ import operator
 from dataclasses import dataclass
 
 from . import intmat
-from .ck import MAX_SIDE, ZeroOneMatrix, _i_minus_rows, _square, validate
+from .ck import MAX_SIDE, VerificationError, ZeroOneMatrix, _i_minus_rows, \
+    _square, validate
 from .groups import FgAbGroup, Z, canonical_from_cyclic
 from .presented import GroupElement, PresentedGroup, quotient_by_elements
 
@@ -41,8 +42,9 @@ class RealizationTarget:
         return canonical_from_cyclic([0] * self.rank + list(self.factors))
 
 
-class RealizationError(RuntimeError):
-    """The constructed matrix failed its own verification (a bug)."""
+class RealizationError(VerificationError):
+    """The constructed matrix failed its own verification (a bug); the
+    CLI ends it in exit 3 like every :class:`VerificationError`."""
 
 
 # Largest number of candidates range_witness tries.  Each costs one small

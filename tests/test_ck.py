@@ -5,7 +5,7 @@ import pytest
 
 from ckinv import ck, intmat
 from ckinv.groups import FgAbGroup, TRIVIAL, Z
-from ckinv.presented import GroupHom
+from ckinv.presented import GroupHom, PresentedGroup
 from ckinv.selftest import AMPLIFIED_SHAPES, CUNTZ_SIDES, \
     check_amplified_fixtures, check_cuntz_fixtures
 
@@ -242,6 +242,47 @@ def test_stable_isomorphism_matches_stable_pi(corpus500):
             (ck.pi_aut_stable(a, 1) == ck.pi_aut_stable(b, 1))
 
 
+def test_pi_aut_matches_the_report(corpus500):
+    # pi_aut and pi_aut_stable read the groups the report reads, on K1 = 0
+    # and on K1 != 0
+    with_k1 = 0
+    for a in _sequence_fixtures(corpus500) + _kernel_fixtures():
+        r = ck.invariants(a)
+        assert (ck.pi_aut(a, 1), ck.pi_aut(a, 2)) == (r.pi1_aut, r.pi2_aut)
+        assert (ck.pi_aut_stable(a, 1), ck.pi_aut_stable(a, 2)) == \
+            (r.pi1_aut_stable, r.pi2_aut_stable)
+        with_k1 += r.k1.free_rank > 0
+    assert with_k1 >= 12
+
+
+@pytest.mark.parametrize("entry,sides", [
+    (ck.pi_aut, 2), (ck.pi_aut_stable, 1)],
+    ids=["pi_aut", "pi_aut_stable"])
+def test_pi_aut_eliminates_each_matrix_it_reads_once(monkeypatch, entry,
+                                                     sides):
+    # pi_aut reads I - A and I - A^hat, pi_aut_stable I - A alone: one
+    # Smith diagonal of side n each, and no other kernel
+    calls = []
+    diagonal = intmat.smith_diagonal
+
+    def counted(m):
+        calls.append((len(m), len(m[0])))
+        return diagonal(m)
+
+    def no_elimination(*args):
+        raise AssertionError("ran a kernel other than smith_diagonal")
+
+    monkeypatch.setattr(intmat, "smith_diagonal", counted)
+    for name in ("smith_normal_form", "hermite_normal_form", "_hermite"):
+        monkeypatch.setattr(intmat, name, no_elimination)
+    a = ck.gen_random_irreducible(30, 0.3, seed=7)
+    for m in (a, with_kernel(a)):
+        for degree in (1, 2):
+            calls.clear()
+            entry(m, degree)
+            assert calls == [(m.n, m.n)] * sides
+
+
 def test_report_verdicts_match_the_deciders(corpus500, reports500):
     # the verdicts compare reads off two reports against the deciders,
     # which eliminate I - A and I - A^hat of both matrices again
@@ -299,8 +340,10 @@ def test_e1_always_in_hat_kernel(corpus500):
 
 
 def test_five_term_groups_match_report(corpus500, reports500):
-    # the sequence computes Ext_s0 and Ext_w0 by a different route than
-    # the report (quotiented kernel vs augmented-matrix kernel)
+    # the sequence presents Ext_s0 and Ext_w0 on kernel bases (a basis of
+    # Ker(I - A) and its sum-zero part), the report reads them off the
+    # free ranks of ExtS1 and ExtW1; the report's cross-check reads
+    # Ext_s0 off the augmented matrix, a third route
     for a, r in zip(corpus500[:80], reports500[:80]):
         seq = ck.five_term_sequence(a)
         assert seq.groups[0].canonical() == r.ext_s0
@@ -419,6 +462,24 @@ def test_five_term_sequence_with_k1_zero_runs_no_hermite(monkeypatch,
     assert seq.verified and calls[0][1] == 60  # the Hermite of I - A
 
 
+def test_five_term_sequence_lifts_the_kernel_of_s_once(monkeypatch):
+    # C, the kernel of s (the row of coordinate sums of the Ker(I - A)
+    # basis), is cached on s: the exactness query at Ker(I - A) reads it
+    # rather than running the same 1 x m Hermite again
+    calls = []
+    hermite = intmat._hermite
+
+    def counted(columns, rows):
+        calls.append(repr((rows, columns)))
+        return hermite(columns, rows)
+
+    monkeypatch.setattr(intmat, "_hermite", counted)
+    seq = ck.five_term_sequence(
+        with_kernel(ck.gen_random_irreducible(60, 0.3, seed=7)))
+    assert seq.verified and seq.groups[1].generators >= 1
+    assert len(calls) == len(set(calls)) == 4
+
+
 def test_witnessed_verdicts_match_the_rules_they_replace(corpus500):
     # the witness decides that q is well defined and onto and that the
     # sequence is exact at coker(I - A^hat), and gives ExtW1 as the iota_1
@@ -492,19 +553,21 @@ def test_sequence_kernels_span_the_hermite_kernel_lattices(corpus500):
         ia = ck._i_minus_rows(a)
         ext_w1 = intmat.cokernel_invariants(ia)
         ext_s1 = intmat.cokernel_invariants(ck._hat_rows(ia))
-        ker_a, coeffs, ker_hat = ck._sequence_kernels(ia, ext_w1, ext_s1)
+        ker_a, s, ker_hat = ck._sequence_kernels(ia, ext_w1, ext_s1,
+                                                 PresentedGroup(1))
         want_a = intmat.hermite_normal_form(ia).kernel
         want_hat = intmat.hermite_normal_form(ck._hat_rows(ia)).kernel
         assert len(ker_a) == len(want_a)
         assert _lattice(ker_a) == _lattice(want_a)
         assert _lattice(ker_hat) == _lattice(want_hat)
         seq = ck.five_term_sequence(a)
-        assert seq.groups[0].generators == len(ker_hat) == 1 + len(coeffs)
-        assert seq.maps[1]._rows == [[sum(b) for b in ker_a]]
+        assert seq.groups[0].generators == len(ker_hat) == 1 + len(s._lift)
+        assert seq.maps[1]._rows == s._rows == [[sum(b) for b in ker_a]]
         nullities.append(len(ker_a))
         with pytest.raises(RuntimeError, match="does not match"):
             ck._sequence_kernels(ia, ext_w1,
-                                 FgAbGroup(ext_s1.free_rank + 1))
+                                 FgAbGroup(ext_s1.free_rank + 1),
+                                 PresentedGroup(1))
     assert nullities.count(1) >= 5 and sum(k >= 2 for k in nullities) >= 3
 
 

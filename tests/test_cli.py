@@ -481,20 +481,24 @@ def _fuzz_input(rng) -> bytes:
 
 
 @pytest.mark.parametrize("command,fault", [
-    ("exactseq", "witness"), ("invariants", "k0"), ("exactseq", "kernel")])
+    ("exactseq", "witness"), ("invariants", "k0"), ("exactseq", "kernel"),
+    ("invariants", "transpose"), ("invariants", "augmented"),
+    ("invariants", "iota")])
 def test_a_failed_cross_check_exits_3_in_one_line(tmp_path, monkeypatch,
                                                   capsys, command, fault):
     # a library fault that an internal cross-check catches (the witness of
-    # the five-term sequence, K0 = ExtW1, or the Ker(I - A^hat) basis)
+    # the five-term sequence, the Ker(I - A^hat) basis, or one of the
+    # report's three: coker(I - A^t) = ExtW1, the augmentation's kernel
+    # rank = that of ExtS0, coker([I - A^hat | (I - A) e_1]) = ExtW1)
     # raises VerificationError, which ends in exit 3 and no traceback
+    a = with_kernel(ck.gen_random_irreducible(12, 0.3, seed=7))
     path = tmp_path / "m.txt"
-    path.write_text(cli.format_matrix_text(
-        with_kernel(ck.gen_random_irreducible(12, 0.3, seed=7)).rows))
+    path.write_text(cli.format_matrix_text(a.rows))
     if fault == "witness":
         hat_rows = ck._hat_rows
         monkeypatch.setattr(ck, "_hat_rows", lambda ia: [
             r[:-1] + [r[-1] + 1] for r in hat_rows(ia)])
-    elif fault == "k0":  # the first cokernel, K0's, gains a Z
+    elif fault == "k0":  # the first cokernel, ExtW1's, gains a Z
         cokernel, calls = intmat.cokernel_invariants, []
 
         def skewed(m):
@@ -503,11 +507,37 @@ def test_a_failed_cross_check_exits_3_in_one_line(tmp_path, monkeypatch,
                 else cokernel(m)
 
         monkeypatch.setattr(intmat, "cokernel_invariants", skewed)
-    else:  # each Ker(I - A) basis vector listed twice
+    elif fault == "kernel":  # each Ker(I - A) basis vector listed twice
         hermite = intmat.hermite_normal_form
         monkeypatch.setattr(intmat, "hermite_normal_form", lambda m: (
             SimpleNamespace(kernel=2 * hermite(m).kernel)))
+    else:  # the cross-check's own Smith diagonal loses a nonzero entry
+        ia = ck._i_minus_rows(a)
+        faulted = {"transpose": [list(r) for r in zip(*ia)],
+                   "augmented": ck._augmented_rows(ia),
+                   "iota": ck._iota_quotient_rows(ia)}[fault]
+        diagonal = intmat.smith_diagonal
+
+        def skewed(m):
+            diag = list(diagonal(m))
+            if [list(r) for r in m] == faulted:
+                diag[diag.index(0) - 1 if 0 in diag else -1] = 0
+            return tuple(diag)
+
+        monkeypatch.setattr(intmat, "smith_diagonal", skewed)
     assert cli.main([command, str(path)]) == cli.EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed:") and err.count("\n") == 1
+
+
+def test_a_failed_realize_check_exits_3_in_one_line(monkeypatch, capsys):
+    # RealizationError is a VerificationError, so realize_k0's own check
+    # takes the same exit-3 path as the other cross-checks
+    cokernel = intmat.cokernel_invariants
+    monkeypatch.setattr(intmat, "cokernel_invariants",
+                        lambda m: cokernel(m).direct_sum(Z))
+    assert cli.main(["realize", "--rank", "1", "--torsion", "2,4"]) == \
+        cli.EXIT_VERIFY
     err = capsys.readouterr().err
     assert err.startswith("verification failed:") and err.count("\n") == 1
 
