@@ -2,8 +2,9 @@
 
 A Cuntz-Krieger algebra O_A is determined by an N x N irreducible
 non-permutation matrix A with entries in {0, 1}.  All of its K-theoretic
-data is read off one Smith diagonal of I - A and one of I - A^hat, in
-:func:`_weak` and :func:`_strong`:
+data is read off one Smith diagonal of I - A and one of I - A^hat, which
+the validated matrix object, a :class:`ZeroOneMatrix`, runs at most once
+each and keeps (see its docstring):
 
   ==============  =====================================================
   K_0 = ExtW 1    cokernel of I - A  (classically, of I - A^t)
@@ -19,10 +20,14 @@ closed tensor/Tor expressions in those groups, and the pair
 
 The class iota_1 of (I - A) e_1 in Ext strong 1 has Ext weak 1 as its
 quotient, and :func:`ckinv.presented.order_from_quotient` turns the pair
-into its order.  :func:`invariants` cross-checks by the classical routes:
-coker(I - A^t) and the cokernel of [I - A^hat | (I - A) e_1] must be
-Ext weak 1, and the ones-row augmentation of I - A must have a kernel of
-the rank of Ext strong 0.
+into its order.  :func:`invariants` cross-checks by the classical routes,
+on every call and never from a memo: coker(I - A^t) and the cokernel of
+[I - A^hat | (I - A) e_1] must be Ext weak 1, and the ones-row
+augmentation of I - A must have a kernel of the rank of Ext strong 0.
+So a report on a fresh matrix runs five Smith diagonals and a report on
+one that any entry point has read runs three; :func:`pi_aut`,
+:func:`pi_aut_stable`, both deciders and :func:`five_term_sequence` run
+none on a matrix whose groups are held.
 """
 
 from __future__ import annotations
@@ -64,6 +69,13 @@ class ZeroOneMatrix:
     matrix costs N^2 bytes rather than 8 N^2; :attr:`rows` gives them as
     lists of ints, :attr:`bits` as a read-only boolean array sharing
     ``data``, and :attr:`entries` as a new int64 array.
+
+    The object keeps (ExtW1, ExtW0) and (ExtS1, ExtS0) once an entry point
+    has read them: the first read runs one Smith diagonal of I - A or of
+    I - A^hat, and every later read of the same object runs none.  The
+    memo lives and dies with the object and takes no part in ``==`` or
+    ``hash``; :func:`validate` and :meth:`transpose` return fresh objects,
+    which eliminate again.
     """
 
     data: bytes = field(repr=False)
@@ -91,6 +103,20 @@ class ZeroOneMatrix:
         """The transposed matrix; validity is preserved."""
         n = self.n
         return ZeroOneMatrix(b"".join(self.data[j::n] for j in range(n)), n)
+
+    @cached_property
+    def _weak(self) -> tuple[FgAbGroup, FgAbGroup]:
+        """(ExtW1, ExtW0) = (K0, K1), from the Smith diagonal of I - A."""
+        ext_w1 = intmat.cokernel_invariants(_i_minus_rows(self))
+        return ext_w1, free_abelian(ext_w1.free_rank)  # rank-nullity
+
+    @cached_property
+    def _strong(self) -> tuple[FgAbGroup, FgAbGroup]:
+        """(ExtS1, ExtS0), from the Smith diagonal of I - A^hat:
+        Ker(I - A^hat) is Z e_1 plus ExtS0, Ker(I - A) meet the sum-zero
+        lattice."""
+        ext_s1 = intmat.cokernel_invariants(_hat_rows(_i_minus_rows(self)))
+        return ext_s1, free_abelian(ext_s1.free_rank - 1)
 
 
 _INT64 = 1 << 63
@@ -298,19 +324,6 @@ def _require_valid(a) -> ZeroOneMatrix:
     return a
 
 
-def _weak(ia) -> tuple[FgAbGroup, FgAbGroup]:
-    """(ExtW1, ExtW0) = (K0, K1) from the rows of I - A."""
-    ext_w1 = intmat.cokernel_invariants(ia)
-    return ext_w1, free_abelian(ext_w1.free_rank)  # rank-nullity
-
-
-def _strong(ia) -> tuple[FgAbGroup, FgAbGroup]:
-    """(ExtS1, ExtS0) from the rows of I - A: Ker(I - A^hat) is Z e_1
-    plus ExtS0, Ker(I - A) meet the sum-zero lattice."""
-    ext_s1 = intmat.cokernel_invariants(_hat_rows(ia))
-    return ext_s1, free_abelian(ext_s1.free_rank - 1)
-
-
 # Largest matrix side invariants accepts.  Its five Smith diagonals take
 # time growing about as the fourth power of the side: over densities 0.1,
 # 0.3 and 0.6 with seeds 1 to 3, the slowest random matrix took 3.2 s at
@@ -332,15 +345,18 @@ def _require_invariants_side(*mats) -> None:
 def invariants(a: ZeroOneMatrix) -> CKReport:
     """Compute every invariant in one report.
 
-    Three Smith diagonals past those of :func:`_weak` and :func:`_strong`
-    cross-check the groups; a mismatch raises :class:`VerificationError`.
-    A matrix of side above :data:`MAX_INVARIANTS_SIDE` raises
-    ``ValueError`` before any elimination.
+    The groups are those ``a`` holds: a fresh matrix runs the Smith
+    diagonals of I - A and I - A^hat, one that an entry point has read
+    runs neither.  Three more Smith diagonals cross-check the groups on
+    every call; a mismatch raises :class:`VerificationError`.  So a fresh
+    matrix costs five diagonals and a reused one three.  A matrix of side
+    above :data:`MAX_INVARIANTS_SIDE` raises ``ValueError`` before any
+    elimination.
     """
     _require_invariants_side(a)
+    ext_w1, ext_w0 = k0, k1 = a._weak
+    ext_s1, ext_s0 = a._strong
     ia = _i_minus_rows(a)
-    ext_w1, ext_w0 = k0, k1 = _weak(ia)
-    ext_s1, ext_s0 = _strong(ia)
     if intmat.cokernel_invariants(list(zip(*ia))) != ext_w1:
         raise VerificationError("Smith forms of I-A and I-A^t disagree")
     if a.n - sum(map(bool, intmat.smith_diagonal(_augmented_rows(ia)))) \
@@ -388,8 +404,7 @@ def pi_aut(a: ZeroOneMatrix, n: int) -> FgAbGroup:
     """
     _require_degree(n)
     _require_invariants_side(a)
-    ia = _i_minus_rows(a)
-    return _pi(*_strong(ia), *_weak(ia), n)
+    return _pi(*a._strong, *a._weak, n)
 
 
 def pi_aut_stable(a: ZeroOneMatrix, n: int) -> FgAbGroup:
@@ -402,8 +417,7 @@ def pi_aut_stable(a: ZeroOneMatrix, n: int) -> FgAbGroup:
     """
     _require_degree(n)
     _require_invariants_side(a)
-    weak = _weak(_i_minus_rows(a))
-    return _pi(*weak, *weak, n)
+    return _pi(*a._weak, *a._weak, n)
 
 
 def is_isomorphic_ck(a: ZeroOneMatrix, b: ZeroOneMatrix) -> bool:
@@ -414,8 +428,7 @@ def is_isomorphic_ck(a: ZeroOneMatrix, b: ZeroOneMatrix) -> bool:
     raises ``ValueError`` before any elimination.
     """
     _require_invariants_side(a, b)
-    ia, ib = _i_minus_rows(a), _i_minus_rows(b)
-    return _weak(ia) == _weak(ib) and _strong(ia) == _strong(ib)
+    return a._weak == b._weak and a._strong == b._strong
 
 
 def is_stably_isomorphic_ck(a: ZeroOneMatrix, b: ZeroOneMatrix) -> bool:
@@ -426,7 +439,7 @@ def is_stably_isomorphic_ck(a: ZeroOneMatrix, b: ZeroOneMatrix) -> bool:
     ``ValueError`` before any elimination.
     """
     _require_invariants_side(a, b)
-    return _weak(_i_minus_rows(a)) == _weak(_i_minus_rows(b))
+    return a._weak == b._weak
 
 
 def ext_strong_presentation(a: ZeroOneMatrix) -> PresentedGroup:
@@ -527,10 +540,13 @@ def five_term_sequence(a: ZeroOneMatrix) -> FiveTermSequence:
     """Build and verify the extension-group exact sequence of O_A.
 
     A False verdict anywhere signals an implementation bug, never bad
-    input; every valid matrix yields an exact sequence.  Two Smith
-    diagonals of side n run, of I - A^hat and I - A, and one Hermite
-    transform of I - A when ExtW1 has free rank above 0 (see
-    :func:`_sequence_kernels`); j is read off the kernel bases.
+    input; every valid matrix yields an exact sequence.  ExtS1 and ExtW1
+    are the groups ``a`` holds, and G4 and G5 carry them as their
+    canonical forms: a fresh matrix runs the Smith diagonals of I - A^hat
+    and I - A, one that an entry point has read runs none, and rendering
+    the five groups runs none either.  One Hermite transform of I - A
+    runs when ExtW1 has free rank above 0 (see :func:`_sequence_kernels`);
+    j is read off the kernel bases.
 
     Since I - A^hat = (I - A)(I - R_1), each relation column k of G4 is
     column k of G5's minus column 1, iota's column is column 1 and q is
@@ -566,7 +582,8 @@ def five_term_sequence(a: ZeroOneMatrix) -> FiveTermSequence:
             or q._rows != intmat._identity_rows(n)):
         raise VerificationError("I - A^hat, iota and q do not match "
                                 "(I - A)(I - R_1)")
-    ext_s1, ext_w1 = g4.canonical(), g5.canonical()
+    g4._canonical, g5._canonical = ext_s1, ext_w1 = \
+        a._strong[0], a._weak[0]
     ker_a, s, _ = _sequence_kernels(ia, ext_w1, ext_s1, g3)
     coeffs, g2, m = s._lift, s.source, len(ker_a)
 

@@ -183,9 +183,12 @@ def check_unit_class_cross_check(corpus, reports):
 @_verdict
 def check_isomorphism_coherence(pairs, positives: int = 1):
     """is_isomorphic_ck iff pi_1 and pi_2 of Aut agree, on each pair, and
-    isomorphic on ``positives`` pairs or more; pi_aut runs once a matrix."""
-    pis = {m: (ck.pi_aut(m, 1), ck.pi_aut(m, 2))
-           for m in set(chain.from_iterable(pairs))}
+    isomorphic on ``positives`` pairs or more.  pi_aut runs once a matrix,
+    on a fresh copy, so it eliminates again rather than read the groups
+    that the matrix, and so is_isomorphic_ck, may already hold."""
+    fresh = {m: ck.ZeroOneMatrix(m.data, m.n)
+             for m in set(chain.from_iterable(pairs))}
+    pis = {m: (ck.pi_aut(f, 1), ck.pi_aut(f, 2)) for m, f in fresh.items()}
     verdicts = [ck.is_isomorphic_ck(a, b) for a, b in pairs]
     for i, ((a, b), iso) in enumerate(zip(pairs, verdicts)):
         if iso != (pis[a] == pis[b]):

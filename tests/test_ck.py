@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -242,14 +244,21 @@ def test_stable_isomorphism_matches_stable_pi(corpus500):
             (ck.pi_aut_stable(a, 1) == ck.pi_aut_stable(b, 1))
 
 
+def _fresh(a):
+    # the same matrix as a new object, holding none of a's groups
+    return ck.ZeroOneMatrix(a.data, a.n)
+
+
 def test_pi_aut_matches_the_report(corpus500):
-    # pi_aut and pi_aut_stable read the groups the report reads, on K1 = 0
-    # and on K1 != 0
+    # pi_aut and pi_aut_stable on fresh copies eliminate again, so they
+    # check the report rather than read its groups, on K1 = 0 and on
+    # K1 != 0
     with_k1 = 0
     for a in _sequence_fixtures(corpus500) + _kernel_fixtures():
         r = ck.invariants(a)
-        assert (ck.pi_aut(a, 1), ck.pi_aut(a, 2)) == (r.pi1_aut, r.pi2_aut)
-        assert (ck.pi_aut_stable(a, 1), ck.pi_aut_stable(a, 2)) == \
+        b, c = _fresh(a), _fresh(a)
+        assert (ck.pi_aut(b, 1), ck.pi_aut(b, 2)) == (r.pi1_aut, r.pi2_aut)
+        assert (ck.pi_aut_stable(c, 1), ck.pi_aut_stable(c, 2)) == \
             (r.pi1_aut_stable, r.pi2_aut_stable)
         with_k1 += r.k1.free_rank > 0
     assert with_k1 >= 12
@@ -260,8 +269,10 @@ def test_pi_aut_matches_the_report(corpus500):
     ids=["pi_aut", "pi_aut_stable"])
 def test_pi_aut_eliminates_each_matrix_it_reads_once(monkeypatch, entry,
                                                      sides):
-    # pi_aut reads I - A and I - A^hat, pi_aut_stable I - A alone: one
-    # Smith diagonal of side n each, and no other kernel
+    # pi_aut reads I - A and I - A^hat, pi_aut_stable I - A alone: the
+    # first call on a fresh matrix runs one Smith diagonal of side n each,
+    # and no other kernel; the matrix keeps the groups, so a second call
+    # on the same object, of either degree, runs none
     calls = []
     diagonal = intmat.smith_diagonal
 
@@ -277,15 +288,107 @@ def test_pi_aut_eliminates_each_matrix_it_reads_once(monkeypatch, entry,
         monkeypatch.setattr(intmat, name, no_elimination)
     a = ck.gen_random_irreducible(30, 0.3, seed=7)
     for m in (a, with_kernel(a)):
-        for degree in (1, 2):
+        for first in (1, 2):
+            fresh = _fresh(m)
             calls.clear()
-            entry(m, degree)
+            entry(fresh, first)
+            assert calls == [(m.n, m.n)] * sides
+            for degree in (first, 3 - first):
+                entry(fresh, degree)
             assert calls == [(m.n, m.n)] * sides
 
 
+def test_each_matrix_is_eliminated_once(monkeypatch):
+    # a report on a fresh matrix runs five Smith diagonals: those of I - A
+    # and I - A^hat, whose groups the matrix keeps, and the three
+    # cross-checks.  Every other entry point then reads the kept groups
+    # and runs no diagonal of that matrix (the sequence's queries on
+    # groups of the kernels' ranks are smaller), and a second report runs
+    # the three cross-checks alone
+    shapes = []
+    diagonal = intmat.smith_diagonal
+
+    def counted(m):
+        shapes.append((len(m), len(m[0]) if len(m) else 0))
+        return diagonal(m)
+
+    monkeypatch.setattr(intmat, "smith_diagonal", counted)
+    n = 30
+    a = ck.gen_random_irreducible(n, 0.3, seed=7)
+    partner = ck.gen_random_irreducible(n, 0.3, seed=8)
+    ck.invariants(partner)
+    for m in (a, with_kernel(a, 2)):
+        shapes.clear()
+        r = ck.invariants(m)
+        assert sorted(shapes) == [(n, n)] * 3 + [(n, n + 1), (n + 1, n)]
+        shapes.clear()
+        seq = ck.five_term_sequence(m)
+        assert [g.canonical() for g in seq.groups[3:]] == [r.ext_s1, r.ext_w1]
+        assert (ck.pi_aut(m, 1), ck.pi_aut(m, 2)) == (r.pi1_aut, r.pi2_aut)
+        assert ck.pi_aut_stable(m, 1) == r.pi1_aut_stable
+        ck.is_isomorphic_ck(m, partner)
+        ck.is_stably_isomorphic_ck(partner, m)
+        assert all(n not in shape for shape in shapes), shapes
+        assert shapes == [] or r.k1.free_rank
+        shapes.clear()
+        assert ck.invariants(m) == r
+        assert sorted(shapes) == [(n, n), (n, n + 1), (n + 1, n)]
+
+
+def test_the_kept_groups_equal_direct_eliminations(corpus500):
+    # the groups each matrix keeps against the cokernels of I - A and
+    # I - A^hat built from the entries
+    fixtures = (corpus500 + [ck.gen_cuntz(n) for n in CUNTZ_SIDES]
+                + [ck.gen_amplified(n, k) for n, k in AMPLIFIED_SHAPES])
+    for a in fixtures + _kernel_fixtures():
+        assert a._weak[0] == intmat.cokernel_invariants(
+            ck.i_minus(a.entries))
+        assert a._strong[0] == intmat.cokernel_invariants(
+            ck.i_minus(hat_matrix(a)))
+
+
+def test_threads_sharing_a_matrix_read_the_same_groups():
+    # threads that read one fresh matrix at once, switching as often as
+    # the interpreter allows, each see the groups a lone reader sees
+    a = ck.gen_random_irreducible(40, 0.3, seed=3)
+    want = ck.invariants(_fresh(a))
+    shared, outs = _fresh(a), []
+
+    def read():
+        outs.append((ck.pi_aut(shared, 1), ck.invariants(shared),
+                     ck.is_isomorphic_ck(shared, a)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert outs == [(want.pi1_aut, want, True)] * 6
+
+
+def test_the_kept_groups_leave_equality_and_hash_alone():
+    a = ck.gen_random_irreducible(12, 0.3, seed=7)
+    fresh, before = _fresh(a), hash(a)
+    ck.invariants(a)
+    assert {"_weak", "_strong"} <= vars(a).keys()
+    assert a == fresh and hash(a) == hash(fresh) == before
+    assert repr(a) == repr(fresh) and {fresh: 1}[a] == 1
+    # validate and transpose build new objects, which keep nothing yet
+    for b in (ck.validate(a.rows), a.transpose().transpose()):
+        assert b == a and b is not a
+        assert not {"_weak", "_strong"} & vars(b).keys()
+
+
 def test_report_verdicts_match_the_deciders(corpus500, reports500):
-    # the verdicts compare reads off two reports against the deciders,
-    # which eliminate I - A and I - A^hat of both matrices again
+    # the verdicts compare reads off two reports against the deciders on
+    # fresh copies, which eliminate I - A and I - A^hat of both matrices
+    # again rather than read the groups the reports left on them
     rng = random.Random(47)
     pairs = [(rng.randrange(500), rng.randrange(500)) for _ in range(150)]
     for key in (lambda r: (r.k0, r.ext_s1), lambda r: r.k0):
@@ -296,7 +399,7 @@ def test_report_verdicts_match_the_deciders(corpus500, reports500):
     seen = set()
     for i, j in pairs:
         ra, rb = reports500[i], reports500[j]
-        a, b = corpus500[i], corpus500[j]
+        a, b = _fresh(corpus500[i]), _fresh(corpus500[j])
         verdicts = ra.isomorphic_to(rb), ra.stably_isomorphic_to(rb)
         assert verdicts == (ck.is_isomorphic_ck(a, b),
                             ck.is_stably_isomorphic_ck(a, b))

@@ -68,6 +68,22 @@ def test_realize_roundtrip_random():
         assert r.k1 == FgAbGroup(t.rank)
 
 
+def test_a_realized_matrix_eliminates_i_minus_a_once(monkeypatch):
+    # realize_k0 checks coker(I - A) through the groups the matrix keeps,
+    # so the report on its output runs I - A^hat and the three
+    # cross-checks, and not I - A again
+    shapes = []
+    diagonal = intmat.smith_diagonal
+    monkeypatch.setattr(intmat, "smith_diagonal", lambda m: (
+        shapes.append((len(m), len(m[0]))) or diagonal(m)))
+    m = realize.realize_k0(RealizationTarget(1, (3, 4)))
+    n = m.n
+    assert shapes == [(n, n)]
+    r = ck.invariants(m)
+    assert r.ext_w1 == canonical_from_cyclic([0, 3, 4])
+    assert sorted(shapes) == [(n, n)] * 3 + [(n, n + 1), (n + 1, n)]
+
+
 def test_realize_refuses_sides_past_the_cap(monkeypatch):
     assert realize.realize_k0(
         RealizationTarget(realize.MAX_SIDE - 3)).n == realize.MAX_SIDE
