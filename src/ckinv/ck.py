@@ -119,45 +119,6 @@ class ZeroOneMatrix:
         return ext_s1, free_abelian(ext_s1.free_rank - 1)
 
 
-_INT64 = 1 << 63
-
-
-def _int_rows(raw) -> list:
-    """The rows of raw, as lists of Python ints or as raw's own rows.
-
-    A list or tuple of equal-length rows of Python ints is taken as it is;
-    rows of differing lengths are not a square matrix.  Anything else goes
-    through numpy, which must see a 2-D integer array.  Booleans, Python or
-    numpy, count as the integers 0 and 1.
-    """
-    if type(raw) in (list, tuple) and \
-            {list, tuple}.issuperset(map(type, raw)):
-        if len(set(map(len, raw))) > 1:
-            raise MatrixValidationError("not-square",
-                                        "matrix rows differ in length")
-        if {int, bool}.issuperset(map(type, chain.from_iterable(raw))):
-            return raw
-    import numpy as np
-    try:
-        a = np.asarray(raw)
-    except ValueError:  # nested sequences of differing lengths
-        raise MatrixValidationError("not-square",
-                                    "matrix rows differ in length")
-    if a.dtype in (bool, object) or np.issubdtype(a.dtype, np.integer):
-        try:
-            a = a.astype(np.int64)
-        except (OverflowError, TypeError, ValueError):
-            raise MatrixValidationError(
-                "bad-entry", "matrix entries must be integers in {0,1}")
-    else:
-        raise MatrixValidationError("bad-entry",
-                                    "matrix entries must be integers")
-    if a.ndim != 2:
-        raise MatrixValidationError(
-            "not-square", f"matrix must be square, got shape {a.shape}")
-    return a.tolist()
-
-
 def _is_permutation(rows) -> bool:
     """Whether a 0-1 matrix holds one 1 in each row and each column."""
     return (set(map(sum, rows)) == {1}
@@ -196,26 +157,28 @@ def validate(raw) -> ZeroOneMatrix:
     """Check the Cuntz-Krieger hypotheses, naming the violated one.
 
     Raises :class:`MatrixValidationError` with reason ``not-square``,
-    ``bad-entry``, ``permutation`` or ``reducible``.  Lists or tuples of
-    rows of Python ints are checked without numpy.  Boolean entries,
-    Python or numpy, count as 0 and 1, so ``validate(a.bits) == a``.
+    ``bad-entry``, ``permutation`` or ``reducible``.  The rows are read
+    as :func:`ckinv.intmat.smith_diagonal` reads them: lists or tuples of
+    rows of Python ints with no numpy, anything else through numpy, with
+    booleans as 0 and 1, so ``validate(a.bits) == a``; a non-integer
+    entry is a ``bad-entry``, and ragged rows are ``not-square``.
     """
-    rows = _int_rows(raw)
     try:
-        data = bytes(chain.from_iterable(rows))
-    except ValueError:  # an entry outside range(256)
-        if not (-_INT64 <= min(map(min, rows))
-                and max(map(max, rows)) < _INT64):
-            raise MatrixValidationError(
-                "bad-entry", "matrix entries must be integers in {0,1}")
-        data = None
+        rows, width = intmat._shaped(raw)
+    except TypeError as e:
+        raise MatrixValidationError("bad-entry", str(e)) from None
+    except ValueError as e:
+        raise MatrixValidationError("not-square", str(e)) from None
     n = len(rows)
-    width = len(rows[0]) if rows else 0
     if width != n:
         raise MatrixValidationError(
             "not-square", f"matrix must be square, got shape ({n}, {width})")
     if not n:
         raise MatrixValidationError("not-square", "matrix must be non-empty")
+    try:
+        data = bytes(chain.from_iterable(rows))
+    except ValueError:  # an entry outside range(256)
+        data = None
     if data is None or data.translate(None, b"\0\1"):
         i, j = next((i, j) for i, row in enumerate(rows)
                     for j, x in enumerate(row) if x not in (0, 1))
@@ -658,19 +621,30 @@ def gen_amplified(n: int, k: int) -> ZeroOneMatrix:
     return validate(m)
 
 
+# Most draws gen_random_irreducible may expect: a draw is a permutation,
+# and redrawn, with probability (1 - density)^(n(n - 1)), and one of side
+# 1000 takes about 0.14 s (2-core x86-64, Python 3.11).
+MAX_DRAWS = 100
+
+
 def gen_random_irreducible(n: int, density: float,
                            seed: int) -> ZeroOneMatrix:
     """Random valid matrix: a Hamiltonian cycle plus density-driven edges.
 
     The cycle guarantees irreducibility; candidates that come out as
-    permutation matrices are rejected and redrawn, so the call always
-    terminates with a valid matrix, deterministically for a fixed seed.
+    permutation matrices are redrawn, deterministically for a fixed seed,
+    and a density expecting over :data:`MAX_DRAWS` draws raises
+    ``ValueError`` before any.
     """
     if n < 2:
         raise ValueError("random matrices need n >= 2")
     if not 0 < density <= 1:
         raise ValueError("density must lie in (0, 1]")
     _refuse_past_cap(n)
+    if (1 - (1 - density) ** (n * (n - 1))) * MAX_DRAWS < 1:
+        raise ValueError(f"density {density} at side {n} expects more than "
+                         f"{MAX_DRAWS} draws before one is not a "
+                         f"permutation matrix")
     rng = random.Random(seed)
     while True:
         m = _square(n, 0)

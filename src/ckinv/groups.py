@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 from typing import Iterable
 
 
@@ -34,7 +35,8 @@ class FgAbGroup:
     ``invariant_factors`` must be an ascending divisibility chain with every
     factor >= 2; the free part is carried by ``free_rank``.  Use
     :func:`canonical_from_cyclic` to build a value from arbitrary cyclic
-    moduli instead of constructing directly.
+    moduli instead of constructing directly.  Fields are read by
+    ``operator.index``: a float raises ``TypeError``, not truncated.
 
     >>> FgAbGroup(1, (2,)) == canonical_from_cyclic([0, 2])
     True
@@ -48,10 +50,11 @@ class FgAbGroup:
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "free_rank", index(self.free_rank))
         if self.free_rank < 0:
             raise ValueError("free rank must be non-negative")
         object.__setattr__(self, "invariant_factors",
-                           tuple(int(d) for d in self.invariant_factors))
+                           tuple(map(index, self.invariant_factors)))
         facs = self.invariant_factors
         if any(d < 2 for d in facs):
             raise ValueError(f"invariant factors must be >= 2: {facs}")
@@ -183,7 +186,7 @@ class FgAbGroup:
 
     @classmethod
     def from_json(cls, data: dict) -> "FgAbGroup":
-        return cls(int(data["rank"]), tuple(int(d) for d in data["torsion"]))
+        return cls(data["rank"], tuple(data["torsion"]))
 
 
 def _chain(ds: list[int]) -> list[int]:
@@ -200,8 +203,8 @@ def _chain(ds: list[int]) -> list[int]:
 def canonical_from_cyclic(moduli: Iterable[int]) -> FgAbGroup:
     """Canonical form of a direct sum of cyclic groups Z/m (m = 0 means Z).
 
-    The moduli need not form a chain; :func:`_chain` merges them into the
-    unique invariant-factor decomposition.
+    The moduli (read by ``operator.index``) need not form a chain;
+    :func:`_chain` merges them into the invariant-factor decomposition.
 
     >>> canonical_from_cyclic([0, 0])
     FgAbGroup(free_rank=2, invariant_factors=())
@@ -212,8 +215,7 @@ def canonical_from_cyclic(moduli: Iterable[int]) -> FgAbGroup:
     """
     work = []
     free = 0
-    for m in moduli:
-        m = int(m)
+    for m in map(index, moduli):
         if m < 0:
             raise ValueError(f"cyclic modulus must be >= 0: {m}")
         if m == 0:

@@ -1,12 +1,13 @@
 """Exact integer linear algebra on dense matrices.
 
 A matrix is given as a sequence of rows of Python ints, or as anything
-numpy turns into a 2-D integer array; the APIs that return matrices
-(transforms, kernel bases) return 2-D numpy arrays of Python ints
-(``dtype=object``), so every computation is exact with no magnitude
-bound, and ordinary numpy operators (``@``, ``+``, ``-``, ``.T``) are the
-matrix algebra on them.  This module adds the normal forms and lattice
-routines:
+numpy turns into a 2-D integer or boolean array (booleans are 0 and 1),
+for every routine here and for :func:`ckinv.ck.validate`.  The APIs that
+return matrices (transforms, kernel bases) return 2-D numpy arrays of
+Python ints (``dtype=object``), so every computation is exact with no
+magnitude bound, and ordinary numpy operators (``@``, ``+``, ``-``,
+``.T``) are the matrix algebra on them.  This module adds the normal
+forms and lattice routines:
 
   * :func:`smith_normal_form`   -- u @ m @ v = s, unimodular u, v,
     non-negative diagonal forming a divisibility chain
@@ -16,14 +17,12 @@ routines:
   * :func:`lattice_contains`, :func:`lattice_solve`
 
 Every elimination runs on lists of Python ints, and lists or tuples of
-int rows are taken as they are, with no numpy.  :func:`smith_diagonal`
-and :func:`cokernel_invariants` return no arrays and import no numpy on
-such input.  The Hermite routines share one core on int columns, whose
-:class:`HermiteDecomposition` keeps the columns of h and u as lists: its
-:meth:`~HermiteDecomposition.solve` and
-:attr:`~HermiteDecomposition.kernel` work on them, and its arrays ``h``
-and ``u``, like those :func:`kernel_basis` and :func:`lattice_solve`
-return, are built from them when asked for, which imports numpy then.
+int rows are taken as they are, with no numpy.
+:class:`SmithDecomposition` keeps the diagonal, the rows of u and the
+columns of v, and :class:`HermiteDecomposition` the columns of h and u,
+as Python ints; their arrays, like those :func:`kernel_basis` and
+:func:`lattice_solve` return, are built from these lists on first
+access.  So on int rows only what returns an array imports numpy.
 :func:`smith_normal_form` runs a min-abs-pivot Smith loop on the whole
 matrix with its transforms.  :func:`smith_diagonal` first eliminates unit
 pivots, each in the shortest row that holds one and there in the
@@ -58,14 +57,17 @@ if TYPE_CHECKING:
 
 
 def _integers(a: np.ndarray, what: str) -> np.ndarray:
-    """Integer arrays as they are, object arrays as Python ints."""
+    """Integer arrays as they are, boolean ones as 0 and 1, object arrays
+    as Python ints."""
     import numpy as np
+    if a.dtype == bool:
+        return a.astype(np.int64)
     if a.dtype == object:
         if all(type(x) is int for x in a.flat):
             return a
         out = np.empty(a.shape, dtype=object)
         for idx, x in np.ndenumerate(a):
-            if not isinstance(x, (int, np.integer)):
+            if not isinstance(x, (int, np.integer, np.bool_)):
                 raise TypeError(f"{what} entry is not an integer: {x!r}")
             out[idx] = int(x)
         return out
@@ -94,12 +96,14 @@ def _shaped(data) -> tuple[list | tuple, int]:
     A list or tuple of equal-length list or tuple rows of Python ints is
     returned as it is, with no numpy; anything else goes through the
     numpy checks of :func:`_array`.  A matrix with no rows keeps its
-    column count only in the second item.
+    column count only in the second item.  An entry that is not an
+    integer raises ``TypeError``, ragged or non-2-D input ``ValueError``.
     """
     if (type(data) in (list, tuple)
             and {list, tuple}.issuperset(map(type, data))
-            and len(set(map(len, data))) < 2
             and {int}.issuperset(map(type, chain.from_iterable(data)))):
+        if len(set(map(len, data))) > 1:
+            raise ValueError("matrix rows differ in length")
         return data, len(data[0]) if data else 0
     a = _array(data)
     return a.tolist(), a.shape[1]
@@ -168,16 +172,32 @@ def _from_columns(columns, height: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """u @ m @ v = s with u, v unimodular and s in Smith normal form."""
+    """u @ m @ v = s with u, v unimodular and s in Smith normal form.
 
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
+    ``diagonal`` lists the min(rows, columns) diagonal entries of s.  It,
+    the rows of u and the columns of v hold Python ints; the arrays
+    ``u``, ``s`` and ``v`` are built from them on first access.
+    """
 
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        n = min(self.s.shape)
-        return tuple(int(self.s[i, i]) for i in range(n))
+    diagonal: tuple[int, ...]
+    u_rows: list[list[int]] = field(repr=False)
+    v_columns: list[list[int]] = field(repr=False)
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return _object_array(self.u_rows, (len(self.u_rows),) * 2)
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        rows, cols = len(self.u_rows), len(self.v_columns)
+        s = _object_array([[0] * cols for _ in range(rows)], (rows, cols))
+        for i, d in enumerate(self.diagonal):
+            s[i, i] = d
+        return s
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        return _from_columns(self.v_columns, len(self.v_columns))
 
     @property
     def rank(self) -> int:
@@ -274,20 +294,17 @@ def _smith_rows(a: list[list[int]], u=None, vt=None) -> list[int]:
 def smith_normal_form(m) -> SmithDecomposition:
     """Smith normal form with recorded unimodular transforms.
 
-    Returns ``SmithDecomposition(u, s, v)`` with ``u @ m @ v == s``, the
+    Returns a :class:`SmithDecomposition` with ``u @ m @ v == s``, the
     diagonal of s non-negative and each entry dividing the next.  Works for
     any rectangular matrix, including empty ones, and is deterministic:
     the pivot is always the smallest-magnitude nonzero entry (first in
     row-major order on ties), which keeps intermediate values small.
     """
-    m = _array(m)
-    rows, cols = m.shape
-    u, vt = _identity_rows(rows), _identity_rows(cols)
-    s = _object_array([[0] * cols for _ in range(rows)], (rows, cols))
-    for i, d in enumerate(_smith_rows(m.tolist(), u, vt)):
-        s[i, i] = d
-    return SmithDecomposition(u=_object_array(u, (rows, rows)), s=s,
-                              v=_from_columns(vt, cols))
+    rows, width = _shaped(m)
+    u, vt = _identity_rows(len(rows)), _identity_rows(width)
+    diag = _smith_rows([list(row) for row in rows], u, vt)
+    size = min(len(rows), width)
+    return SmithDecomposition(tuple(diag + [0] * (size - len(diag))), u, vt)
 
 
 def _unit_prepass(m) -> tuple[int, list[list[int]]]:

@@ -22,8 +22,8 @@ every query above runs on these, with no numpy.  The arrays
 :attr:`PresentedGroup.relations` and :attr:`GroupElement.coords`, and
 those :meth:`GroupHom.kernel` and :meth:`GroupHom.image` return, are
 built from them when asked for, which imports numpy.  Only
-:meth:`PresentedGroup.canonical_coords` computes Smith transforms, and it
-imports numpy too.
+:meth:`PresentedGroup.canonical_coords` computes Smith transforms, and
+it reads their int rows, with no numpy either.
 """
 
 from __future__ import annotations
@@ -85,7 +85,8 @@ class PresentedGroup:
 
     @cached_property
     def _rel_snf(self) -> intmat.SmithDecomposition:
-        return intmat.smith_normal_form(self.relations)
+        return intmat.smith_normal_form(
+            intmat._transpose(self._relations, self.generators))
 
     @cached_property
     def _moduli(self) -> tuple[int, ...]:
@@ -119,7 +120,7 @@ class PresentedGroup:
         are listed per invariant factor > 1 in Smith order.
         """
         x = intmat._vector(coords, self.generators)
-        (y,) = _images(self._rel_snf.u.tolist(), [x])
+        (y,) = _images(self._rel_snf.u_rows, [x])
         free = tuple(y[i] for i, d in enumerate(self._moduli) if d == 0)
         tors = tuple(y[i] % d for i, d in enumerate(self._moduli) if d > 1)
         return free, tors

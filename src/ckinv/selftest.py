@@ -209,20 +209,20 @@ def check_realize_roundtrip(targets, reported=()):
 
 
 def _smith_holds(m: list[list[int]]) -> bool:
-    rows, cols = len(m), len(m[0])
-    u, vt = intmat._identity_rows(rows), intmat._identity_rows(cols)
-    diag = intmat._smith_rows([row[:] for row in m], u, vt)
-    s = [[d if i == j else 0 for j in range(cols)]
-         for i, d in enumerate(diag + [0] * (rows - len(diag)))]
-    return (_product(_product(u, m), list(zip(*vt))) == s
-            and all(d > 0 for d in diag)
-            and all(y % x == 0 for x, y in zip(diag, diag[1:])))
+    dec = intmat.smith_normal_form(m)
+    diag, r = dec.diagonal, dec.rank
+    s = [[diag[i] if i == j else 0 for j in range(len(m[0]))]
+         for i in range(len(m))]
+    return (_product(_product(dec.u_rows, m), list(zip(*dec.v_columns)))
+            == s and all(d > 0 for d in diag[:r])
+            and all(y % x == 0 for x, y in zip(diag, diag[1:r])))
 
 
 @_verdict
 def check_smith_properties(matrices):
-    """u m v = s for :func:`intmat._smith_rows` with its u and v^t rows;
-    the diagonal is positive and each entry divides the next."""
+    """u m v = s for :func:`intmat.smith_normal_form`, from the rows of u
+    and the columns of v it keeps; the diagonal is positive up to the
+    rank, zero past it, and each entry divides the next."""
     return _failures("matrix", matrices, _smith_holds)
 
 

@@ -47,6 +47,8 @@ def test_validate_accepts_all_ones():
     ([[1]], "permutation"),
     ([[1, 1], [1]], "not-square"),              # ragged rows
     ([], "not-square"),
+    ([[1.5, 1], [1, 1]], "bad-entry"),
+    (np.array([["a", "b"], ["c", "d"]]), "bad-entry"),
 ])
 def test_validate_rejections(matrix, reason):
     with pytest.raises(ck.MatrixValidationError) as err:
@@ -69,6 +71,16 @@ def test_validate_reads_booleans_as_zero_and_one():
     with pytest.raises(ck.MatrixValidationError) as err:
         ck.validate(np.eye(3, dtype=bool))
     assert err.value.reason == "permutation"
+
+
+def test_validate_reads_unsigned_entries_exactly():
+    # uint64 entries past the int64 range are read as the values they hold
+    for big in (2 ** 64 - 1, 2 ** 63):
+        raw = np.array([[big, 1], [1, 1]], dtype=np.uint64)
+        with pytest.raises(ck.MatrixValidationError) as err:
+            ck.validate(raw)
+        assert err.value.reason == "bad-entry"
+        assert str(big) in str(err.value) and "-" not in str(err.value)
 
 
 def test_validate_realized_matrix():
@@ -797,3 +809,23 @@ def test_gen_random_deterministic_and_valid():
         ck.gen_random_irreducible(5, 0.0, seed=1)
     with pytest.raises(ValueError):
         ck.gen_random_irreducible(1, 0.5, seed=1)
+
+
+def test_gen_random_refuses_a_density_that_expects_too_many_draws(
+        monkeypatch):
+    # a draw with no edge beside the cycle is a permutation and is
+    # redrawn; a density expecting more than MAX_DRAWS draws is refused
+    # before the first
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a matrix past the cap")
+
+    draws = ck.MAX_DRAWS
+    for n, density in ((2, 1e-9), (50, 1e-12), (2, 1e-300), (1000, 1e-9),
+                       (2, 1 - (1 - 1 / draws) ** 0.5 - 1e-6)):
+        with monkeypatch.context() as patch:
+            patch.setattr(ck, "_square", no_draw)
+            with pytest.raises(ValueError, match="draws"):
+                ck.gen_random_irreducible(n, density, seed=1)
+    # just inside the cap, and the corpus's lowest density, still draw
+    ck.gen_random_irreducible(2, 1 - (1 - 1 / draws) ** 0.5 + 1e-6, seed=1)
+    assert ck.gen_random_irreducible(2, 0.05, seed=3).n == 2

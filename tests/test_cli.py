@@ -346,6 +346,17 @@ def test_gen_refuses_a_side_past_the_cap():
         assert r.stdout == "" and "Traceback" not in r.stderr
 
 
+def test_gen_refuses_a_density_that_expects_too_many_draws():
+    # these searched without end: nearly every draw was the bare cycle
+    for n, density in (("2", "1e-9"), ("50", "1e-12")):
+        r = subprocess.run([sys.executable, "-m", "ckinv.cli", "gen",
+                            "random", n, "--density", density, "--seed", "1"],
+                           capture_output=True, text=True, timeout=60)
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr.startswith("error:") and "draws" in r.stderr
+        assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("token", ["1_0", "+4", "\u0663", "9" * 5000])
 def test_gen_integers_follow_the_grammar(token, capsys):
     # int() alone takes the first three; gen cuntz 1_0 used to write a

@@ -2,6 +2,7 @@ import doctest
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 import ckinv.groups
@@ -32,6 +33,26 @@ def test_canonical_rejects_bad_input():
         FgAbGroup(0, (1,))
     with pytest.raises(ValueError):
         FgAbGroup(0, (4, 2))
+
+
+def test_non_integers_raise_rather_than_truncate():
+    # floats were truncated: 2.5 read as 2, 4.9 as 4, 1.5 kept as a rank
+    for make in (lambda: canonical_from_cyclic([2.5, 0.0]),
+                 lambda: canonical_from_cyclic([0.0]),
+                 lambda: FgAbGroup(0, (4.9,)),
+                 lambda: FgAbGroup(1.5),
+                 lambda: FgAbGroup.from_json({"rank": 1.5, "torsion": []}),
+                 lambda: FgAbGroup.from_json({"rank": 0, "torsion": [4.9]}),
+                 lambda: FgAbGroup.from_json({"rank": "1", "torsion": []})):
+        with pytest.raises(TypeError):
+            make()
+    # integers of any kind, numpy ones included, are read as Python ints
+    g = FgAbGroup(np.int64(1), (np.int32(2), np.uint8(4)))
+    assert g == FgAbGroup(1, (2, 4)) == canonical_from_cyclic(
+        np.array([0, 4, 2]))
+    assert type(g.free_rank) is int
+    assert {type(d) for d in g.invariant_factors} == {int}
+    assert str(g) == "Z^1 + Z/2 + Z/4"
 
 
 def test_canonical_matches_smith_oracle_on_random_moduli():

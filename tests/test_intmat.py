@@ -1,5 +1,9 @@
+import json
 import random
+import subprocess
+import sys
 import time
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -79,6 +83,12 @@ def test_smith_deterministic():
     a = intmat.smith_normal_form(m)
     b = intmat.smith_normal_form(m)
     assert (a.u == b.u).all() and (a.v == b.v).all() and (a.s == b.s).all()
+    # the decomposition holds int lists, so == compares them by value
+    assert a == b and a != intmat.smith_normal_form([[2, 0], [0, 3]])
+    assert list(a.diagonal) == minor_gcd_diagonal(m) == [2, 2, 4]
+    assert a.u.tolist() == a.u_rows and a.v.T.tolist() == a.v_columns
+    assert {type(x) for x in chain(a.diagonal, *a.u_rows, *a.v_columns)} \
+        == {int}
 
 
 def test_smith_empty_and_degenerate():
@@ -650,3 +660,52 @@ def test_as_intmat_rejects_non_integers():
         p.element([[1, 2]])
     with pytest.raises(ValueError):
         PresentedGroup(3).element([1, 2])
+
+
+def test_booleans_read_as_zero_and_one():
+    # a boolean array and rows of Python bools are the 0-1 int matrix
+    rng = random.Random(19)
+    for _ in range(20):
+        ints = [[rng.randint(0, 1) for _ in range(rng.randint(1, 6))]]
+        ints += [[rng.randint(0, 1) for _ in ints[0]]
+                 for _ in range(rng.randint(0, 5))]
+        bools = [[bool(x) for x in row] for row in ints]
+        want_snf = intmat.smith_normal_form(ints)
+        want_hnf = intmat.hermite_normal_form(ints)
+        for m in (np.array(bools), bools, np.array(bools, dtype=object)):
+            assert intmat.smith_diagonal(m) == intmat.smith_diagonal(ints)
+            assert intmat.smith_normal_form(m) == want_snf
+            assert intmat.hermite_normal_form(m) == want_hnf
+            got = intmat.as_intmat(m)
+            assert got.dtype == object and got.tolist() == ints
+            assert {type(x) for x in got.flat} == {int}
+
+
+_NUMPY_BLOCKED = """
+import json, sys
+sys.modules["numpy"] = None  # an import of numpy now raises ImportError
+from ckinv import ck, intmat, selftest
+from ckinv.presented import PresentedGroup
+dec = intmat.smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+p = PresentedGroup(3, [[2, 0, 4], [0, 3, 6], [0, 0, 0]])
+print(json.dumps([
+    dec.diagonal, dec.rank, dec.u_rows, dec.v_columns,
+    p.canonical_coords([1, 1, 1]), p.element([5, -7, 2]).canonical_coords(),
+    selftest.check_smith_properties(selftest.random_matrices(30, 5)),
+    ck.validate([[1, 1], [1, 0]]).n,
+    ck.validate(((0, 1, 1), (1, 0, 0), (1, 1, 0))).n]))
+"""
+
+
+def test_smith_transforms_run_without_numpy():
+    # with numpy blocked, not merely unloaded: smith_normal_form on int
+    # rows, canonical_coords, the selftest Smith check and validate
+    r = subprocess.run([sys.executable, "-c", _NUMPY_BLOCKED],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    dec = intmat.smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    p = PresentedGroup(3, [[2, 0, 4], [0, 3, 6], [0, 0, 0]])
+    want = [dec.diagonal, dec.rank, dec.u_rows, dec.v_columns,
+            p.canonical_coords([1, 1, 1]),
+            p.element([5, -7, 2]).canonical_coords(), None, 2, 3]
+    assert json.loads(r.stdout) == json.loads(json.dumps(want))
