@@ -27,7 +27,9 @@ augmentation of I - A must have a kernel of the rank of Ext strong 0.
 So a report on a fresh matrix runs five Smith diagonals and a report on
 one that any entry point has read runs three; :func:`pi_aut`,
 :func:`pi_aut_stable`, both deciders and :func:`five_term_sequence` run
-none on a matrix whose groups are held.
+none on a matrix whose groups are held.  Every internal check here either
+holds or raises :class:`VerificationError`; no function returns a failed
+verdict.
 """
 
 from __future__ import annotations
@@ -38,12 +40,12 @@ from functools import cached_property, reduce
 from itertools import chain, compress
 from math import gcd
 from operator import mul, or_
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 from . import intmat
 from .groups import FgAbGroup, free_abelian
 from .presented import GroupElement, GroupHom, PresentedGroup, \
-    is_exact_at, order_from_quotient
+    order_from_quotient
 
 if TYPE_CHECKING:
     import numpy as np
@@ -270,16 +272,6 @@ class CKReport:
             "iota_one_order": self.iota_one_order,
         }
 
-    def isomorphic_to(self, other: "CKReport") -> bool:
-        """Whether the two algebras are isomorphic: the complete invariant
-        (K_0, Ext strong 1) agrees, as in :func:`is_isomorphic_ck`."""
-        return (self.k0, self.ext_s1) == (other.k0, other.ext_s1)
-
-    def stably_isomorphic_to(self, other: "CKReport") -> bool:
-        """Whether they are stably isomorphic: K_0 agrees, as in
-        :func:`is_stably_isomorphic_ck`."""
-        return self.k0 == other.k0
-
 
 def _require_valid(a) -> ZeroOneMatrix:
     if not isinstance(a, ZeroOneMatrix):
@@ -436,7 +428,7 @@ def iota_one(a: ZeroOneMatrix) -> GroupElement:
 
 @dataclass(frozen=True)
 class FiveTermSequence:
-    """0 -> G1 -> G2 -> G3 -> G4 -> G5 -> 0 with its verification verdicts.
+    """0 -> G1 -> G2 -> G3 -> G4 -> G5 -> 0, exact at every node.
 
     Groups: Ker(I-A^hat)/(Z e_1), Ker(I-A), Z, coker(I-A^hat), coker(I-A).
     G2 is free on a basis B of Ker(I - A).  G1 is presented on the basis
@@ -445,16 +437,18 @@ class FiveTermSequence:
     single relation e_1.  Maps: j (induced by I - R_1, which sends e_1 to
     0 and B c to itself, so on coordinates e_1 maps to 0 and B c_i to
     c_i), s (coordinate sum), iota (1 maps to the class of (I-A) e_1) and
-    q (identity on generator coordinates).  ``nodes_exact`` lists, in
-    order: injectivity of j, exactness at G2, G3, G4, and surjectivity of
-    q; :func:`five_term_sequence` explains how each is decided.
+    q (identity on generator coordinates).  A sequence exists only once
+    every node holds: :func:`five_term_sequence` raises
+    :class:`VerificationError` otherwise.  So ``nodes_exact`` (injectivity
+    of j, exactness at G2, G3, G4, surjectivity of q) and ``verified`` are
+    constants of the class.
     """
 
     groups: tuple[PresentedGroup, ...]
     maps: tuple[GroupHom, ...]
-    map_names: tuple[str, ...]
-    nodes_exact: tuple[bool, ...]
-    verified: bool
+    map_names: ClassVar[tuple[str, ...]] = ("j", "s", "iota", "q")
+    nodes_exact: ClassVar[tuple[bool, ...]] = (True,) * 5
+    verified: ClassVar[bool] = True
 
 
 def _sequence_kernels(ia, ext_w1: FgAbGroup, ext_s1: FgAbGroup,
@@ -500,31 +494,30 @@ MAX_SEQUENCE_SIDE = 150
 
 
 def five_term_sequence(a: ZeroOneMatrix) -> FiveTermSequence:
-    """Build and verify the extension-group exact sequence of O_A.
+    """Build the extension-group exact sequence of O_A, checking each node.
 
-    A False verdict anywhere signals an implementation bug, never bad
-    input; every valid matrix yields an exact sequence.  ExtS1 and ExtW1
-    are the groups ``a`` holds, and G4 and G5 carry them as their
-    canonical forms: a fresh matrix runs the Smith diagonals of I - A^hat
-    and I - A, one that an entry point has read runs none, and rendering
-    the five groups runs none either.  One Hermite transform of I - A
-    runs when ExtW1 has free rank above 0 (see :func:`_sequence_kernels`);
-    j is read off the kernel bases.
+    A failed check is an implementation bug, never bad input, and raises
+    :class:`VerificationError`.  ExtS1 and ExtW1 are the groups ``a``
+    holds, and G4 and G5 carry them as their canonical forms: a fresh
+    matrix runs the Smith diagonals of I - A^hat and I - A, one that an
+    entry point has read runs none, and rendering the five groups runs
+    none either.  One Hermite transform of I - A runs when ExtW1 has free
+    rank above 0 (see :func:`_sequence_kernels`).
 
     Since I - A^hat = (I - A)(I - R_1), each relation column k of G4 is
     column k of G5's minus column 1, iota's column is column 1 and q is
     the identity.  This witness is checked entry by entry before any
-    elimination, and :class:`VerificationError` is raised if it fails.
-    It proves q well defined and onto, and L(I - A^hat) + Z (I - A) e_1 =
-    L(I - A), so im(iota) = L(I - A) / L(I - A^hat) = ker(q), which is
-    exactness at coker(I - A^hat), and ExtS1 modulo iota_1 is ExtW1.  At
-    Z, im(s) = gZ with g the gcd of the coordinate sums of the basis of
-    Ker(I - A), and ker(iota) = kZ with k the order of iota_1, read off
-    ExtS1 and ExtW1 (both 0 when it is infinite); the node is exact iff
-    g = k.  When Ker(I - A) = 0, G1 and G2 are 0 and j's two nodes hold;
-    otherwise the generic queries of :mod:`ckinv.presented` decide them,
-    on groups of the kernels' ranks.  A matrix of side above
-    :data:`MAX_SEQUENCE_SIDE` raises ``ValueError`` before any
+    elimination.  It proves q well defined and onto, and L(I - A^hat) +
+    Z (I - A) e_1 = L(I - A), so im(iota) = L(I - A) / L(I - A^hat) =
+    ker(q), which is exactness at coker(I - A^hat), and ExtS1 modulo
+    iota_1 is ExtW1.  At Z, im(s) = gZ with g the gcd of the coordinate
+    sums of the basis of Ker(I - A), and ker(iota) = kZ with k the order
+    of iota_1, read off ExtS1 and ExtW1 (both 0 when it is infinite); the
+    node is exact iff g = k, which is checked.  The rest holds by
+    construction: j sends e_1, G1's relation, to 0; C = ``s._lift`` is a
+    Hermite basis of ker s, independent (j is injective) and spanning
+    (exactness at G2); s and iota have free sources.  A matrix of side
+    above :data:`MAX_SEQUENCE_SIDE` raises ``ValueError`` before any
     elimination.
     """
     a = _require_valid(a)
@@ -548,26 +541,15 @@ def five_term_sequence(a: ZeroOneMatrix) -> FiveTermSequence:
     g4._canonical, g5._canonical = ext_s1, ext_w1 = \
         a._strong[0], a._weak[0]
     ker_a, s, _ = _sequence_kernels(ia, ext_w1, ext_s1, g3)
+    if gcd(*map(sum, ker_a)) != order_from_quotient(ext_s1, ext_w1):
+        raise VerificationError("the coordinate sums of Ker(I - A) do not "
+                                "generate the kernel of iota")
     coeffs, g2, m = s._lift, s.source, len(ker_a)
-
     g1 = PresentedGroup._on_columns(1 + len(coeffs),
                                     [[1] + [0] * len(coeffs)])  # e_1
     # e_1 maps to 0, B c to c
     j = GroupHom._on_rows(g1, g2, intmat._transpose([[0] * m] + coeffs, m))
-
-    wells = all(h.is_well_defined() for h in (j, s, iota))
-    nodes = (
-        *((j.is_injective(), is_exact_at(j, s)) if m else (True, True)),
-        gcd(*map(sum, ker_a)) == order_from_quotient(ext_s1, ext_w1),
-        True, True,  # by the witness
-    )
-    return FiveTermSequence(
-        groups=(g1, g2, g3, g4, g5),
-        maps=(j, s, iota, q),
-        map_names=("j", "s", "iota", "q"),
-        nodes_exact=nodes,
-        verified=wells and all(nodes),
-    )
+    return FiveTermSequence((g1, g2, g3, g4, g5), (j, s, iota, q))
 
 
 # Largest matrix side the generators and realize_k0 build.  At this side

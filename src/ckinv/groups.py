@@ -22,6 +22,7 @@ Z/2
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd
 from operator import index
@@ -190,13 +191,21 @@ class FgAbGroup:
 
 
 def _chain(ds: list[int]) -> list[int]:
-    """Invariant factors of the direct sum of Z/d, by gcd/lcm swaps, in
-    place: after the swaps at i, entry i divides every later one, so one
-    pass leaves a divisibility chain, with any 1s in front."""
-    for i in range(len(ds)):
-        for j in range(i + 1, len(ds)):
-            g = gcd(ds[i], ds[j])
-            ds[i], ds[j] = g, ds[i] * ds[j] // g
+    """Invariant factors of the direct sum of Z/d, in place, with any 1s
+    in front.  Each d is carried into the chain so far: an entry v it
+    passes becomes gcd(v, carry) and the carry lcm(v, carry), which the
+    later copies of v divide, so it skips them; it is inserted at the
+    first entry it divides, past which the chain would only shift."""
+    chain = []
+    for carry in ds:
+        i = 0
+        while i < len(chain) and chain[i] % carry:
+            v = chain[i]
+            g = gcd(v, carry)
+            chain[i], carry = g, v // g * carry
+            i = bisect_right(chain, v, i + 1)
+        chain.insert(i, carry)
+    ds[:] = chain
     return ds
 
 

@@ -9,7 +9,9 @@ prepass as it pivoted before, by least Markowitz cost, on sparse rows:
 the library's count-based one must leave cores of the same diagonal and
 about the same size.  ``one_step_bareiss`` is the fraction-free pass the
 library ran before it took two pivots per pass: its minor gcds must
-match ``intmat._bareiss`` list for list.  They are deliberately slow and
+match ``intmat._bareiss`` list for list.  ``all_pairs_chain`` is the
+gcd/lcm pass over every pair of moduli that ``groups._chain`` ran before
+it inserted each modulus into the chain.  They are deliberately slow and
 simple.
 The exceptions build library groups and read them the long way round:
 ``transforms_order`` reads an element's order off the Smith transforms of
@@ -98,6 +100,17 @@ def one_step_bareiss(a: list[list[int]]) -> list[int]:
             a[i] = [(p * y - x * z) // prev for y, z in zip(row, prow)]
         prev = p
     return gs
+
+
+def all_pairs_chain(ds: list[int]) -> list[int]:
+    """Invariant factors of the direct sum of Z/d, by gcd/lcm swaps, in
+    place: after the swaps at i, entry i divides every later one, so one
+    pass leaves a divisibility chain, with any 1s in front."""
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            g = gcd(ds[i], ds[j])
+            ds[i], ds[j] = g, ds[i] * ds[j] // g
+    return ds
 
 
 def ones_row_matrix(n: int) -> np.ndarray:

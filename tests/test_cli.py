@@ -229,6 +229,19 @@ def test_gen_command(tmp_path):
     assert r1.returncode == 0 and r1.stdout == r2.stdout
 
 
+@pytest.mark.parametrize("command", [("gen", "cuntz", "3"),
+                                     ("realize", "--rank", "1")])
+@pytest.mark.parametrize("out", ["missing_dir/m.txt", "."])
+def test_an_unwritable_out_exits_1_in_one_line(tmp_path, command, out):
+    # a file in a missing directory, or a directory: an error line naming
+    # the path ends in exit 1, not a traceback
+    path = str(tmp_path / out)
+    r = run_cli(*command, "--out", path)
+    assert r.returncode == cli.EXIT_USAGE
+    assert r.stderr.startswith(f"error: cannot write {path}: ")
+    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+
+
 def test_exit_code_contract(matrix_files, tmp_path):
     a, b = matrix_files
     # 0: success regardless of verdict
@@ -281,6 +294,12 @@ def test_selftest_checks_name_their_first_failure(monkeypatch):
     assert selftest.check_isomorphism_coherence([(a, b)]) == \
         "0 isomorphic pairs, not 1 or more"
     assert selftest.check_smith_properties([[[2, 0], [0, 3]]]) is None
+    assert selftest.check_five_term(corpus) is None
+    with monkeypatch.context() as m:  # the node at Z fails to hold
+        order = ck.order_from_quotient
+        m.setattr(ck, "order_from_quotient", lambda g, q: order(g, q) + 1)
+        assert selftest.check_five_term(corpus).startswith(
+            "matrix 0: the coordinate sums")
 
     def broken(*args):
         raise ArithmeticError("a library fault")
@@ -494,14 +513,15 @@ def _fuzz_input(rng) -> bytes:
 @pytest.mark.parametrize("command,fault", [
     ("exactseq", "witness"), ("invariants", "k0"), ("exactseq", "kernel"),
     ("invariants", "transpose"), ("invariants", "augmented"),
-    ("invariants", "iota")])
+    ("invariants", "iota"), ("exactseq", "node-at-z")])
 def test_a_failed_cross_check_exits_3_in_one_line(tmp_path, monkeypatch,
                                                   capsys, command, fault):
     # a library fault that an internal cross-check catches (the witness of
-    # the five-term sequence, the Ker(I - A^hat) basis, or one of the
-    # report's three: coker(I - A^t) = ExtW1, the augmentation's kernel
-    # rank = that of ExtS0, coker([I - A^hat | (I - A) e_1]) = ExtW1)
-    # raises VerificationError, which ends in exit 3 and no traceback
+    # the five-term sequence, the Ker(I - A^hat) basis, the sequence's node
+    # at Z, or one of the report's three: coker(I - A^t) = ExtW1, the
+    # augmentation's kernel rank = that of ExtS0, coker([I - A^hat |
+    # (I - A) e_1]) = ExtW1) raises VerificationError, which ends in exit
+    # 3 and no traceback
     a = with_kernel(ck.gen_random_irreducible(12, 0.3, seed=7))
     path = tmp_path / "m.txt"
     path.write_text(cli.format_matrix_text(a.rows))
@@ -518,6 +538,10 @@ def test_a_failed_cross_check_exits_3_in_one_line(tmp_path, monkeypatch,
                 else cokernel(m)
 
         monkeypatch.setattr(intmat, "cokernel_invariants", skewed)
+    elif fault == "node-at-z":  # the order of iota_1 is off by one
+        order = ck.order_from_quotient
+        monkeypatch.setattr(ck, "order_from_quotient",
+                            lambda g, q: order(g, q) + 1)
     elif fault == "kernel":  # each Ker(I - A) basis vector listed twice
         hermite = intmat.hermite_normal_form
         monkeypatch.setattr(intmat, "hermite_normal_form", lambda m: (

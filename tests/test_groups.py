@@ -1,5 +1,6 @@
 import doctest
 import random
+import time
 from math import gcd
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import ckinv.groups
 from ckinv.groups import FgAbGroup, TRIVIAL, Z, Z2, canonical_from_cyclic
 
-from oracles import minor_gcd_diagonal
+from oracles import all_pairs_chain, minor_gcd_diagonal
 
 
 def test_doctests():
@@ -66,6 +67,29 @@ def test_canonical_matches_smith_oracle_on_random_moduli():
         free = sum(1 for d in diag if d == 0)
         torsion = tuple(d for d in diag if d > 1)
         assert g == FgAbGroup(free, torsion), mods
+
+
+def test_chain_matches_the_all_pairs_pass():
+    # the chain built by insertion equals the all-pairs gcd/lcm pass entry
+    # for entry, 1s in front included, on runs of equal moduli and on
+    # moduli past 64 bits too
+    rng = random.Random(2027)
+    pool = [1, 2, 3, 4, 5, 6, 8, 9, 12, 30, 49, 2 ** 70, 3 ** 45, 6 ** 30]
+    for _ in range(20_000):
+        mods = [rng.choice(pool) for _ in range(rng.randint(0, 14))]
+        chain = list(mods)
+        assert ckinv.groups._chain(chain) is chain
+        assert chain == all_pairs_chain(list(mods)), mods
+
+
+def test_many_cyclic_summands_take_time_linear_in_their_count():
+    # the all-pairs pass takes about 50 s on 20 000 moduli, insertion
+    # about 0.1 s (2-core x86-64); a tensor product of two groups of 80
+    # summands each builds 6 400
+    start = time.perf_counter()
+    g = canonical_from_cyclic([2] * 20_000)
+    assert time.perf_counter() - start < 2
+    assert g == FgAbGroup(0, (2,) * 20_000)
 
 
 def test_direct_sum_examples():

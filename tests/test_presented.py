@@ -233,6 +233,27 @@ def test_element_order():
     assert mixed.element([1, 0]).order() == 0
 
 
+@pytest.mark.parametrize("make,want", [
+    (lambda: PresentedGroup(-1), "non-negative"),
+    (lambda: PresentedGroup(2, [[1, 0]]), "must have 2 coordinates"),
+    (lambda: GroupHom(free(1), free(2), [[1, 0]]), "must be 2 x 1"),
+    (lambda: GroupHom(free(1), free(1), [[1]]).apply(free(1).zero()),
+     "source group"),
+    (lambda: GroupHom(z_mod(2), free(1), [[1]]).kernel(), "well-defined"),
+    (lambda: z_mod(2).element([1]) == 3, False),
+    (lambda: (3 * z_mod(6).element([1])).order(), 2),
+], ids=["negative-generators", "relation-height", "hom-shape",
+        "apply-foreign", "kernel-ill-defined", "eq-non-element", "rmul"])
+def test_rarely_taken_paths(make, want):
+    # misuse raises ValueError naming the fault; an element is never equal
+    # to a non-element, and k * e is e * k
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=want):
+            make()
+    else:
+        assert make() == want
+
+
 # -- homs -------------------------------------------------------------------
 
 def test_hom_well_defined_examples():

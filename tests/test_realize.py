@@ -160,6 +160,17 @@ def test_pair_equivalent_rejects_foreign_elements():
         realize.pair_equivalent(p, q.element([1]), q, q.element([1]))
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: realize.ext_pair_from_k0_pair(PresentedGroup(1),
+                                           PresentedGroup(1).zero()),
+     "does not belong"),
+    (lambda: realize.range_witness(Z, Z, 0), "positive"),
+], ids=["ext-pair-foreign", "range-witness-bound-0"])
+def test_misuse_raises_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # -- predicted extension pairs ----------------------------------------------
 
 def test_ext_pair_trivial_class():
