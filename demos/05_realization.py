@@ -25,12 +25,12 @@ r = invariants(a)
 print("\npredicted (ExtW1, ExtS1):", (str(weak), str(strong)))
 print("computed  (ExtW1, ExtS1):", (str(r.ext_w1), str(r.ext_s1)))
 
-# Which groups G pair with a given Z + M?  Bounded search for a witness
-# e with (Z + M)/Ze = G:
+# Which groups G pair with a given Z + M?  The interlacing of invariant
+# factors decides it exactly, and gives a witness e with (Z + M)/Ze = G:
 g = FgAbGroup(0, (2,))
-w = range_witness(g, FgAbGroup(0), bound=3)
+w = range_witness(g, FgAbGroup(0))
 print(f"\nwitness for G = {g} inside Z:",
-      list(w.coords) if w else "none within bound")
-w = range_witness(canonical_from_cyclic([3]), FgAbGroup(0, (2,)), bound=3)
+      repr(w) if w else "no witness exists")
+w = range_witness(canonical_from_cyclic([3]), FgAbGroup(0, (2,)))
 print("witness for G = Z/3 inside Z + Z/2:",
-      list(w.coords) if w else "none within bound")
+      repr(w) if w else "no witness exists")

@@ -24,8 +24,7 @@ from .ck import CKReport, FiveTermSequence, MatrixValidationError, \
     i_minus, invariants, iota_one, is_isomorphic_ck, \
     is_stably_isomorphic_ck, k0_pair, pi_aut, pi_aut_stable, validate
 from .realize import RealizationError, RealizationTarget, \
-    ext_pair_from_k0_pair, free_plus_presentation, pair_equivalent, \
-    range_witness, realize_k0
+    ext_pair_from_k0_pair, pair_equivalent, range_witness, realize_k0
 
 __version__ = "0.1.0"
 
@@ -45,6 +44,5 @@ __all__ = [
     "is_isomorphic_ck", "is_stably_isomorphic_ck", "k0_pair", "pi_aut",
     "pi_aut_stable", "validate",
     "RealizationError", "RealizationTarget", "ext_pair_from_k0_pair",
-    "free_plus_presentation", "pair_equivalent", "range_witness",
-    "realize_k0",
+    "pair_equivalent", "range_witness", "realize_k0",
 ]

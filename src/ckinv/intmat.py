@@ -452,9 +452,8 @@ def _diagonal_mod(a: list[list[int]], d: int) -> list[int]:
     while a and a[0]:
         least, i, j = d, None, None
         for k, row in enumerate(a):
-            for c, x in enumerate(row):
-                g = gcd(x, d)
-                if g < least:
+            for c, x in enumerate(row):  # gcd(0, d) = d is never least
+                if x and (g := gcd(x, d)) < least:
                     least, i, j = g, k, c
                     if g == 1:
                         break

@@ -4,14 +4,12 @@
 irreducible non-permutation 0-1 matrix whose weak extension group is the
 target and whose kernel has rank r.  The remaining operations are the
 group-level calculus around the pair (K_0, unit class): the predicted
-(weak, strong) extension pair, pair equivalence, and a bounded search
-through the possible range of extension-group pairs.
+(weak, strong) extension pair, pair equivalence, and an exact decision of
+the range of extension-group pairs, with a witness for each pair in it.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import operator
 from dataclasses import dataclass
 
@@ -44,12 +42,6 @@ class RealizationTarget:
 class RealizationError(VerificationError):
     """The constructed matrix failed its own verification (a bug); the
     CLI ends it in exit 3 like every :class:`VerificationError`."""
-
-
-# Largest number of candidates range_witness tries.  Each costs one small
-# Smith diagonal, about 0.1 ms on a 2-core x86-64 machine (Python 3.11),
-# so a full search takes about 10 s; larger searches are refused up front.
-MAX_CANDIDATES = 100_000
 
 
 def realize_k0(target: RealizationTarget) -> ZeroOneMatrix:
@@ -117,39 +109,47 @@ def ext_pair_from_k0_pair(g: PresentedGroup,
     return g.canonical(), Z.direct_sum(quotient_by_elements(g, [d]))
 
 
-def free_plus_presentation(m: FgAbGroup) -> PresentedGroup:
-    """Presentation of Z + M: one free generator ahead of M's generators."""
-    gens = 1 + m.free_rank + len(m.invariant_factors)
-    rel = [[0] * len(m.invariant_factors) for _ in range(gens)]
-    for j, d in enumerate(m.invariant_factors):
-        rel[1 + m.free_rank + j][j] = d
-    return PresentedGroup(gens, rel)
+def range_witness(g: FgAbGroup, m: FgAbGroup) -> GroupElement | None:
+    """An e in Z + M with (Z + M)/Ze isomorphic to G; ``None`` proves
+    that there is none.
 
-
-def range_witness(g: FgAbGroup, m: FgAbGroup,
-                  bound: int) -> GroupElement | None:
-    """Search for e in Z + M with (Z + M)/Ze isomorphic to G.
-
-    Free coordinates run over 0, 1, ..., bound, -1, ..., -bound and
-    torsion coordinates are exhausted completely, in lexicographic order,
-    so the first (hence returned) witness is deterministic.  ``None``
-    means no witness within the bound, which is *not* a proof that none
-    exists.  A search of more than :data:`MAX_CANDIDATES` candidates,
-    (2 bound + 1)^(1 + rank M) times the order of the torsion of M,
-    raises ``ValueError`` before the first one is tried.
+    With a_1 | ... | a_k the invariant factors of Z + M, 0 for each free
+    summand, and b_1 | ... | b_k those of G, padded with 1s in front, e
+    exists iff b_i | a_i and a_(i-1) | b_i (x | 0; 0 | x only for x = 0):
+    the interlacing of invariant factors when a column joins a relation
+    matrix (R. C. Thompson; E. M. de Sa, Linear Algebra Appl. 24 (1979)).
+    On the zeros this reads rank M <= rank G <= 1 + rank M.  The witness,
+    in Smith coordinates, is gamma_1 = b_1, gamma_t = gamma_(t-1) b_t /
+    a_(t-1) up to t = s + 1, s the length of M's torsion chain, then 0:
+    the j x j minors of [diag(a) | e] have gcd b_1 ... b_j.  It lies in
+    the diagonal presentation of Z + M, 1 + rank M free generators (the
+    last takes gamma_(s+1)) and then M's torsion ones; one of more than
+    :data:`MAX_SIDE` generators raises ``ValueError`` before anything is
+    built, and a witness that fails its check :class:`VerificationError`.
     """
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    sizes = [2 * bound + 1] * (1 + m.free_rank) + list(m.invariant_factors)
-    if math.prod(sizes) > MAX_CANDIDATES:
-        raise ValueError(f"the search has more than {MAX_CANDIDATES} "
-                         "candidates; lower the bound")
-    presentation = free_plus_presentation(m)
-    free_seq = list(range(bound + 1)) + [-x for x in range(1, bound + 1)]
-    axes = [free_seq] * (1 + m.free_rank)
-    axes += [range(d) for d in m.invariant_factors]
-    for coords in itertools.product(*axes):
-        e = presentation.element(coords)
-        if quotient_by_elements(presentation, [e]) == g:
-            return e
-    return None
+    a, r = m.invariant_factors, m.free_rank
+    pad = len(a) + 1 + r - g.free_rank - len(g.invariant_factors)
+    if pad < 0 or not r <= g.free_rank <= r + 1:
+        return None
+    # b_1 ... b_n are nonzero, n = len(a) or 1 + len(a), and b_(n+1) = 0
+    b = (1,) * pad + g.invariant_factors + (0,)
+    if any(x % y for x, y in zip(a, b)) or \
+            any(y % x for x, y in zip(a, b[1:])):
+        return None
+    gens = 1 + r + len(a)
+    if gens > MAX_SIDE:
+        raise ValueError(f"the witness needs {gens} generators; "
+                         f"range_witness builds at most {MAX_SIDE}")
+    gamma = [b[0]]
+    for x, y in zip(a, b[1:]):
+        gamma.append(gamma[-1] * y // x)
+    rel = [[0] * len(a) for _ in range(gens)]
+    for j, x in enumerate(a):
+        rel[1 + r + j][j] = x
+    presentation = PresentedGroup(gens, rel)
+    e = presentation.element([0] * r + gamma[-1:] + gamma[:-1])
+    got = quotient_by_elements(presentation, [e])
+    if got != g:
+        raise VerificationError(f"the witness {e} gives the quotient {got}, "
+                                f"wanted {g}")
+    return e

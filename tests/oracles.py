@@ -11,8 +11,10 @@ about the same size.  ``one_step_bareiss`` is the fraction-free pass the
 library ran before it took two pivots per pass: its minor gcds must
 match ``intmat._bareiss`` list for list.  ``all_pairs_chain`` is the
 gcd/lcm pass over every pair of moduli that ``groups._chain`` ran before
-it inserted each modulus into the chain.  They are deliberately slow and
-simple.
+it inserted each modulus into the chain.  ``range_search`` is the
+bounded search for a cyclic quotient of Z + M that ``realize.range_witness``
+ran before it decided the question by the interlacing of invariant
+factors.  They are deliberately slow and simple.
 The exceptions build library groups and read them the long way round:
 ``transforms_order`` reads an element's order off the Smith transforms of
 its presentation (``canonical_coords``), a route the library's order rule
@@ -30,13 +32,15 @@ as int64 arrays, straight from their definitions, and ``with_kernel``
 turns a matrix into one whose I - A has equal rows.
 """
 
-from itertools import combinations, compress
-from math import gcd, lcm
+from itertools import combinations, compress, product
+from math import gcd, lcm, prod
 
 import numpy as np
 
 from ckinv import intmat
-from ckinv.presented import GroupHom, PresentedGroup, order_from_quotient
+from ckinv.groups import FgAbGroup
+from ckinv.presented import GroupElement, GroupHom, PresentedGroup, \
+    order_from_quotient, quotient_by_elements
 
 
 def cofactor_det(rows) -> int:
@@ -111,6 +115,64 @@ def all_pairs_chain(ds: list[int]) -> list[int]:
             g = gcd(ds[i], ds[j])
             ds[i], ds[j] = g, ds[i] * ds[j] // g
     return ds
+
+
+# Largest number of candidates range_search tries.  Each costs one small
+# Smith diagonal, about 0.1 ms on a 2-core x86-64 machine (Python 3.11),
+# so a full search takes about 10 s; larger searches are refused up front.
+MAX_CANDIDATES = 100_000
+
+
+def free_plus_presentation(m: FgAbGroup) -> PresentedGroup:
+    """Presentation of Z + M: one free generator ahead of M's generators."""
+    gens = 1 + m.free_rank + len(m.invariant_factors)
+    rel = [[0] * len(m.invariant_factors) for _ in range(gens)]
+    for j, d in enumerate(m.invariant_factors):
+        rel[1 + m.free_rank + j][j] = d
+    return PresentedGroup(gens, rel)
+
+
+def range_search(g: FgAbGroup, m: FgAbGroup,
+                 bound: int) -> GroupElement | None:
+    """Search for e in Z + M with (Z + M)/Ze isomorphic to G.
+
+    Free coordinates run over 0, 1, ..., bound, -1, ..., -bound and
+    torsion coordinates are exhausted completely, in lexicographic order,
+    so the first (hence returned) witness is deterministic.  ``None``
+    means no witness within the bound, which is *not* a proof that none
+    exists.  A search of more than :data:`MAX_CANDIDATES` candidates,
+    (2 bound + 1)^(1 + rank M) times the order of the torsion of M,
+    raises ``ValueError`` before the first one is tried.
+    """
+    if bound < 1:
+        raise ValueError("bound must be positive")
+    sizes = [2 * bound + 1] * (1 + m.free_rank) + list(m.invariant_factors)
+    if prod(sizes) > MAX_CANDIDATES:
+        raise ValueError(f"the search has more than {MAX_CANDIDATES} "
+                         "candidates; lower the bound")
+    presentation = free_plus_presentation(m)
+    for coords in product(*_search_axes(m, bound)):
+        e = presentation.element(coords)
+        if quotient_by_elements(presentation, [e]) == g:
+            return e
+    return None
+
+
+def _search_axes(m: FgAbGroup, bound: int) -> list:
+    """The coordinates range_search tries, one axis per generator of
+    :func:`free_plus_presentation`."""
+    free_seq = list(range(bound + 1)) + [-x for x in range(1, bound + 1)]
+    return [free_seq] * (1 + m.free_rank) + \
+        [range(d) for d in m.invariant_factors]
+
+
+def range_quotients(m: FgAbGroup, bound: int) -> set:
+    """Every (Z + M)/Ze over the candidates e of range_search: the groups
+    g for which ``range_search(g, m, bound)`` finds a witness."""
+    presentation = free_plus_presentation(m)
+    return {quotient_by_elements(presentation,
+                                 [presentation.element(coords)])
+            for coords in product(*_search_axes(m, bound))}
 
 
 def ones_row_matrix(n: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from math import prod
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ckinv import ck, intmat, realize
 from ckinv.groups import FgAbGroup, TRIVIAL, Z, canonical_from_cyclic
 from ckinv.presented import PresentedGroup, quotient_by_elements
 from ckinv.realize import RealizationTarget
+from oracles import range_quotients, range_search
 
 
 # -- the block construction -------------------------------------------------
@@ -164,8 +166,7 @@ def test_pair_equivalent_rejects_foreign_elements():
     (lambda: realize.ext_pair_from_k0_pair(PresentedGroup(1),
                                            PresentedGroup(1).zero()),
      "does not belong"),
-    (lambda: realize.range_witness(Z, Z, 0), "positive"),
-], ids=["ext-pair-foreign", "range-witness-bound-0"])
+], ids=["ext-pair-foreign"])
 def test_misuse_raises_value_error(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -194,23 +195,27 @@ def test_ext_pair_matches_reports(corpus500, reports500):
             (r.ext_w1, r.ext_s1)
 
 
-# -- bounded range search ---------------------------------------------------
+# -- the range of (ExtW1, ExtS1) -------------------------------------------
 
 def test_range_witness_z2_from_z():
-    w = realize.range_witness(FgAbGroup(0, (2,)), TRIVIAL, 3)
+    w = realize.range_witness(FgAbGroup(0, (2,)), TRIVIAL)
     assert w is not None
     assert tuple(w.coords) == (2,)
 
 
 def test_range_witness_z_from_z_plus_z():
-    w = realize.range_witness(Z, Z, 3)
+    w = realize.range_witness(Z, Z)
     assert w is not None
     assert tuple(w.coords) == (0, 1)
 
 
 def test_range_witness_none_within_bound():
+    # (Z + Z/2)/<e> is Z/3 for no e, since 2 does not divide 3, so None
+    # is a proof; the old search finds nothing within its bound either
     assert realize.range_witness(canonical_from_cyclic([3]),
-                                 FgAbGroup(0, (2,)), 3) is None
+                                 FgAbGroup(0, (2,))) is None
+    assert range_search(canonical_from_cyclic([3]), FgAbGroup(0, (2,)),
+                        3) is None
 
 
 def test_range_witness_soundness():
@@ -221,45 +226,90 @@ def test_range_witness_soundness():
             [rng.randint(0, 6) for _ in range(rng.randint(0, 2))])
         g = canonical_from_cyclic(
             [rng.randint(0, 6) for _ in range(rng.randint(0, 2))])
-        w = realize.range_witness(g, m, 4)
+        w = realize.range_witness(g, m)
         if w is not None:
             found += 1
             assert quotient_by_elements(w.group, [w]) == g
     assert found > 5
 
 
-def test_range_witness_refuses_a_huge_search(monkeypatch):
-    def no_search(*args):
-        raise AssertionError("tried a candidate of a refused search")
+def _chains(limit: int) -> list[tuple[int, ...]]:
+    """Every chain of invariant factors whose product is at most limit."""
+    out, stack = [], [()]
+    while stack:
+        chain = stack.pop()
+        out.append(chain)
+        order = prod(chain)
+        stack.extend(chain + (d,) for d in range(chain[-1] if chain else 2,
+                                                 limit // order + 1)
+                     if not chain or d % chain[-1] == 0)
+    return out
 
-    monkeypatch.setattr(realize, "quotient_by_elements", no_search)
+
+def test_range_witness_matches_the_bounded_search():
+    # every pair with |T| <= 64, rank M <= 2 and rank G <= 3: each witness
+    # gives G; and where the old search at bound 5 is affordable (at most
+    # 11^3 candidates), range_witness finds one for each G it reaches
+    chains = _chains(64)
+    assert len(chains) == 117
+    gs = [FgAbGroup(r, c) for r in range(4) for c in chains]
+    found = 0
+    for m in (FgAbGroup(r, c) for r in range(3) for c in chains):
+        witnessed = set()
+        for g in gs:
+            w = realize.range_witness(g, m)
+            if w is not None:
+                assert w.group.canonical() == Z.direct_sum(m)
+                assert quotient_by_elements(w.group, [w]) == g, (g, m)
+                witnessed.add(g)
+        found += len(witnessed)
+        if 11 ** (1 + m.free_rank) * m.torsion.order <= 11 ** 3:
+            for g in range_quotients(m, 5) - witnessed:
+                assert realize.range_witness(g, m) is not None, (g, m)
+    assert found == 3246
+    # Z/6 ... Z/11 lie past bound 5 from Z, and e = n reaches them
+    for n in range(6, 12):
+        g = canonical_from_cyclic([n])
+        assert range_search(g, TRIVIAL, 5) is None
+        assert tuple(realize.range_witness(g, TRIVIAL).coords) == (n,)
+    assert tuple(range_search(canonical_from_cyclic([5]), TRIVIAL,
+                              5).coords) == (5,)
+
+
+def test_range_witness_refuses_a_huge_search(monkeypatch):
+    # no search is left to refuse: the rule decides at once, with nothing
+    # allocated per free summand
     start = time.perf_counter()
-    for m in (Z, FgAbGroup(3, (2, 10 ** 20))):
-        with pytest.raises(ValueError, match="candidates"):
-            realize.range_witness(Z, m, 10 ** 9)
+    assert tuple(realize.range_witness(Z, Z).coords) == (0, 1)
+    for m in (FgAbGroup(3, (2, 10 ** 20)), FgAbGroup(10 ** 6)):
+        assert realize.range_witness(Z, m) is None
     assert time.perf_counter() - start < 1
-    # the cap is inclusive: Z + Z with bound 3 is 7 ** 2 candidates
+    # a witness presentation above MAX_SIDE generators is refused before
+    # anything is built
+    def no_presentation(*args):
+        raise AssertionError("built a presentation for a refused witness")
+
+    monkeypatch.setattr(realize, "PresentedGroup", no_presentation)
+    big = FgAbGroup(realize.MAX_SIDE)
+    with pytest.raises(ValueError, match="at most"):
+        realize.range_witness(big, big)
     monkeypatch.undo()
-    monkeypatch.setattr(realize, "MAX_CANDIDATES", 49)
-    assert tuple(realize.range_witness(Z, Z, 3).coords) == (0, 1)
-    with pytest.raises(ValueError, match="candidates"):
-        realize.range_witness(Z, Z, 4)
+    below = FgAbGroup(realize.MAX_SIDE - 1)
+    assert realize.range_witness(below, below).group.generators == \
+        realize.MAX_SIDE
 
 
 def test_range_witness_realized_pairs(reports500):
     # every actual (ExtW1, ExtS1) pair admits a witness: ExtS1 = Z + M and
-    # ExtW1 is a cyclic quotient of it.  Keep the search space tractable:
-    # small torsion and low rank, with the bound sized to the torsion.
+    # ExtW1 is a cyclic quotient of it
     seen = set()
-    checked = 0
     for r in reports500:
         key = (r.ext_w1, r.ext_s1)
-        if key in seen or r.ext_s1.free_rank > 2 \
-                or r.ext_w1.torsion.order > 16:
+        if key in seen:
             continue
         seen.add(key)
         m = FgAbGroup(r.ext_s1.free_rank - 1, r.ext_s1.invariant_factors)
-        bound = max(r.ext_w1.torsion.order, 1)
-        assert realize.range_witness(r.ext_w1, m, bound) is not None, key
-        checked += 1
-    assert checked >= 10
+        w = realize.range_witness(r.ext_w1, m)
+        assert w is not None, key
+        assert quotient_by_elements(w.group, [w]) == r.ext_w1, key
+    assert len(seen) >= 10
