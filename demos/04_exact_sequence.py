@@ -30,7 +30,7 @@ print("verified exact:", seq.verified)
 # The middle map sends 1 to the class of (I-A) e_1 in the strong
 # extension group; its order is part of the complete invariant.
 el = iota_one(a)
-print("\nclass of (I-A)e1:", list(el.coords),
+print("\nclass of (I-A)e1:", repr(el),
       "order:", el.order() or "infinite")
 
 # Exactness holds for random valid matrices too.

@@ -160,10 +160,10 @@ def validate(raw) -> ZeroOneMatrix:
 
     Raises :class:`MatrixValidationError` with reason ``not-square``,
     ``bad-entry``, ``permutation`` or ``reducible``.  The rows are read
-    as :func:`ckinv.intmat.smith_diagonal` reads them: lists or tuples of
-    rows of Python ints with no numpy, anything else through numpy, with
-    booleans as 0 and 1, so ``validate(a.bits) == a``; a non-integer
-    entry is a ``bad-entry``, and ragged rows are ``not-square``.
+    as :func:`ckinv.intmat.smith_diagonal` reads them: rows of Python
+    ints, or anything read into them through ``tolist()``, with booleans
+    as 0 and 1, so ``validate(a.bits) == a``; a non-integer entry is a
+    ``bad-entry``, and ragged or non-2-D rows are ``not-square``.
     """
     try:
         rows, width = intmat._shaped(raw)
@@ -232,6 +232,8 @@ def _iota_quotient_rows(ia) -> list[list[int]]:
 
 
 def i_minus(m: np.ndarray) -> np.ndarray:
+    """I - m, for a square numpy array m such as
+    :attr:`ZeroOneMatrix.entries`."""
     import numpy as np
     return np.eye(m.shape[0], dtype=np.int64) - m
 

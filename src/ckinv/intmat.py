@@ -1,8 +1,9 @@
 """Exact integer linear algebra on dense matrices.
 
-A matrix is given as a sequence of rows of Python ints, or as anything
-numpy turns into a 2-D integer or boolean array (booleans are 0 and 1),
-for every routine here and for :func:`ckinv.ck.validate`.  The APIs that
+A matrix is given as rows of Python ints, or as anything whose
+``tolist()`` gives such rows (booleans are 0 and 1), such as a numpy
+array, for every routine here and for :func:`ckinv.ck.validate`; no
+numpy is imported to read it (see :func:`_shaped`).  The APIs that
 return matrices (transforms, kernel bases) return 2-D numpy arrays of
 Python ints (``dtype=object``), so every computation is exact with no
 magnitude bound, and ordinary numpy operators (``@``, ``+``, ``-``,
@@ -17,12 +18,12 @@ forms and lattice routines:
   * :func:`lattice_contains`, :func:`lattice_solve`
 
 Every elimination runs on lists of Python ints, and lists or tuples of
-int rows are taken as they are, with no numpy.
+int rows are taken as they are.
 :class:`SmithDecomposition` keeps the diagonal, the rows of u and the
 columns of v, and :class:`HermiteDecomposition` the columns of h and u,
 as Python ints; their arrays, like those :func:`kernel_basis` and
 :func:`lattice_solve` return, are built from these lists on first
-access.  So on int rows only what returns an array imports numpy.
+access, and only what returns an array imports numpy.
 :func:`smith_normal_form` runs a min-abs-pivot Smith loop on the whole
 matrix with its transforms.  :func:`smith_diagonal` first eliminates unit
 pivots, each in the shortest row that holds one and there in the
@@ -48,6 +49,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
 from math import gcd, prod
+from operator import index
 from typing import TYPE_CHECKING
 
 from .groups import FgAbGroup, _chain
@@ -56,37 +58,29 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def _integers(a: np.ndarray, what: str) -> np.ndarray:
-    """Integer arrays as they are, boolean ones as 0 and 1, object arrays
-    as Python ints."""
-    import numpy as np
-    if a.dtype == bool:
-        return a.astype(np.int64)
-    if a.dtype == object:
-        if all(type(x) is int for x in a.flat):
-            return a
-        out = np.empty(a.shape, dtype=object)
-        for idx, x in np.ndenumerate(a):
-            if not isinstance(x, (int, np.integer, np.bool_)):
-                raise TypeError(f"{what} entry is not an integer: {x!r}")
-            out[idx] = int(x)
-        return out
-    if not np.issubdtype(a.dtype, np.integer):
-        raise TypeError(f"{what} entries must be integers, got {a.dtype}")
-    return a
+def _listed(seq, what: str) -> list | tuple:
+    """A list or tuple as it is, anything else through its ``tolist()``,
+    which must give one."""
+    if type(seq) not in (list, tuple):
+        seq = seq.tolist() if hasattr(seq, "tolist") else seq
+        if type(seq) not in (list, tuple):
+            raise ValueError(f"{what} is not a sequence: {type(seq).__name__}")
+    return seq
 
 
-def _array(data) -> np.ndarray:
-    """Normalize array-like integer data to a 2-D integer or object array."""
-    import numpy as np
-    a = np.asarray(data)
-    if a.ndim == 1 and a.size == 0:
-        a = a.reshape(0, 0)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
-    if a.size == 0:
-        return np.zeros(a.shape, dtype=np.int64)
-    return _integers(a, "matrix")
+def _ints(seq, what: str) -> list | tuple:
+    """A row or vector as Python ints; see :func:`_shaped`."""
+    seq = _listed(seq, what)
+    if {int}.issuperset(map(type, seq)):
+        return seq
+    out = []
+    for x in seq:
+        if not isinstance(x, int):  # a bool is an int
+            x = x.tolist() if hasattr(x, "tolist") else x
+            if type(x) in (list, tuple):
+                raise ValueError(f"{what} holds a sequence, not an integer")
+        out.append(index(x))  # TypeError for a float, str, ...
+    return out
 
 
 def _shaped(data) -> tuple[list | tuple, int]:
@@ -94,19 +88,26 @@ def _shaped(data) -> tuple[list | tuple, int]:
     only read the rows.
 
     A list or tuple of equal-length list or tuple rows of Python ints is
-    returned as it is, with no numpy; anything else goes through the
-    numpy checks of :func:`_array`.  A matrix with no rows keeps its
-    column count only in the second item.  An entry that is not an
-    integer raises ``TypeError``, ragged or non-2-D input ``ValueError``.
+    returned as it is.  Anything else is read, and so is each of its rows
+    and entries, through ``tolist()`` where it has one (numpy arrays and
+    scalars, ``memoryview``, ``array.array``), with no numpy import;
+    booleans are 0 and 1.  A matrix with no rows keeps its column count
+    only in the second item, from its ``shape`` if it has one.  An entry
+    that is not an integer raises ``TypeError``, ragged or non-2-D input
+    ``ValueError``.
     """
-    if (type(data) in (list, tuple)
+    if not (type(data) in (list, tuple)
             and {list, tuple}.issuperset(map(type, data))
             and {int}.issuperset(map(type, chain.from_iterable(data)))):
-        if len(set(map(len, data))) > 1:
-            raise ValueError("matrix rows differ in length")
-        return data, len(data[0]) if data else 0
-    a = _array(data)
-    return a.tolist(), a.shape[1]
+        shape = getattr(data, "shape", ())
+        if len(shape) > 2:
+            raise ValueError(f"expected a 2-D matrix, got shape {shape}")
+        data = [_ints(row, "matrix row") for row in _listed(data, "matrix")]
+        if not data:
+            return data, shape[1] if len(shape) == 2 else 0
+    if len(set(map(len, data))) > 1:
+        raise ValueError("matrix rows differ in length")
+    return data, len(data[0]) if data else 0
 
 
 def _transpose(vectors, length: int) -> list[list[int]]:
@@ -126,19 +127,9 @@ def _columns(data) -> tuple[list[list[int]], int]:
 
 
 def _vector(data, length: int) -> tuple[int, ...]:
-    """A vector of ``length`` Python ints, as a tuple.
-
-    A list or tuple of Python ints is taken with no numpy; anything else
-    must be a 1-D integer array for numpy, or an object array of ints.
-    """
-    if type(data) in (list, tuple) and {int}.issuperset(map(type, data)):
-        v = tuple(data)
-    else:
-        import numpy as np
-        a = np.asarray(data)
-        if a.ndim != 1:
-            raise ValueError(f"expected a vector, got shape {a.shape}")
-        v = tuple(_integers(a, "vector").tolist()) if a.size else ()
+    """A vector of ``length`` Python ints, as a tuple, read as
+    :func:`_shaped` reads a row."""
+    v = tuple(_ints(data, "vector"))
     if len(v) != length:
         raise ValueError(f"expected length {length}, got {len(v)}")
     return v
@@ -149,13 +140,10 @@ def _identity_rows(n: int) -> list[list[int]]:
 
 
 def as_intmat(data) -> np.ndarray:
-    """Coerce array-like integer data to a 2-D object array of Python ints.
-
-    Lists of lists, integer numpy arrays and existing object arrays are all
-    accepted; an empty list becomes a 0 x 0 matrix.
-    """
-    a = _array(data)
-    return a if a.dtype == object else a.astype(object)
+    """A matrix, read as every routine here reads it, as a 2-D object
+    array of Python ints; an empty list becomes a 0 x 0 matrix."""
+    rows, width = _shaped(data)
+    return _object_array(rows, (len(rows), width))
 
 
 def _object_array(values, shape: tuple[int, ...]) -> np.ndarray:
@@ -566,6 +554,8 @@ def cokernel_invariants(m) -> FgAbGroup:
     The free rank is rows - rank(m); the invariant factors are the Smith
     diagonal entries exceeding 1.
     """
+    if type(m) not in (list, tuple):  # a list's rows are its items
+        m = _shaped(m)[0]
     diag = smith_diagonal(m)
     rank = sum(1 for d in diag if d)
     return FgAbGroup(len(m) - rank, tuple(d for d in diag if d > 1))

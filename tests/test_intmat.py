@@ -1,3 +1,4 @@
+import array
 import json
 import random
 import subprocess
@@ -681,6 +682,70 @@ def test_booleans_read_as_zero_and_one():
             assert {type(x) for x in got.flat} == {int}
 
 
+class _ToList:
+    """A matrix with only ``shape`` and ``tolist()``, as an array of a
+    library other than numpy has: no ``len``, no iteration."""
+
+    def __init__(self, rows, shape):
+        self._rows, self.shape = rows, shape
+
+    def tolist(self):
+        return [list(row) for row in self._rows]
+
+
+def _reader_forms(rows, width):
+    """Every form the reader takes that holds exactly this int matrix."""
+    shape = (len(rows), width)
+    flat = list(chain.from_iterable(rows))
+    forms = [rows, tuple(map(tuple, rows)), _ToList(rows, shape),
+             np.array(flat, dtype=object).reshape(shape)]
+    if all(-2 ** 63 <= x < 2 ** 63 for x in flat):
+        forms.append(np.array(flat, dtype=np.int64).reshape(shape))
+    if all(0 <= x < 2 ** 64 for x in flat):
+        forms.append(np.array(flat, dtype=np.uint64).reshape(shape))
+    if set(flat) <= {0, 1}:
+        forms.append(np.array(flat, dtype=bool).reshape(shape))
+        forms.append([[bool(x) for x in row] for row in rows])
+    return forms
+
+
+def test_every_matrix_form_reads_as_its_int_rows():
+    # list and tuple rows, int64, uint64, object and bool arrays and a
+    # tolist-only object give the same rows, width and Smith diagonal
+    rng = random.Random(23)
+    pools = ([-9, -1, 0, 1, 2, 5], [0, 1], [0, 1, 3, 2 ** 63, 2 ** 64 - 1],
+             [-2 ** 63, -1, 0, 2 ** 62])
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 1)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(40)]
+    kinds = set()
+    for k, (h, w) in enumerate(shapes):
+        pool = pools[k % len(pools)]
+        rows = [[rng.choice(pool) for _ in range(w)] for _ in range(h)]
+        want = intmat.smith_diagonal(rows)
+        for m in _reader_forms(rows, w):
+            # with no rows, only a form with a shape keeps the width
+            width = w if rows or hasattr(m, "shape") else 0
+            got = intmat._shaped(m)
+            assert ([list(r) for r in got[0]], got[1]) == (rows, width), m
+            assert {type(x) for x in chain.from_iterable(got[0])} <= {int}
+            assert intmat.smith_diagonal(m) == want, type(m)
+            assert intmat.cokernel_invariants(m) == \
+                intmat.cokernel_invariants(rows)
+            kinds.add(str(getattr(m, "dtype", type(m).__name__)))
+    assert kinds == {"list", "tuple", "_ToList", "object", "int64", "uint64",
+                     "bool"}
+    # a vector reads the same from every form too
+    for _ in range(20):
+        v = [rng.randint(-2 ** 31, 2 ** 31 - 1)
+             for _ in range(rng.randint(0, 6))]
+        for form in (v, tuple(v), np.array(v, dtype=np.int64),
+                     np.array(v, dtype=object), array.array("q", v),
+                     memoryview(array.array("q", v)),
+                     [np.int64(x) for x in v], [np.int32(x) for x in v]):
+            got = intmat._vector(form, len(v))
+            assert got == tuple(v) and {type(x) for x in got} <= {int}
+
+
 _NUMPY_BLOCKED = """
 import json, sys
 sys.modules["numpy"] = None  # an import of numpy now raises ImportError
@@ -709,3 +774,67 @@ def test_smith_transforms_run_without_numpy():
             p.canonical_coords([1, 1, 1]),
             p.element([5, -7, 2]).canonical_coords(), None, 2, 3]
     assert json.loads(r.stdout) == json.loads(json.dumps(want))
+
+
+_READER_NUMPY_BLOCKED = """
+import json, sys
+sys.modules["numpy"] = None  # an import of numpy now raises ImportError
+from ckinv import ck, intmat
+from ckinv.presented import GroupHom, PresentedGroup
+
+
+class Rows:  # only shape and tolist(), as an array of another library has
+    shape = (2, 2)
+
+    def tolist(self):
+        return [[1, 1], [1, 0]]
+
+
+def outcome(f):
+    try:
+        return f()
+    except ck.MatrixValidationError as e:
+        return e.reason
+    except (TypeError, ValueError) as e:
+        return type(e).__name__
+
+
+z2 = PresentedGroup(2)
+print(json.dumps({
+    "bool rows": outcome(lambda: ck.validate([[True, True],
+                                               [True, False]]).rows),
+    "float rows": outcome(lambda: ck.validate([[1.0, 1], [1, 1]])),
+    "str rows": outcome(lambda: ck.validate([["1", 1], [1, 1]])),
+    "1-D list": outcome(lambda: ck.validate([1, 0])),
+    "ragged rows": outcome(lambda: ck.validate([[1, 1], [1]])),
+    "smith bools": outcome(lambda: intmat.smith_diagonal([[True, False],
+                                                           [False, True]])),
+    "smith float": outcome(lambda: intmat.smith_diagonal([[1.5, 0]])),
+    "element float": outcome(lambda: z2.element([1.0, 2])),
+    "element nested": outcome(lambda: z2.element([[1, 2]])),
+    "hom float": outcome(lambda: GroupHom(z2, z2, [[1, 0], [0, 0.5]])),
+    "hom ragged": outcome(lambda: GroupHom(z2, z2, [[1, 0], [0]])),
+    "tolist validate": outcome(lambda: ck.validate(Rows()).rows),
+    "tolist smith": outcome(lambda: intmat.smith_diagonal(Rows())),
+    "tolist cokernel": str(intmat.cokernel_invariants(Rows())),
+    "numpy": sys.modules["numpy"] is not None}))
+"""
+
+
+def test_every_input_ends_in_its_exception_without_numpy():
+    # with numpy blocked, bool rows read as 0 and 1, a float or str entry
+    # raises TypeError (a bad-entry), a 1-D list, ragged rows or a nested
+    # vector ValueError (not-square), and a tolist-only matrix reads like
+    # its rows; numpy is never imported
+    r = subprocess.run([sys.executable, "-c", _READER_NUMPY_BLOCKED],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {
+        "bool rows": [[1, 1], [1, 0]], "float rows": "bad-entry",
+        "str rows": "bad-entry", "1-D list": "not-square",
+        "ragged rows": "not-square", "smith bools": [1, 1],
+        "smith float": "TypeError", "element float": "TypeError",
+        "element nested": "ValueError", "hom float": "TypeError",
+        "hom ragged": "ValueError", "tolist validate": [[1, 1], [1, 0]],
+        "tolist smith": [1, 1], "tolist cokernel": str(FgAbGroup(0)),
+        "numpy": False}
