@@ -43,7 +43,7 @@ from operator import mul, or_
 from typing import TYPE_CHECKING, ClassVar
 
 from . import intmat
-from .groups import FgAbGroup, free_abelian
+from .groups import FgAbGroup, _tensor_sum, free_abelian
 from .presented import GroupElement, GroupHom, PresentedGroup, \
     order_from_quotient
 
@@ -258,21 +258,17 @@ class CKReport:
     # checks against the cokernel of [I - A^hat | (I - A) e_1]
     iota_one_order: int
 
+    # the JSON and text name, then the field, of each group in report order
+    _GROUPS: ClassVar[tuple[tuple[str, str], ...]] = (
+        ("K0", "k0"), ("K1", "k1"), ("ExtW1", "ext_w1"),
+        ("ExtW0", "ext_w0"), ("ExtS1", "ext_s1"), ("ExtS0", "ext_s0"),
+        ("pi1_aut", "pi1_aut"), ("pi2_aut", "pi2_aut"),
+        ("pi1_aut_stable", "pi1_aut_stable"),
+        ("pi2_aut_stable", "pi2_aut_stable"))
+
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "K0": self.k0.to_json(),
-            "K1": self.k1.to_json(),
-            "ExtW1": self.ext_w1.to_json(),
-            "ExtW0": self.ext_w0.to_json(),
-            "ExtS1": self.ext_s1.to_json(),
-            "ExtS0": self.ext_s0.to_json(),
-            "pi1_aut": self.pi1_aut.to_json(),
-            "pi2_aut": self.pi2_aut.to_json(),
-            "pi1_aut_stable": self.pi1_aut_stable.to_json(),
-            "pi2_aut_stable": self.pi2_aut_stable.to_json(),
-            "iota_one_order": self.iota_one_order,
-        }
+        groups = {name: getattr(self, f).to_json() for name, f in self._GROUPS}
+        return {"n": self.n, **groups, "iota_one_order": self.iota_one_order}
 
 
 def _require_valid(a) -> ZeroOneMatrix:
@@ -339,13 +335,14 @@ def _pi(ext1: FgAbGroup, ext0: FgAbGroup, k0: FgAbGroup, k1: FgAbGroup,
     """Homotopy group of the automorphism group from its Ext/K data.
 
     Degree 1 is (Ext^1 x K_0) + (Ext^0 x K_1); degree 2 swaps the K's and
-    picks up Tor(Ext^1, K_0).  The Tor terms vanish in degree 1 because
-    Ext^0 and K_1 are free.
+    picks up Tor(Ext^1, K_0) = T(Ext^1) x T(K_0).  The Tor terms vanish in
+    degree 1 because Ext^0 and K_1 are free.  So each degree is one sum of
+    tensor products, :func:`ckinv.groups._tensor_sum`, the rule behind
+    Hom(G, H) = Z^rank(G) x H + T(G) x T(H) and Ext^1(G, H) = T(G) x H too.
     """
     if n == 1:
-        return ext1.tensor(k0).direct_sum(ext0.tensor(k1))
-    return (ext1.tensor(k1).direct_sum(ext0.tensor(k0))
-            .direct_sum(ext1.tor(k0)))
+        return _tensor_sum((ext1, k0), (ext0, k1))
+    return _tensor_sum((ext1, k1), (ext0, k0), (ext1.torsion, k0.torsion))
 
 
 def _require_degree(n: int) -> None:

@@ -167,16 +167,9 @@ def render_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-_REPORT_FIELDS = ("K0", "K1", "ExtW1", "ExtW0", "ExtS1", "ExtS0",
-                  "pi1_aut", "pi2_aut", "pi1_aut_stable", "pi2_aut_stable")
-
-
 def render_report_text(rep: ck.CKReport) -> str:
-    groups = (rep.k0, rep.k1, rep.ext_w1, rep.ext_w0, rep.ext_s1, rep.ext_s0,
-              rep.pi1_aut, rep.pi2_aut, rep.pi1_aut_stable,
-              rep.pi2_aut_stable)
     lines = [f"n: {rep.n}"]
-    lines.extend(f"{name}: {g}" for name, g in zip(_REPORT_FIELDS, groups))
+    lines.extend(f"{name}: {getattr(rep, f)}" for name, f in rep._GROUPS)
     order = rep.iota_one_order
     lines.append(f"iota_one_order: {order}"
                  + (" (infinite)" if order == 0 else ""))

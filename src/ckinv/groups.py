@@ -6,10 +6,15 @@ free rank r and its invariant factors d_1 | d_2 | ... | d_k (each >= 2):
     G  =  Z^r  +  Z/d_1  +  ...  +  Z/d_k
 
 ``FgAbGroup`` stores exactly that data, so two values describe isomorphic
-groups if and only if they compare equal.  The closed-form calculus of
-direct sums, tensor products, Tor, Hom and Ext over this canonical form is
-implemented here; presentations by generators and relations live in
-:mod:`ckinv.presented`.
+groups if and only if they compare equal.  The calculus over it is one
+rule, :func:`_tensor_sum`, the canonical form of a sum of tensor products
+G x H: as Z x H = H and Z/d x Z/e = Z/gcd(d, e), its free rank is the
+count sum rank(G) rank(H), and its torsion moduli, T(H) rank(G) times,
+T(G) rank(H) times and gcd(d, e) over every pair of factors, are chained
+once.  With T(G) the torsion subgroup, G + H = G x Z + H x Z,
+Tor(G, H) = T(G) x T(H), Hom(G, H) = Z^rank(G) x H + T(G) x T(H) and
+Ext^1(G, H) = T(G) x H.  Presentations by generators and relations live
+in :mod:`ckinv.presented`.
 
 >>> G = canonical_from_cyclic([2, 3])
 >>> G
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from operator import index
 from typing import Iterable
 
@@ -85,26 +90,19 @@ class FgAbGroup:
     @property
     def order(self) -> int:
         """Number of elements; 0 encodes an infinite group."""
-        if self.free_rank:
-            return 0
-        prod = 1
-        for d in self.invariant_factors:
-            prod *= d
-        return prod
+        return 0 if self.free_rank else prod(self.invariant_factors)
 
     # -- calculus ----------------------------------------------------------
 
     def direct_sum(self, other: "FgAbGroup") -> "FgAbGroup":
-        """G + H in canonical form.
+        """G + H in canonical form, as G x Z + H x Z.
 
         >>> print(Z2.direct_sum(canonical_from_cyclic([3])))
         Z/6
         >>> Z2.direct_sum(TRIVIAL) == Z2
         True
         """
-        return canonical_from_cyclic(
-            [0] * (self.free_rank + other.free_rank)
-            + list(self.invariant_factors) + list(other.invariant_factors))
+        return _tensor_sum((self, Z), (other, Z))
 
     def tensor(self, other: "FgAbGroup") -> "FgAbGroup":
         """Tensor product over Z.
@@ -116,27 +114,21 @@ class FgAbGroup:
         >>> print(FgAbGroup(1, (2,)).tensor(Z2))
         Z/2 + Z/2
         """
-        mods = [0] * (self.free_rank * other.free_rank)
-        mods += list(other.invariant_factors) * self.free_rank
-        mods += list(self.invariant_factors) * other.free_rank
-        mods += [gcd(d, e) for d in self.invariant_factors
-                 for e in other.invariant_factors]
-        return canonical_from_cyclic(mods)
+        return _tensor_sum((self, other))
 
     def tor(self, other: "FgAbGroup") -> "FgAbGroup":
-        """Torsion product Tor(G, H); free parts contribute nothing.
+        """Torsion product Tor(G, H) = T(G) x T(H); free parts contribute
+        nothing.
 
         >>> print(canonical_from_cyclic([4]).tor(canonical_from_cyclic([6])))
         Z/2
         >>> Z.tor(Z2).is_trivial
         True
         """
-        return canonical_from_cyclic(
-            [gcd(d, e) for d in self.invariant_factors
-             for e in other.invariant_factors])
+        return _tensor_sum((self.torsion, other.torsion))
 
     def hom(self, other: "FgAbGroup") -> "FgAbGroup":
-        """The group Hom(G, H) of homomorphisms.
+        """The group Hom(G, H) = Z^rank(G) x H + T(G) x T(H).
 
         Hom(Z, H) = H, Hom(Z/n, Z) = 0, Hom(Z/n, Z/m) = Z/gcd(n, m).
 
@@ -145,14 +137,11 @@ class FgAbGroup:
         >>> canonical_from_cyclic([6]).hom(Z).is_trivial
         True
         """
-        mods = [0] * (self.free_rank * other.free_rank)
-        mods += list(other.invariant_factors) * self.free_rank
-        mods += [gcd(d, e) for d in self.invariant_factors
-                 for e in other.invariant_factors]
-        return canonical_from_cyclic(mods)
+        return _tensor_sum((FgAbGroup(self.free_rank), other),
+                           (self.torsion, other.torsion))
 
     def ext1(self, other: "FgAbGroup") -> "FgAbGroup":
-        """The extension group Ext^1(G, H).
+        """The extension group Ext^1(G, H) = T(G) x H.
 
         Ext^1(Z, -) = 0 and Ext^1(Z/n, H) = H/nH.
 
@@ -161,11 +150,7 @@ class FgAbGroup:
         >>> print(canonical_from_cyclic([4]).ext1(canonical_from_cyclic([6])))
         Z/2
         """
-        mods = []
-        for d in self.invariant_factors:
-            mods += [d] * other.free_rank
-            mods += [gcd(d, e) for e in other.invariant_factors]
-        return canonical_from_cyclic(mods)
+        return _tensor_sum((self.torsion, other))
 
     # -- rendering ---------------------------------------------------------
 
@@ -222,16 +207,34 @@ def canonical_from_cyclic(moduli: Iterable[int]) -> FgAbGroup:
     >>> canonical_from_cyclic([2, 3]).invariant_factors
     (6,)
     """
-    work = []
-    free = 0
-    for m in map(index, moduli):
-        if m < 0:
-            raise ValueError(f"cyclic modulus must be >= 0: {m}")
-        if m == 0:
-            free += 1
-        elif m != 1:
-            work.append(m)
-    return FgAbGroup(free, tuple(m for m in _chain(work) if m != 1))
+    work = list(map(index, moduli))
+    if work and min(work) < 0:
+        raise ValueError(f"cyclic modulus must be >= 0: {min(work)}")
+    return _canonical(work.count(0), work)
+
+
+def _canonical(free: int, moduli: list[int]) -> FgAbGroup:
+    """Z^free plus the sum of Z/m over the moduli m > 1, canonical."""
+    return FgAbGroup(free, tuple(
+        m for m in _chain([m for m in moduli if m > 1]) if m != 1))
+
+
+def _tensor_sum(*pairs: tuple[FgAbGroup, FgAbGroup]) -> FgAbGroup:
+    """Canonical form of the sum of G x H over the pairs (G, H), free
+    summands counted, never listed.
+
+    >>> print(_tensor_sum((FgAbGroup(1, (2,)), canonical_from_cyclic([6])),
+    ...                   (Z, Z)))
+    Z^1 + Z/2 + Z/6
+    """
+    free, mods = 0, []
+    for g, h in pairs:
+        free += g.free_rank * h.free_rank
+        mods += h.invariant_factors * g.free_rank
+        mods += g.invariant_factors * h.free_rank
+        mods += [gcd(d, e) for d in g.invariant_factors
+                 for e in h.invariant_factors]
+    return _canonical(free, mods)
 
 
 def free_abelian(rank: int) -> FgAbGroup:

@@ -29,6 +29,7 @@ it reads their int rows, with no numpy either.
 from __future__ import annotations
 
 from functools import cached_property
+from math import prod
 from operator import add, index, mul, sub
 from typing import TYPE_CHECKING
 
@@ -365,4 +366,4 @@ def order_from_quotient(group: FgAbGroup, quotient: FgAbGroup) -> int:
     """
     if quotient.free_rank != group.free_rank:
         return 0
-    return group.torsion.order // quotient.torsion.order
+    return prod(group.invariant_factors) // prod(quotient.invariant_factors)

@@ -36,7 +36,8 @@ class RealizationTarget:
             raise ValueError(f"torsion factors must be >= 2: {self.factors}")
 
     def group(self) -> FgAbGroup:
-        return canonical_from_cyclic([0] * self.rank + list(self.factors))
+        return FgAbGroup(self.rank,
+                         canonical_from_cyclic(self.factors).invariant_factors)
 
 
 class RealizationError(VerificationError):

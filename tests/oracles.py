@@ -14,7 +14,13 @@ gcd/lcm pass over every pair of moduli that ``groups._chain`` ran before
 it inserted each modulus into the chain.  ``range_search`` is the
 bounded search for a cyclic quotient of Z + M that ``realize.range_witness``
 ran before it decided the question by the interlacing of invariant
-factors.  They are deliberately slow and simple.
+factors.  ``listed_direct_sum``, ``listed_tensor``, ``listed_tor``,
+``listed_hom`` and ``listed_ext1`` are the bodies of the ``FgAbGroup``
+methods before each became ``groups._tensor_sum`` through an identity:
+they split the free and torsion cases by hand and list every free summand
+as a 0 modulus.  ``kronecker_tensor_sum`` reads a sum of tensor products
+off one cokernel, the Kronecker presentation of each product.  They are
+deliberately slow and simple.
 The exceptions build library groups and read them the long way round:
 ``transforms_order`` reads an element's order off the Smith transforms of
 its presentation (``canonical_coords``), a route the library's order rule
@@ -38,7 +44,7 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from ckinv import intmat
-from ckinv.groups import FgAbGroup
+from ckinv.groups import FgAbGroup, canonical_from_cyclic
 from ckinv.presented import GroupElement, GroupHom, PresentedGroup, \
     order_from_quotient, quotient_by_elements
 
@@ -115,6 +121,87 @@ def all_pairs_chain(ds: list[int]) -> list[int]:
             g = gcd(ds[i], ds[j])
             ds[i], ds[j] = g, ds[i] * ds[j] // g
     return ds
+
+
+def listed_direct_sum(self: FgAbGroup, other: FgAbGroup) -> FgAbGroup:
+    return canonical_from_cyclic(
+        [0] * (self.free_rank + other.free_rank)
+        + list(self.invariant_factors) + list(other.invariant_factors))
+
+
+def listed_tensor(self: FgAbGroup, other: FgAbGroup) -> FgAbGroup:
+    mods = [0] * (self.free_rank * other.free_rank)
+    mods += list(other.invariant_factors) * self.free_rank
+    mods += list(self.invariant_factors) * other.free_rank
+    mods += [gcd(d, e) for d in self.invariant_factors
+             for e in other.invariant_factors]
+    return canonical_from_cyclic(mods)
+
+
+def listed_tor(self: FgAbGroup, other: FgAbGroup) -> FgAbGroup:
+    return canonical_from_cyclic(
+        [gcd(d, e) for d in self.invariant_factors
+         for e in other.invariant_factors])
+
+
+def listed_hom(self: FgAbGroup, other: FgAbGroup) -> FgAbGroup:
+    mods = [0] * (self.free_rank * other.free_rank)
+    mods += list(other.invariant_factors) * self.free_rank
+    mods += [gcd(d, e) for d in self.invariant_factors
+             for e in other.invariant_factors]
+    return canonical_from_cyclic(mods)
+
+
+def listed_ext1(self: FgAbGroup, other: FgAbGroup) -> FgAbGroup:
+    mods = []
+    for d in self.invariant_factors:
+        mods += [d] * other.free_rank
+        mods += [gcd(d, e) for e in other.invariant_factors]
+    return canonical_from_cyclic(mods)
+
+
+def composite_pi(ext1, ext0, k0, k1, n: int) -> FgAbGroup:
+    """pi_n of Aut(O_A) as ``ck._pi`` composed it before it made each
+    degree one sum of tensor products, on the listed functors."""
+    if n == 1:
+        return listed_direct_sum(listed_tensor(ext1, k0),
+                                 listed_tensor(ext0, k1))
+    return listed_direct_sum(
+        listed_direct_sum(listed_tensor(ext1, k1), listed_tensor(ext0, k0)),
+        listed_tor(ext1, k0))
+
+
+def _diagonal(g: FgAbGroup) -> list[list[int]]:
+    """Square relation matrix of g: one generator per cyclic summand, its
+    column 0 for a free one and d e_i for Z/d."""
+    ds = [0] * g.free_rank + list(g.invariant_factors)
+    return [[d if i == j else 0 for j in range(len(ds))]
+            for i, d in enumerate(ds)]
+
+
+def _kron(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _eye(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def kronecker_tensor_sum(*pairs) -> FgAbGroup:
+    """The sum of G x H over the pairs (G, H), as the cokernel of one block
+    diagonal matrix: G x H is presented by [D_G x I | I x D_H] for
+    relation matrices D_G of G and D_H of H."""
+    blocks = []
+    for g, h in pairs:
+        dg, dh = _diagonal(g), _diagonal(h)
+        blocks.append([r + s for r, s in zip(_kron(dg, _eye(len(dh))),
+                                             _kron(_eye(len(dg)), dh))])
+    width = sum(2 * len(b) for b in blocks)
+    rows, left = [], 0
+    for b in blocks:
+        rows += [[0] * left + r + [0] * (width - left - len(r)) for r in b]
+        left += 2 * len(b)
+    return intmat.cokernel_invariants(rows)
 
 
 # Largest number of candidates range_search tries.  Each costs one small

@@ -11,9 +11,9 @@ from ckinv.presented import GroupHom, PresentedGroup
 from ckinv.selftest import AMPLIFIED_SHAPES, CUNTZ_SIDES, \
     check_amplified_fixtures, check_cuntz_fixtures
 
-from oracles import augmented_matrix, hat_matrix, iota_nodes, \
-    numpy_hermite_normal_form, ones_row_matrix, sequence_exactness, \
-    transforms_order, with_kernel
+from oracles import augmented_matrix, composite_pi, hat_matrix, \
+    iota_nodes, numpy_hermite_normal_form, ones_row_matrix, \
+    sequence_exactness, transforms_order, with_kernel
 
 EX3_A = [[1, 1, 1], [1, 1, 1], [1, 0, 0]]
 EX3_B = [[1, 1, 1], [1, 1, 0], [1, 1, 0]]  # the transpose of EX3_A
@@ -846,3 +846,15 @@ def test_gen_random_refuses_a_density_that_expects_too_many_draws(
     # just inside the cap, and the corpus's lowest density, still draw
     ck.gen_random_irreducible(2, 1 - (1 - 1 / draws) ** 0.5 + 1e-6, seed=1)
     assert ck.gen_random_irreducible(2, 0.05, seed=3).n == 2
+
+
+def test_pi_matches_the_composite_form(reports500):
+    # one sum of tensor products per degree against the direct sums of
+    # tensor products and Tor that _pi composed before, on listed functors
+    for r in reports500:
+        for ext1, ext0, pis in ((r.ext_s1, r.ext_s0, (r.pi1_aut, r.pi2_aut)),
+                                (r.ext_w1, r.ext_w0, (r.pi1_aut_stable,
+                                                      r.pi2_aut_stable))):
+            for n, pi in zip((1, 2), pis):
+                assert pi == ck._pi(ext1, ext0, r.k0, r.k1, n) \
+                    == composite_pi(ext1, ext0, r.k0, r.k1, n), r

@@ -8,8 +8,11 @@ import pytest
 
 import ckinv.groups
 from ckinv.groups import FgAbGroup, TRIVIAL, Z, Z2, canonical_from_cyclic
+from ckinv.realize import RealizationTarget
 
-from oracles import all_pairs_chain, minor_gcd_diagonal
+from oracles import all_pairs_chain, kronecker_tensor_sum, \
+    listed_direct_sum, listed_ext1, listed_hom, listed_tensor, listed_tor, \
+    minor_gcd_diagonal
 
 
 def test_doctests():
@@ -181,3 +184,40 @@ def test_render():
 def test_json_roundtrip():
     for g in (TRIVIAL, Z, FgAbGroup(3, (2, 4, 8))):
         assert FgAbGroup.from_json(g.to_json()) == g
+
+
+def test_functors_match_the_listed_and_kronecker_oracles():
+    # each functor is one sum of tensor products: against its hand-split
+    # listed body, and against the Kronecker presentation of that sum
+    rng = random.Random(2404)
+    for _ in range(300):
+        g, h = (canonical_from_cyclic(
+            [0] * rng.randint(0, 3)
+            + [rng.randint(2, 30) for _ in range(rng.randint(0, 3))])
+            for _ in range(2))
+        tg, th = g.torsion, h.torsion
+        assert g.tensor(h) == listed_tensor(g, h) \
+            == kronecker_tensor_sum((g, h)), (g, h)
+        assert g.tor(h) == listed_tor(g, h) \
+            == kronecker_tensor_sum((tg, th)), (g, h)
+        assert g.hom(h) == listed_hom(g, h) \
+            == kronecker_tensor_sum((FgAbGroup(g.free_rank), h), (tg, th))
+        assert g.ext1(h) == listed_ext1(g, h) \
+            == kronecker_tensor_sum((tg, h)), (g, h)
+        assert g.direct_sum(h) == listed_direct_sum(g, h) \
+            == kronecker_tensor_sum((g, Z), (h, Z)), (g, h)
+
+
+def test_free_summands_are_counted_not_listed():
+    # the listed forms built one 0 modulus per free summand: 16 M of them
+    # for a tensor product of two groups of free rank 4000, 0.86 s (2-core
+    # x86-64), and 10**18 for free rank 10**9
+    for make, expected in (
+            (lambda: FgAbGroup(4000).tensor(FgAbGroup(4000)), 16_000_000),
+            (lambda: FgAbGroup(4000).hom(FgAbGroup(4000)), 16_000_000),
+            (lambda: RealizationTarget(10**7).group(), 10**7)):
+        start = time.perf_counter()
+        g = make()
+        assert time.perf_counter() - start < 0.05
+        assert g == FgAbGroup(expected)
+    assert FgAbGroup(10**9).tensor(FgAbGroup(10**9)) == FgAbGroup(10**18)
