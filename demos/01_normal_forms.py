@@ -2,39 +2,52 @@
 
 Everything in ckinv reduces to integer linear algebra that never rounds:
 Smith and Hermite normal forms with their unimodular transforms, kernel
-bases, and cokernel invariants.
+bases, and cokernel invariants.  Matrices go in as rows of Python ints and
+come out as rows or columns of Python ints, so no numpy is needed.
 """
-
-import numpy as np
 
 from ckinv import (cokernel_invariants, hermite_normal_form, kernel_basis,
                    lattice_contains, smith_normal_form)
 
+
+def matmul(a, b):
+    """The product of two matrices given as int rows."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def show(rows):
+    for row in rows:
+        print("  ", row)
+
+
 # A small integer matrix and its Smith normal form u @ m @ v = s.
-m = np.array([[2, 4, 4],
-              [-6, 6, 12],
-              [10, -4, -16]])
+m = [[2, 4, 4],
+     [-6, 6, 12],
+     [10, -4, -16]]
 dec = smith_normal_form(m)
-print("matrix:\n", m)
+print("matrix:")
+show(m)
 print("smith diagonal:", dec.diagonal)
-reassembled = dec.u @ np.asarray(m, dtype=object) @ dec.v
-print("u @ m @ v == s:", bool((reassembled == dec.s).all()))
+v = [list(row) for row in zip(*dec.v_columns)]
+s = [[d if i == j else 0 for j in range(3)]
+     for i, d in enumerate(dec.diagonal)]
+print("u @ m @ v == s:", matmul(matmul(dec.u_rows, m), v) == s)
 
 # The diagonal reads off the cokernel: Z^3 / (column lattice of m).
 print("cokernel:", cokernel_invariants(m))
 
-# Kernels are returned as full lattice bases (columns).
-k = kernel_basis([[1, 1, 1]])
+# Kernels are returned as full lattice bases, one list per basis column.
 print("\nkernel of the sum map Z^3 -> Z:")
-print(k.T)
+show(kernel_basis([[1, 1, 1]]))
 
 # Hermite form answers membership questions exactly.
 cols = [[2, 1], [0, 3]]
 print("\ncolumn lattice of", cols)
 print("  contains (2, 3)?", lattice_contains(cols, [2, 3]))
 print("  contains (1, 0)?", lattice_contains(cols, [1, 0]))
-h = hermite_normal_form(cols)
-print("hermite form:\n", h.h)
+print("hermite form, by columns:")
+show(hermite_normal_form(cols).h_columns)
 
 # Entries can be arbitrarily large; the arithmetic stays exact.
 big = [[10 ** 40, 1], [0, 10 ** 40]]

@@ -13,7 +13,7 @@ carry no shared mutable state, so independent calls may run in parallel.
 
 from .groups import FgAbGroup, TRIVIAL, Z, Z2, canonical_from_cyclic, \
     free_abelian
-from .intmat import HermiteDecomposition, SmithDecomposition, as_intmat, \
+from .intmat import HermiteDecomposition, SmithDecomposition, \
     cokernel_invariants, hermite_normal_form, kernel_basis, \
     lattice_contains, lattice_solve, smith_diagonal, smith_normal_form
 from .presented import GroupElement, GroupHom, PresentedGroup, \
@@ -31,8 +31,8 @@ __version__ = "0.1.0"
 __all__ = [
     "FgAbGroup", "TRIVIAL", "Z", "Z2", "canonical_from_cyclic",
     "free_abelian",
-    "SmithDecomposition", "HermiteDecomposition", "as_intmat",
-    "cokernel_invariants", "hermite_normal_form", "kernel_basis",
+    "SmithDecomposition", "HermiteDecomposition", "cokernel_invariants",
+    "hermite_normal_form", "kernel_basis",
     "lattice_contains", "lattice_solve", "smith_diagonal",
     "smith_normal_form",
     "PresentedGroup", "GroupElement", "GroupHom", "is_exact_at",

@@ -27,7 +27,7 @@ Z/2
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from math import gcd, prod
 from operator import index
@@ -177,20 +177,38 @@ class FgAbGroup:
 
 def _chain(ds: list[int]) -> list[int]:
     """Invariant factors of the direct sum of Z/d, in place, with any 1s
-    in front.  Each d is carried into the chain so far: an entry v it
-    passes becomes gcd(v, carry) and the carry lcm(v, carry), which the
-    later copies of v divide, so it skips them; it is inserted at the
-    first entry it divides, past which the chain would only shift."""
-    chain = []
+    in front.  The chain is held as the count of each distinct entry, and
+    each d is carried into it: past each entry v it does not divide, one
+    copy of v becomes gcd(v, carry) and the carry lcm(v, carry); the
+    carry joins the chain at the first entry it divides.  The entries
+    that divide the carry, a prefix, are skipped by bisection.  A chain
+    of b-bit entries has at most b + 1 distinct ones, so n moduli take
+    time linear in n, in any order."""
+    if len(ds) < 2:  # already a chain
+        return ds
+    count, keys = {}, []  # keys: the distinct entries, ascending
+
+    def add(v: int, k: int) -> None:
+        count[v] = count.get(v, 0) + k
+        if not count[v]:
+            del count[v]
+            keys.remove(v)
+        elif count[v] == k:  # v is new
+            insort(keys, v)
+
     for carry in ds:
-        i = 0
-        while i < len(chain) and chain[i] % carry:
-            v = chain[i]
+        i = bisect_left(keys, True, key=lambda v: carry % v > 0)
+        while i < len(keys) and keys[i] % carry:
+            v = keys[i]
             g = gcd(v, carry)
-            chain[i], carry = g, v // g * carry
-            i = bisect_right(chain, v, i + 1)
-        chain.insert(i, carry)
-    ds[:] = chain
+            carry = v // g * carry
+            add(v, -1)
+            add(g, 1)
+            i = bisect_right(keys, v)
+        add(carry, 1)
+    ds.clear()
+    for v in keys:
+        ds += [v] * count[v]
     return ds
 
 
@@ -219,14 +237,28 @@ def _canonical(free: int, moduli: list[int]) -> FgAbGroup:
         m for m in _chain([m for m in moduli if m > 1]) if m != 1))
 
 
+# Most torsion moduli _tensor_sum lists: 10**6 of them took 0.3 to 0.8 s
+# to chain at a peak of 55 MB (2-core x86-64, Python 3.11), and the pi
+# groups of a report of side 330 list at most 3 * 330**2 (3.3 * 10**5).
+MAX_TENSOR_MODULI = 10 ** 6
+
+
 def _tensor_sum(*pairs: tuple[FgAbGroup, FgAbGroup]) -> FgAbGroup:
     """Canonical form of the sum of G x H over the pairs (G, H), free
-    summands counted, never listed.
+    summands counted, never listed; more than :data:`MAX_TENSOR_MODULI`
+    torsion moduli raise ``ValueError`` before any is listed.
 
     >>> print(_tensor_sum((FgAbGroup(1, (2,)), canonical_from_cyclic([6])),
     ...                   (Z, Z)))
     Z^1 + Z/2 + Z/6
     """
+    listed = sum(g.free_rank * len(h.invariant_factors)
+                 + h.free_rank * len(g.invariant_factors)
+                 + len(g.invariant_factors) * len(h.invariant_factors)
+                 for g, h in pairs)
+    if listed > MAX_TENSOR_MODULI:
+        raise ValueError(f"{listed} torsion moduli exceed the cap of "
+                         f"{MAX_TENSOR_MODULI}")
     free, mods = 0, []
     for g, h in pairs:
         free += g.free_rank * h.free_rank

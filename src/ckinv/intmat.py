@@ -3,12 +3,9 @@
 A matrix is given as rows of Python ints, or as anything whose
 ``tolist()`` gives such rows (booleans are 0 and 1), such as a numpy
 array, for every routine here and for :func:`ckinv.ck.validate`; no
-numpy is imported to read it (see :func:`_shaped`).  The APIs that
-return matrices (transforms, kernel bases) return 2-D numpy arrays of
-Python ints (``dtype=object``), so every computation is exact with no
-magnitude bound, and ordinary numpy operators (``@``, ``+``, ``-``,
-``.T``) are the matrix algebra on them.  This module adds the normal
-forms and lattice routines:
+numpy is imported to read it (see :func:`_shaped`).  Every computation
+is exact, with no magnitude bound.  This module has the normal forms and
+lattice routines:
 
   * :func:`smith_normal_form`   -- u @ m @ v = s, unimodular u, v,
     non-negative diagonal forming a divisibility chain
@@ -17,13 +14,12 @@ forms and lattice routines:
   * :func:`kernel_basis`, :func:`cokernel_invariants`
   * :func:`lattice_contains`, :func:`lattice_solve`
 
-Every elimination runs on lists of Python ints, and lists or tuples of
-int rows are taken as they are.
-:class:`SmithDecomposition` keeps the diagonal, the rows of u and the
-columns of v, and :class:`HermiteDecomposition` the columns of h and u,
-as Python ints; their arrays, like those :func:`kernel_basis` and
-:func:`lattice_solve` return, are built from these lists on first
-access, and only what returns an array imports numpy.
+Every elimination runs on lists of Python ints, and every result is
+Python ints, down to the rows of u and columns of v that
+:class:`SmithDecomposition` keeps and the columns of h and u of
+:class:`HermiteDecomposition`.  Only their arrays ``u``, ``s``, ``v`` and
+``h``, object arrays built on first access for the benchmark, import
+numpy (the ``arrays`` extra).
 :func:`smith_normal_form` runs a min-abs-pivot Smith loop on the whole
 matrix with its transforms.  :func:`smith_diagonal` first eliminates unit
 pivots, each in the shortest row that holds one and there in the
@@ -139,13 +135,6 @@ def _identity_rows(n: int) -> list[list[int]]:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
-def as_intmat(data) -> np.ndarray:
-    """A matrix, read as every routine here reads it, as a 2-D object
-    array of Python ints; an empty list becomes a 0 x 0 matrix."""
-    rows, width = _shaped(data)
-    return _object_array(rows, (len(rows), width))
-
-
 def _object_array(values, shape: tuple[int, ...]) -> np.ndarray:
     """An object array of the given shape holding these Python ints, given
     as nested sequences in row-major order."""
@@ -178,10 +167,9 @@ class SmithDecomposition:
     @cached_property
     def s(self) -> np.ndarray:
         rows, cols = len(self.u_rows), len(self.v_columns)
-        s = _object_array([[0] * cols for _ in range(rows)], (rows, cols))
-        for i, d in enumerate(self.diagonal):
-            s[i, i] = d
-        return s
+        diag = self.diagonal
+        return _object_array([[diag[i] if i == j else 0 for j in range(cols)]
+                              for i in range(rows)], (rows, cols))
 
     @cached_property
     def v(self) -> np.ndarray:
@@ -676,23 +664,20 @@ def hermite_normal_form(m) -> HermiteDecomposition:
     return _hermite(*_columns(m))
 
 
-def kernel_basis(m) -> np.ndarray:
-    """Basis of the integer kernel lattice {x : m @ x = 0}, as columns.
-
-    The result has shape (cols, k); k = 0 means the kernel is trivial.
-    Because the basis comes from the unimodular Hermite transform it spans
-    the full kernel lattice, not a finite-index sublattice.
-    """
-    dec = hermite_normal_form(m)
-    return _from_columns(dec.kernel, len(dec.u_columns))
+def kernel_basis(m) -> list[list[int]]:
+    """Basis of the integer kernel lattice {x : m @ x = 0}, as a list of
+    columns of Python ints, [] when the kernel is trivial.  It comes from
+    the unimodular Hermite transform, so it spans the full kernel lattice,
+    not a finite-index sublattice."""
+    return hermite_normal_form(m).kernel
 
 
-def lattice_solve(m, v) -> np.ndarray | None:
-    """Integer x with m @ x = v, or None when v is outside the lattice."""
-    x = hermite_normal_form(m).solve(v)
-    return None if x is None else _object_array(x, (len(x),))
+def lattice_solve(m, v) -> list[int] | None:
+    """Integer x with m @ x = v, as a list of Python ints, or None when v
+    is outside the lattice."""
+    return hermite_normal_form(m).solve(v)
 
 
 def lattice_contains(m, v) -> bool:
     """True iff v lies in the column lattice of m."""
-    return hermite_normal_form(m).solve(v) is not None
+    return lattice_solve(m, v) is not None

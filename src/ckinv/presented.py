@@ -17,13 +17,11 @@ kernel, must lie in the lattice that im(f) and the middle's relations
 span.  No presentation of ker(g)/im(f) is built.
 
 A group holds its relations as a list of int columns, a hom its matrix as
-a list of int rows and an element its coordinates as a tuple of ints, and
-every query above runs on these, with no numpy.  The arrays
-:attr:`PresentedGroup.relations` and :attr:`GroupElement.coords`, and
-those :meth:`GroupHom.kernel` and :meth:`GroupHom.image` return, are
-built from them when asked for, which imports numpy.  Only
-:meth:`PresentedGroup.canonical_coords` computes Smith transforms, and
-it reads their int rows, with no numpy either.
+a list of int rows and an element its coordinates as a tuple of ints.
+Every query runs on these, with no numpy, and every result is Python
+ints: relations, images and kernel lifts as new lists of int columns.
+Only :meth:`PresentedGroup.canonical_coords` computes Smith transforms,
+and it reads their int rows.
 """
 
 from __future__ import annotations
@@ -31,13 +29,9 @@ from __future__ import annotations
 from functools import cached_property
 from math import prod
 from operator import add, index, mul, sub
-from typing import TYPE_CHECKING
 
 from . import intmat
 from .groups import FgAbGroup
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _images(rows, columns) -> list[list[int]]:
@@ -78,11 +72,10 @@ class PresentedGroup:
         return (f"PresentedGroup({self.generators}, "
                 f"{len(self._relations)} relations; {self.canonical()})")
 
-    @cached_property
-    def relations(self) -> np.ndarray:
-        """The relation matrix, one column per relation, as an object
-        array of Python ints."""
-        return intmat._from_columns(self._relations, self.generators)
+    @property
+    def relations(self) -> list[list[int]]:
+        """The relation columns, as new lists of Python ints."""
+        return [list(c) for c in self._relations]
 
     @cached_property
     def _rel_snf(self) -> intmat.SmithDecomposition:
@@ -150,21 +143,17 @@ class GroupElement:
     correctness hazard, so it raises instead.
     """
 
-    __slots__ = ("group", "_coords", "_array")
+    __slots__ = ("group", "_coords")
     __hash__ = None
 
     def __init__(self, group: PresentedGroup, coords):
         self.group = group
         self._coords = intmat._vector(coords, group.generators)
-        self._array = None
 
     @property
-    def coords(self) -> np.ndarray:
-        """The coordinates as a 1-D object array of Python ints."""
-        if self._array is None:
-            self._array = intmat._object_array(self._coords,
-                                               (len(self._coords),))
-        return self._array
+    def coords(self) -> tuple[int, ...]:
+        """The coordinates, a tuple of Python ints."""
+        return self._coords
 
     def _same_group(self, other: "GroupElement") -> None:
         if self.group is not other.group:
@@ -272,16 +261,14 @@ class GroupHom:
             intmat._transpose(_images(self._rows, inner._columns),
                               self.target.generators))
 
-    def _image(self) -> list[list[int]]:
-        return self._columns + self.target._relations
-
-    def image(self) -> np.ndarray:
-        """Columns generating the image inside target coordinates.
+    def image(self) -> list[list[int]]:
+        """Columns generating the image inside target coordinates, as new
+        lists of Python ints.
 
         Images of the source generators together with the target relations;
         their column lattice is the preimage of im(f) in Z^target.
         """
-        return intmat._from_columns(self._image(), self.target.generators)
+        return [list(c) for c in self._columns + self.target._relations]
 
     @cached_property
     def _lift(self) -> list[list[int]]:
@@ -290,29 +277,23 @@ class GroupHom:
         return _preimage_generators(self._columns, self.target._relations,
                                     self.target.generators)
 
-    def _kernel(self) -> tuple[PresentedGroup, list[list[int]]]:
+    def kernel(self) -> tuple[PresentedGroup, list[list[int]]]:
+        """Kernel, presented on lifted generators: ``(k, lift)``, where
+        ``lift`` is a new list of columns of Python ints, source coordinates
+        of generators of the kernel, and ``k`` presents the kernel on them.
+        """
         if not self.is_well_defined():
             raise ValueError("hom is not well-defined")
-        lift = self._lift
+        lift = [list(c) for c in self._lift]
         rel = _preimage_generators(lift, self.source._relations,
                                    self.source.generators)
         return PresentedGroup._on_columns(len(lift), rel), lift
 
-    def kernel(self) -> tuple[PresentedGroup, np.ndarray]:
-        """Kernel, presented on lifted generators.
-
-        Returns ``(k, lift)`` where the columns of ``lift`` are source
-        coordinate vectors generating the kernel and ``k`` presents the
-        kernel on those generators.
-        """
-        k, lift = self._kernel()
-        return k, intmat._from_columns(lift, self.source.generators)
-
     def is_injective(self) -> bool:
-        return self._kernel()[0].canonical().is_trivial
+        return self.kernel()[0].canonical().is_trivial
 
     def is_surjective(self) -> bool:
-        return _cokernel(self.target.generators, self._image()).is_trivial
+        return _cokernel(self.target.generators, self.image()).is_trivial
 
 
 def _preimage_generators(columns, lattice, height: int) -> list[list[int]]:
@@ -344,7 +325,7 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
         raise ValueError("sequence is not composable at this node")
     if not g.target._contains(_images(g._rows, f._columns)):
         return False
-    middle = PresentedGroup._on_columns(f.target.generators, f._image())
+    middle = PresentedGroup._on_columns(f.target.generators, f.image())
     return middle._contains(g._lift)
 
 

@@ -129,7 +129,7 @@ def _hat_factorizes(a: ck.ZeroOneMatrix) -> bool:
     r1 = [[1] * n] + [[0] * n for _ in range(n - 1)]
     hat = [[x + y - z for x, y, z in zip(*t)]
            for t in zip(rows, r1, _product(rows, r1))]
-    lib = intmat._transpose(ck.ext_strong_presentation(a)._relations, n)
+    lib = intmat._transpose(ck.ext_strong_presentation(a).relations, n)
     return _i_minus(hat) == _product(_i_minus(rows), _i_minus(r1)) == lib
 
 

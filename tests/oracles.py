@@ -11,14 +11,17 @@ about the same size.  ``one_step_bareiss`` is the fraction-free pass the
 library ran before it took two pivots per pass: its minor gcds must
 match ``intmat._bareiss`` list for list.  ``all_pairs_chain`` is the
 gcd/lcm pass over every pair of moduli that ``groups._chain`` ran before
-it inserted each modulus into the chain.  ``range_search`` is the
-bounded search for a cyclic quotient of Z + M that ``realize.range_witness``
-ran before it decided the question by the interlacing of invariant
-factors.  ``listed_direct_sum``, ``listed_tensor``, ``listed_tor``,
-``listed_hom`` and ``listed_ext1`` are the bodies of the ``FgAbGroup``
-methods before each became ``groups._tensor_sum`` through an identity:
-they split the free and torsion cases by hand and list every free summand
-as a 0 modulus.  ``kronecker_tensor_sum`` reads a sum of tensor products
+it inserted each modulus into the chain, and ``front_insert_chain`` that
+insertion as it ran on the listed chain, each modulus put in front of the
+entries equal to it, before ``_chain`` counted the distinct entries.
+``range_search`` is the bounded search for a cyclic quotient of Z + M
+that ``realize.range_witness`` ran before it decided the question by the
+interlacing of invariant factors.  ``listed_direct_sum``,
+``listed_tensor``, ``listed_tor``, ``listed_hom`` and ``listed_ext1`` are
+the bodies of the ``FgAbGroup`` methods before each became
+``groups._tensor_sum`` through an identity: they split the free and
+torsion cases by hand and list every free summand as a 0 modulus.
+``kronecker_tensor_sum`` reads a sum of tensor products
 off one cokernel, the Kronecker presentation of each product.  They are
 deliberately slow and simple.
 The exceptions build library groups and read them the long way round:
@@ -32,12 +35,15 @@ exactness at Z and at coker(I - A^hat) from one Smith diagonal of
 nodes off a witness of I - A^hat = (I - A)(I - R_1).
 The numpy Smith and Hermite eliminations with transforms, int64 start and
 mid-run promotion included, are the reference the list-based library
-routines must match entry for entry.  ``hat_matrix`` and
+routines must match entry for entry.  ``object_array`` and
+``columns_array`` build the object arrays that tests multiply and compare
+from the library's int rows and int columns.  ``hat_matrix`` and
 ``augmented_matrix`` build the derived matrices of a validated 0-1 matrix
 as int64 arrays, straight from their definitions, and ``with_kernel``
 turns a matrix into one whose I - A has equal rows.
 """
 
+from bisect import bisect_right
 from itertools import combinations, compress, product
 from math import gcd, lcm, prod
 
@@ -120,6 +126,25 @@ def all_pairs_chain(ds: list[int]) -> list[int]:
         for j in range(i + 1, len(ds)):
             g = gcd(ds[i], ds[j])
             ds[i], ds[j] = g, ds[i] * ds[j] // g
+    return ds
+
+
+def front_insert_chain(ds: list[int]) -> list[int]:
+    """Invariant factors of the direct sum of Z/d, in place, with any 1s
+    in front.  Each d is carried into the chain so far: an entry v it
+    passes becomes gcd(v, carry) and the carry lcm(v, carry), which the
+    later copies of v divide, so it skips them; it is inserted at the
+    first entry it divides, past which the chain would only shift."""
+    chain = []
+    for carry in ds:
+        i = 0
+        while i < len(chain) and chain[i] % carry:
+            v = chain[i]
+            g = gcd(v, carry)
+            chain[i], carry = g, v // g * carry
+            i = bisect_right(chain, v, i + 1)
+        chain.insert(i, carry)
+    ds[:] = chain
     return ds
 
 
@@ -708,6 +733,21 @@ def _object_matrix(m) -> np.ndarray:
     return a.reshape(0, 0) if a.ndim == 1 and a.size == 0 else a
 
 
+def object_array(m) -> np.ndarray:
+    """A matrix, read as every library routine reads it, as a 2-D object
+    array of Python ints, for numpy's operators; an empty list becomes a
+    0 x 0 matrix."""
+    rows, width = intmat._shaped(m)
+    return np.array(rows, dtype=object).reshape(len(rows), width)
+
+
+def columns_array(columns, height: int) -> np.ndarray:
+    """The height x len(columns) object array with these int columns, as
+    ``kernel_basis``, ``relations``, ``image()`` and ``kernel()`` give
+    them."""
+    return np.array(columns, dtype=object).reshape(len(columns), height).T
+
+
 def numpy_smith_normal_form(m):
     """(u, s, v) with u @ m @ v = s, as object arrays."""
     s, u, v = _objects(*_smith_run(_working(_object_matrix(m))))
@@ -732,14 +772,16 @@ def _kernel_columns(m: np.ndarray) -> np.ndarray:
 def _preimage(h: GroupHom) -> np.ndarray:
     """Columns generating {x : h(x) = 0}, in source coordinates: the
     source parts of the solutions of [h columns | target relations]."""
-    return _kernel_columns(h.image())[:h.source.generators]
+    image = columns_array(h.image(), h.target.generators)
+    return _kernel_columns(image)[:h.source.generators]
 
 
 def homology(f: GroupHom, g: GroupHom) -> PresentedGroup:
     """ker(g)/im(f), presented on generators of ker(g) lifted to the
     middle group f.target = g.source."""
     ker = _preimage(g)
-    rel = _kernel_columns(np.hstack([ker, f.image()]))[:ker.shape[1]]
+    image = columns_array(f.image(), f.target.generators)
+    rel = _kernel_columns(np.hstack([ker, image]))[:ker.shape[1]]
     return PresentedGroup(ker.shape[1], rel)
 
 

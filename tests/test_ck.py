@@ -11,8 +11,8 @@ from ckinv.presented import GroupHom, PresentedGroup
 from ckinv.selftest import AMPLIFIED_SHAPES, CUNTZ_SIDES, \
     check_amplified_fixtures, check_cuntz_fixtures
 
-from oracles import augmented_matrix, composite_pi, hat_matrix, \
-    iota_nodes, numpy_hermite_normal_form, ones_row_matrix, \
+from oracles import augmented_matrix, columns_array, composite_pi, \
+    hat_matrix, iota_nodes, numpy_hermite_normal_form, ones_row_matrix, \
     sequence_exactness, transforms_order, with_kernel
 
 EX3_A = [[1, 1, 1], [1, 1, 1], [1, 0, 0]]
@@ -26,7 +26,8 @@ def pair_ab():
 
 def _library_hat(a):
     # A^hat as the library has it: I minus the relations of ExtS1
-    return ck.i_minus(ck.ext_strong_presentation(a).relations)
+    return ck.i_minus(columns_array(ck.ext_strong_presentation(a).relations,
+                                    a.n))
 
 
 # -- validation -------------------------------------------------------------
@@ -135,14 +136,14 @@ def test_augmented_shape_and_example():
 def test_augmented_kernel_of_cuntz_trivial():
     for n in (2, 3, 6):
         at = augmented_matrix(ck.gen_cuntz(n))
-        assert intmat.kernel_basis(at).shape[1] == 0
+        assert intmat.kernel_basis(at) == []
 
 
 def test_augmented_kernel_drops_at_most_one_rank(corpus500, reports500):
     # ExtS0 is the kernel of the augmented matrix
     for a, r in zip(corpus500[:120], reports500):
-        ia_rank_def = intmat.kernel_basis(ck.i_minus(a.entries)).shape[1]
-        at_rank_def = intmat.kernel_basis(augmented_matrix(a)).shape[1]
+        ia_rank_def = len(intmat.kernel_basis(ck.i_minus(a.entries)))
+        at_rank_def = len(intmat.kernel_basis(augmented_matrix(a)))
         assert at_rank_def in (ia_rank_def, ia_rank_def - 1)
         assert r.ext_s0 == FgAbGroup(at_rank_def)
 
@@ -453,7 +454,8 @@ def test_e1_always_in_hat_kernel(corpus500):
     for a in corpus500[:100]:
         e1 = np.zeros(a.n, dtype=np.int64)
         e1[0] = 1
-        assert not (ck.ext_strong_presentation(a).relations @ e1).any()
+        assert not (columns_array(ck.ext_strong_presentation(a).relations,
+                                  a.n) @ e1).any()
 
 
 def test_five_term_groups_match_report(corpus500, reports500):
@@ -504,7 +506,7 @@ def test_iota_nodes_fail_where_the_oracle_does_on_broken_maps(corpus500):
         g2, g3, g4, g5 = seq.groups[1:]
         ia = ck._i_minus_rows(a)
         ker_a = intmat.hermite_normal_form(ia).kernel
-        assert s.image()[0].tolist() == [sum(b) for b in ker_a]
+        assert s.image() == [[sum(b)] for b in ker_a]
         exts = g4.canonical(), g5.canonical()
         assert iota_nodes(ker_a, ck._iota_quotient_rows(ia), *exts) \
             == seq.nodes_exact[2:4] == (True, True)

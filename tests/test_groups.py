@@ -1,5 +1,7 @@
 import doctest
 import random
+import subprocess
+import sys
 import time
 from math import gcd
 
@@ -10,9 +12,9 @@ import ckinv.groups
 from ckinv.groups import FgAbGroup, TRIVIAL, Z, Z2, canonical_from_cyclic
 from ckinv.realize import RealizationTarget
 
-from oracles import all_pairs_chain, kronecker_tensor_sum, \
-    listed_direct_sum, listed_ext1, listed_hom, listed_tensor, listed_tor, \
-    minor_gcd_diagonal
+from oracles import all_pairs_chain, front_insert_chain, \
+    kronecker_tensor_sum, listed_direct_sum, listed_ext1, listed_hom, \
+    listed_tensor, listed_tor, minor_gcd_diagonal
 
 
 def test_doctests():
@@ -85,14 +87,76 @@ def test_chain_matches_the_all_pairs_pass():
         assert chain == all_pairs_chain(list(mods)), mods
 
 
+def test_chain_matches_the_front_insertion_it_replaced():
+    # the counted chain against the listed one, entry for entry, on runs
+    # of equal moduli, interleaved chains, shuffled moduli and moduli past
+    # 64 bits, at lengths the all-pairs pass is too slow for
+    rng = random.Random(2611)
+    pool = [1, 2, 3, 4, 5, 6, 8, 9, 12, 30, 49, 2 ** 70, 3 ** 45, 6 ** 30]
+    cases = [[2, 4] * 300, [4, 6, 6] * 200, [2, 4, 8, 16] * 150,
+             [2 ** i for i in range(1, 80)] * 8, [6, 10, 15, 7] * 150]
+    for _ in range(300):
+        run = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+        mods = run * rng.randint(1, 60) + \
+            [rng.choice(pool) for _ in range(rng.randint(0, 60))]
+        cases += [mods, rng.sample(mods, len(mods))]
+    for mods in cases:
+        chain = list(mods)
+        assert ckinv.groups._chain(chain) is chain
+        assert chain == front_insert_chain(list(mods)), mods
+
+
 def test_many_cyclic_summands_take_time_linear_in_their_count():
-    # the all-pairs pass takes about 50 s on 20 000 moduli, insertion
-    # about 0.1 s (2-core x86-64); a tensor product of two groups of 80
-    # summands each builds 6 400
-    start = time.perf_counter()
-    g = canonical_from_cyclic([2] * 20_000)
-    assert time.perf_counter() - start < 2
-    assert g == FgAbGroup(0, (2,) * 20_000)
+    # the all-pairs pass takes about 50 s on 20 000 moduli; inserting each
+    # into the listed chain took 1.1 s on 80 000 equal ones and over 120 s
+    # on 10**6, and inserting past equal entries still took 11 s on
+    # 4 * 10**5 interleaved ones; counting the distinct entries takes
+    # about 0.7 s on 10**6 of either (2-core x86-64)
+    for run, copies, budget in (([2], 20_000, 2), ([2], 10 ** 6, 10),
+                                ([2, 4, 8, 16], 250_000, 10)):
+        start = time.perf_counter()
+        g = canonical_from_cyclic(run * copies)
+        assert time.perf_counter() - start < budget
+        assert g == FgAbGroup(0, tuple(d for d in run for _ in range(copies)))
+
+
+_HUGE_TENSOR_SUMS = """
+import resource
+# 10**9 moduli would take 8 GB; under this limit listing them fails at once
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29))
+from ckinv.groups import FgAbGroup, Z2
+huge = FgAbGroup(10 ** 9)
+for call in (lambda: huge.tensor(Z2), lambda: huge.hom(Z2),
+             lambda: Z2.ext1(huge), lambda: Z2.tensor(huge)):
+    try:
+        call()
+    except ValueError as e:
+        print(e)
+    else:
+        raise SystemExit("listed")
+"""
+
+
+def test_a_tensor_sum_past_the_cap_is_refused_before_listing():
+    # the moduli are counted first: one past the cap is refused, the cap
+    # itself is listed, and free summands are never listed at all
+    cap = ckinv.groups.MAX_TENSOR_MODULI
+    assert cap >= 3 * 330 ** 2  # the pi groups of a report of side 330
+    for call in (lambda: FgAbGroup(cap + 1).tensor(Z2),
+                 lambda: FgAbGroup(cap + 1).hom(Z2),
+                 lambda: Z2.ext1(FgAbGroup(cap + 1))):
+        with pytest.raises(ValueError, match=f"{cap + 1} torsion moduli"):
+            call()
+    assert FgAbGroup(cap).tensor(Z2) == FgAbGroup(0, (2,) * cap)
+    assert FgAbGroup(10 ** 9).tensor(FgAbGroup(10 ** 9)) == \
+        FgAbGroup(10 ** 18)
+    # 10**9 moduli only in a child process whose address space cannot
+    # hold them, so a missing refusal fails fast instead of allocating
+    r = subprocess.run([sys.executable, "-c", _HUGE_TENSOR_SUMS],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == \
+        [f"{10 ** 9} torsion moduli exceed the cap of {cap}"] * 4
 
 
 def test_direct_sum_examples():

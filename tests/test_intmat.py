@@ -11,13 +11,13 @@ import pytest
 
 from ckinv import ck, intmat, realize
 from ckinv.groups import FgAbGroup, Z
-from ckinv.presented import PresentedGroup
+from ckinv.presented import GroupHom, PresentedGroup
 from ckinv.selftest import random_targets
 
 from oracles import augmented_matrix, bareiss_det, cofactor_det, \
-    hat_matrix, markowitz_unit_prepass, minor_gcd_diagonal, \
+    columns_array, hat_matrix, markowitz_unit_prepass, minor_gcd_diagonal, \
     numpy_hermite_normal_form, numpy_smith_diagonal, \
-    numpy_smith_normal_form, one_step_bareiss, with_kernel
+    numpy_smith_normal_form, object_array, one_step_bareiss, with_kernel
 
 EX3_A = [[1, 1, 1], [1, 1, 1], [1, 0, 0]]
 
@@ -61,7 +61,7 @@ def test_smith_properties_random():
     for _ in range(300):
         m = random_matrix(rng)
         dec = intmat.smith_normal_form(m)
-        mm = intmat.as_intmat(m)
+        mm = object_array(m)
         assert ((dec.u @ mm @ dec.v) == dec.s).all()
         assert abs(bareiss_det(dec.u.tolist())) == 1
         assert abs(bareiss_det(dec.v.tolist())) == 1
@@ -104,7 +104,7 @@ def test_smith_big_entries_promote_exactly():
     big = [[10 ** 40, 1], [0, 10 ** 40]]
     dec = intmat.smith_normal_form(big)
     assert dec.diagonal == (1, 10 ** 80)
-    assert ((dec.u @ intmat.as_intmat(big) @ dec.v) == dec.s).all()
+    assert ((dec.u @ object_array(big) @ dec.v) == dec.s).all()
 
 
 def test_int64_minimum_entry_is_exact():
@@ -122,7 +122,7 @@ def test_smith_growth_beyond_int64_is_exact():
     m = np.array([[rng.randint(-9, 9) for _ in range(7)] for _ in range(7)])
     m = m * (2 ** 27)
     dec = intmat.smith_normal_form(m)
-    assert ((dec.u @ intmat.as_intmat(m) @ dec.v) == dec.s).all()
+    assert ((dec.u @ object_array(m) @ dec.v) == dec.s).all()
     assert abs(bareiss_det(dec.u.tolist())) == 1
     assert abs(bareiss_det(dec.v.tolist())) == 1
 
@@ -161,7 +161,7 @@ def test_transforms_match_the_numpy_reference():
         h, hu, pivots = numpy_hermite_normal_form(m)
         assert _same(herm.h, h) and _same(herm.u, hu)
         assert herm.pivots == pivots
-        mm = intmat.as_intmat(m)
+        mm = object_array(m)
         assert (dec.u @ mm @ dec.v == dec.s).all()
         assert (mm @ herm.u == herm.h).all()
         grew.append(max((abs(x) for a in (u, s, v, h, hu) for x in a.flat),
@@ -454,7 +454,7 @@ def test_rank_nullity_square():
         m = np.array([[rng.randint(-3, 3) for _ in range(n)]
                       for _ in range(n)])
         free = intmat.cokernel_invariants(m).free_rank
-        assert intmat.kernel_basis(m).shape[1] == free
+        assert len(intmat.kernel_basis(m)) == free
 
 
 # -- kernels ----------------------------------------------------------------
@@ -462,18 +462,18 @@ def test_rank_nullity_square():
 def test_kernel_examples():
     # det(I - A) = -1 for the all-ones 2x2, so the kernel is trivial
     assert cofactor_det(i_minus(np.ones((2, 2), dtype=int)).tolist()) == -1
-    assert intmat.kernel_basis(i_minus(np.ones((2, 2), dtype=int))).shape \
-        == (2, 0)
+    assert intmat.kernel_basis(i_minus(np.ones((2, 2), dtype=int))) == []
     kb = intmat.kernel_basis([[1, 1, 1]])
-    assert kb.shape == (3, 2)
-    for col in kb.T:
+    assert len(kb) == 2 and {len(col) for col in kb} == {3}
+    for col in kb:
         assert sum(col) == 0
     # I - R_1 for n=3: rows force x2 = x3 = 0, x1 free
     ir1 = np.eye(3, dtype=np.int64)
     ir1[0, :] -= 1
     kb = intmat.kernel_basis(ir1)
-    assert kb.shape == (3, 1)
-    assert tuple(abs(x) for x in kb[:, 0]) == (1, 0, 0)
+    assert len(kb) == 1 and len(kb[0]) == 3
+    assert tuple(abs(x) for x in kb[0]) == (1, 0, 0)
+    assert {type(x) for x in chain.from_iterable(kb)} == {int}
 
 
 def test_kernel_completeness():
@@ -483,12 +483,13 @@ def test_kernel_completeness():
     for _ in range(200):
         m = random_matrix(rng, max_dim=5, span=3)
         kb = intmat.kernel_basis(m)
-        if kb.shape[1] == 0:
+        if not kb:
             continue
+        kb = columns_array(kb, m.shape[1])
         coeffs = np.array([rng.randint(-6, 6) for _ in range(kb.shape[1])],
                           dtype=object)
         v = kb @ coeffs
-        assert not np.any(intmat.as_intmat(m) @ v)
+        assert not np.any(object_array(m) @ v)
         assert intmat.lattice_contains(kb, v)
         checked += 1
     assert checked > 50
@@ -536,10 +537,10 @@ def test_row_level_kernel_and_solve_match_the_numpy_reference():
         assert all(not any(_matvec(m, x)) for x in kernel)
         _, hu, pivots = numpy_hermite_normal_form(m)
         want = hu[:, len(pivots):]
-        got = np.array(kernel, dtype=object).reshape(len(kernel), cols).T
+        got = columns_array(kernel, cols)
         assert got.shape == want.shape
         assert (_oracle_lattice(got) == _oracle_lattice(want)).all()
-        assert (intmat.kernel_basis(m) == got).all()
+        assert intmat.kernel_basis(m) == kernel
         lattice = _oracle_lattice(m)
         for _ in range(4):
             x = [rng.randint(-5, 5) for _ in range(cols)]
@@ -585,7 +586,7 @@ def test_hermite_properties_random():
     for _ in range(250):
         m = random_matrix(rng, max_dim=6)
         dec = intmat.hermite_normal_form(m)
-        mm = intmat.as_intmat(m)
+        mm = object_array(m)
         assert (mm @ dec.u == dec.h).all()
         assert abs(bareiss_det(dec.u.tolist())) == 1
         rows = [r for r, _ in dec.pivots]
@@ -621,32 +622,36 @@ def test_lattice_contains_images():
         m = random_matrix(rng, max_dim=5)
         x = np.array([rng.randint(-5, 5) for _ in range(m.shape[1])],
                      dtype=object)
-        v = intmat.as_intmat(m) @ x
+        v = object_array(m) @ x
         sol = intmat.lattice_solve(m, v)
-        assert sol is not None
-        assert ((intmat.as_intmat(m) @ sol) == v).all()
+        assert sol is not None and {type(y) for y in sol} <= {int}
+        assert ((object_array(m) @ np.array(sol, dtype=object)) == v).all()
 
 
 def test_lattice_solve_outside():
     assert intmat.lattice_solve([[2], [4]], [1, 2]) is None
     assert intmat.lattice_solve([[2], [4]], [3, 6]) is None
     sol = intmat.lattice_solve([[2], [4]], [-4, -8])
-    assert sol is not None and sol[0] == -2
+    assert sol == [-2]
 
 
 def test_matrix_algebra_via_numpy():
-    a = intmat.as_intmat([[1, 2], [3, 4]])
-    assert ((np.eye(2, dtype=object) @ a) == a).all()
+    # the transform arrays are object arrays that numpy's operators
+    # multiply exactly
+    dec = intmat.smith_normal_form([[1, 2], [3, 4]])
+    a = dec.u
+    assert a.dtype == object and ((np.eye(2, dtype=object) @ a) == a).all()
     assert (a.T.T == a).all()
+    assert ((a @ object_array([[1, 2], [3, 4]]) @ dec.v) == dec.s).all()
 
 
-def test_as_intmat_rejects_non_integers():
+def test_the_reader_rejects_non_integers():
     with pytest.raises(TypeError):
-        intmat.as_intmat([[1.5, 2], [0, 1]])
+        intmat._shaped([[1.5, 2], [0, 1]])
     with pytest.raises(TypeError):
-        intmat.as_intmat(np.array([["a", "b"]], dtype=object))
+        intmat._shaped(np.array([["a", "b"]], dtype=object))
     with pytest.raises(ValueError):
-        intmat.as_intmat([1, 2, 3])
+        intmat._shaped([1, 2, 3])
     # the coordinates of an element go through the same coercion
     p = PresentedGroup(2)
     assert [type(x) for x in p.element(np.array([1, 2])).coords] == \
@@ -677,9 +682,9 @@ def test_booleans_read_as_zero_and_one():
             assert intmat.smith_diagonal(m) == intmat.smith_diagonal(ints)
             assert intmat.smith_normal_form(m) == want_snf
             assert intmat.hermite_normal_form(m) == want_hnf
-            got = intmat.as_intmat(m)
-            assert got.dtype == object and got.tolist() == ints
-            assert {type(x) for x in got.flat} == {int}
+            rows, width = intmat._shaped(m)
+            assert [list(r) for r in rows] == ints and width == len(ints[0])
+            assert {type(x) for x in chain.from_iterable(rows)} == {int}
 
 
 class _ToList:
@@ -775,6 +780,57 @@ def test_smith_transforms_run_without_numpy():
             p.element([5, -7, 2]).canonical_coords(), None, 2, 3]
     assert json.loads(r.stdout) == json.loads(json.dumps(want))
 
+
+_INT_RESULTS_NUMPY_BLOCKED = """
+import json, sys
+sys.modules["numpy"] = None  # an import of numpy now raises ImportError
+from ckinv import intmat
+from ckinv.presented import GroupHom, PresentedGroup
+cases = json.loads(sys.argv[1])
+q = PresentedGroup(2, [[4, 0], [2, 6]])
+f = GroupHom(PresentedGroup(3), q, [[1, 2, 0], [0, 3, 1]])
+k, lift = f.kernel()
+print(json.dumps([
+    [[intmat.kernel_basis(m), intmat.lattice_solve(m, v),
+      intmat.lattice_solve(m, w)] for m, v, w in cases],
+    q.relations, q.element([7, -3]).coords, f.image(), lift,
+    str(k.canonical()), sys.modules["numpy"] is not None]))
+"""
+
+
+def test_int_results_run_without_numpy():
+    # with numpy blocked: kernel bases, lattice solutions, relations,
+    # coordinates, images and kernel lifts, as Python ints equal to the
+    # columns of the numpy Hermite reference and to the results here
+    rng = random.Random(2626)
+    cases = [([[2, 4, 4], [-6, 6, 12]], [6, 6], [1, 0])]
+    for _ in range(6):
+        m = random_matrix(rng, max_dim=6).tolist()
+        x = [rng.randint(-4, 4) for _ in m[0]]
+        v = [sum(a * b for a, b in zip(row, x)) for row in m]
+        cases.append((m, v, [y + 2 ** 65 for y in v]))
+    r = subprocess.run([sys.executable, "-c", _INT_RESULTS_NUMPY_BLOCKED,
+                        json.dumps(cases)], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    solved, rel, coords, image, lift, kernel, numpy = json.loads(r.stdout)
+    for (m, v, w), (basis, x, y) in zip(cases, solved):
+        _, hu, pivots = numpy_hermite_normal_form(m)
+        assert basis == hu[:, len(pivots):].T.tolist() == \
+            intmat.kernel_basis(m)
+        assert x == intmat.lattice_solve(m, v) and \
+            (object_array(m) @ np.array(x, dtype=object)).tolist() == v
+        assert y == intmat.lattice_solve(m, w)
+        assert y is None or \
+            (object_array(m) @ np.array(y, dtype=object)).tolist() == w
+    assert solved[0][2] is None and sum(y is None for *_, y in solved) >= 2
+    assert rel == [[4, 2], [0, 6]] and coords == [7, -3]
+    assert image == [[1, 0], [2, 3], [0, 1], [4, 2], [0, 6]]
+    q = PresentedGroup(2, [[4, 0], [2, 6]])
+    f = GroupHom(PresentedGroup(3), q, [[1, 2, 0], [0, 3, 1]])
+    k, want = f.kernel()
+    assert lift == want and kernel == str(k.canonical())
+    assert all(f.apply(f.source.element(c)).is_zero() for c in lift)
+    assert not numpy
 
 _READER_NUMPY_BLOCKED = """
 import json, sys

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import chain
 from math import lcm
 
 import numpy as np
@@ -10,8 +11,8 @@ from ckinv.groups import FgAbGroup, TRIVIAL, Z
 from ckinv.presented import GroupElement, GroupHom, PresentedGroup, \
     is_exact_at, quotient_by_elements
 
-from oracles import homology, is_exact_by_homology, minor_gcd_diagonal, \
-    transforms_order
+from oracles import columns_array, homology, is_exact_by_homology, \
+    minor_gcd_diagonal, object_array, transforms_order
 
 
 def z_mod(n):
@@ -56,16 +57,16 @@ def test_canonical_invariance_under_presentation_changes():
         if k:
             coeffs = np.array([[rng.randint(-3, 3)] for _ in range(k)],
                               dtype=object)
-            extra = intmat.as_intmat(rel) @ coeffs
+            extra = object_array(rel) @ coeffs
             assert PresentedGroup(n, np.hstack(
-                [intmat.as_intmat(rel), extra])).canonical() == base
+                [object_array(rel), extra])).canonical() == base
         # unimodular change of generators changes nothing
         u = np.eye(n, dtype=object)
         for _ in range(4):
             i, j = rng.randrange(n), rng.randrange(n)
             if i != j:
                 u[i, :] += rng.randint(-2, 2) * u[j, :]
-        assert PresentedGroup(n, u @ intmat.as_intmat(rel)).canonical() \
+        assert PresentedGroup(n, u @ object_array(rel)).canonical() \
             == base
 
 
@@ -90,7 +91,8 @@ def _check_against_transforms(p: PresentedGroup) -> None:
     # canonical(), orders and equality read Smith diagonals; coordinates
     # still come from the transforms and must describe the same group
     g = p.canonical()
-    assert g == _group_from_transforms(p.relations)
+    assert g == _group_from_transforms(columns_array(p.relations,
+                                                     p.generators))
     gens = [p.element([int(i == k) for i in range(p.generators)])
             for k in range(p.generators)]
     orders = [e.order() for e in gens]
@@ -101,7 +103,7 @@ def _check_against_transforms(p: PresentedGroup) -> None:
         assert order == transforms_order(e)
     if g.free_rank == 0:  # the generators generate: lcm of orders = exponent
         assert lcm(*orders) == max(g.invariant_factors, default=1)
-    for col in p.relations.T[:3]:
+    for col in p.relations[:3]:
         assert p.element(col) == p.zero()
 
 
@@ -121,14 +123,15 @@ def test_canonical_on_swollen_relations():
     rels = []
     for a in (ck.gen_cuntz(5), ck.gen_amplified(3, 3), *(
             ck.gen_random_irreducible(n, 0.3, seed=n) for n in (4, 6, 9))):
-        rels += [ck.ext_strong_presentation(a).relations,
-                 ck.i_minus(a.entries)]
+        pres = ck.ext_strong_presentation(a)
+        rels += [columns_array(pres.relations, a.n), ck.i_minus(a.entries)]
         seq = ck.five_term_sequence(a)
         for f, g in zip(seq.maps, seq.maps[1:]):
-            rels.append(homology(f, g).relations)
+            h = homology(f, g)
+            rels.append(columns_array(h.relations, h.generators))
     torsion = 0
     for rel in rels:
-        rel = intmat.as_intmat(rel)
+        rel = object_array(rel)
         swollen = _big_unimodular(rel.shape[0], rng) @ rel
         if rel.shape[0] > 1 and rel.size:
             assert max(abs(x) for x in swollen.flat) > 2 ** 64
@@ -168,14 +171,16 @@ def test_element_arithmetic_on_swollen_relations_is_bounded():
     for density, seed, order in ((0.3, 1, 0), (0.04, 24, 17)):
         a = ck.gen_random_irreducible(30, density, seed)
         u = _big_unimodular(30, rng)
-        p = PresentedGroup(30, u @ ck.ext_strong_presentation(a).relations)
-        assert max(abs(x) for x in p.relations.flat) > 2 ** 64
+        p = PresentedGroup(30, u @ columns_array(
+            ck.ext_strong_presentation(a).relations, 30))
+        assert max(abs(x) for x in chain.from_iterable(p.relations)) > \
+            2 ** 64
         iota = p.element(u @ ck.i_minus(a.entries)[:, 0])
         assert iota.order() == ck.invariants(a).iota_one_order == order
         assert iota != p.zero()
         if order:
             assert order * iota == p.zero()
-        for col in p.relations.T[:3]:
+        for col in p.relations[:3]:
             assert p.element(col) == p.zero()
     assert time.perf_counter() - start < 10.0
 
@@ -282,17 +287,19 @@ def test_hom_kernel_examples():
     quot = GroupHom(free(1), z_mod(2), [[1]])
     k, lift = quot.kernel()
     assert k.canonical() == Z
-    assert abs(int(lift[0, 0])) == 2  # the kernel is 2Z inside Z
+    assert lift in ([[2]], [[-2]])  # the kernel is 2Z inside Z
     # kernel of s on Ker(I-A) for the all-ones 2x2 is trivial: the kernel
     # itself is trivial since det(I-A) = -1
     ia = np.eye(2, dtype=np.int64) - np.ones((2, 2), dtype=np.int64)
-    assert intmat.kernel_basis(ia).shape[1] == 0
+    assert intmat.kernel_basis(ia) == []
 
 
 def test_hom_image():
     f = GroupHom(free(1), z_mod(4), [[2]])
     img = f.image()
-    assert intmat.cokernel_invariants(img) == FgAbGroup(0, (2,))
+    assert img == [[2], [4]]
+    assert intmat.cokernel_invariants(columns_array(img, 1)) == \
+        FgAbGroup(0, (2,))
 
 
 def test_injective_surjective():
@@ -305,7 +312,7 @@ def test_injective_surjective():
 
 
 def _random_matrix(rng, rows, cols):
-    return intmat.as_intmat(np.array(
+    return object_array(np.array(
         [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)],
         dtype=object).reshape(rows, cols))
 
@@ -391,8 +398,7 @@ def test_exactness_of_random_quotients():
         m = rng.randint(0, 3)
         elems = [p.element([rng.randint(-3, 3) for _ in range(n)])
                  for _ in range(m)]
-        span_matrix = (np.stack([e.coords for e in elems], axis=1)
-                       if elems else np.zeros((n, 0), dtype=object))
+        span_matrix = columns_array([e.coords for e in elems], n)
         quotient = PresentedGroup(n, span_matrix)
         inclusion = GroupHom(free(m), p, span_matrix)
         projection = GroupHom(p, quotient, np.eye(n, dtype=object))

@@ -29,14 +29,14 @@ def test_realize_smallest_torsion_target():
     assert (m.entries == expected).all()
     assert intmat.cokernel_invariants(ck.i_minus(m.entries)) == \
         FgAbGroup(0, (2,))
-    assert intmat.kernel_basis(ck.i_minus(m.entries)).shape[1] == 0
+    assert intmat.kernel_basis(ck.i_minus(m.entries)) == []
 
 
 def test_realize_free_target():
     m = realize.realize_k0(RealizationTarget(1, ()))
     assert m.n == 4
     assert intmat.cokernel_invariants(ck.i_minus(m.entries)) == Z
-    assert intmat.kernel_basis(ck.i_minus(m.entries)).shape[1] == 1
+    assert len(intmat.kernel_basis(ck.i_minus(m.entries))) == 1
 
 
 def test_realize_two_factor_target():
