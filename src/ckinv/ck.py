@@ -69,8 +69,8 @@ class ZeroOneMatrix:
 
     The entries are held row-major in ``data``, one byte each, so a held
     matrix costs N^2 bytes rather than 8 N^2; :attr:`rows` gives them as
-    lists of ints, :attr:`bits` as a read-only boolean array sharing
-    ``data``, and :attr:`entries` as a new int64 array.
+    lists of ints and :attr:`entries` as a new int64 array, the one
+    accessor here that imports numpy.
 
     The object keeps (ExtW1, ExtW0) and (ExtS1, ExtS0) once an entry point
     has read them: the first read runs one Smith diagonal of I - A or of
@@ -89,17 +89,12 @@ class ZeroOneMatrix:
         n, data = self.n, self.data
         return [list(data[i:i + n]) for i in range(0, n * n, n)]
 
-    @cached_property
-    def bits(self) -> np.ndarray:
-        """The matrix as a read-only boolean array; no copy is made."""
-        import numpy as np
-        return np.frombuffer(self.data, dtype=bool).reshape(self.n, self.n)
-
     @property
     def entries(self) -> np.ndarray:
-        """The matrix as a new int64 array."""
+        """The matrix as a new int64 array (the ``arrays`` extra)."""
         import numpy as np
-        return self.bits.astype(np.int64)
+        return np.frombuffer(self.data, np.uint8).reshape(
+            self.n, self.n).astype(np.int64)
 
     def transpose(self) -> "ZeroOneMatrix":
         """The transposed matrix; validity is preserved."""
@@ -162,7 +157,7 @@ def validate(raw) -> ZeroOneMatrix:
     ``bad-entry``, ``permutation`` or ``reducible``.  The rows are read
     as :func:`ckinv.intmat.smith_diagonal` reads them: rows of Python
     ints, or anything read into them through ``tolist()``, with booleans
-    as 0 and 1, so ``validate(a.bits) == a``; a non-integer entry is a
+    as 0 and 1, so ``validate(a.rows) == a``; a non-integer entry is a
     ``bad-entry``, and ragged or non-2-D rows are ``not-square``.
     """
     try:
@@ -231,11 +226,14 @@ def _iota_quotient_rows(ia) -> list[list[int]]:
     return [h + [r[0]] for h, r in zip(_hat_rows(ia), ia)]
 
 
-def i_minus(m: np.ndarray) -> np.ndarray:
-    """I - m, for a square numpy array m such as
-    :attr:`ZeroOneMatrix.entries`."""
-    import numpy as np
-    return np.eye(m.shape[0], dtype=np.int64) - m
+def i_minus(m) -> list[list[int]]:
+    """I - m as new int rows, for a square matrix read as :func:`validate`
+    reads it, such as :attr:`ZeroOneMatrix.entries`; else ``ValueError``."""
+    rows, width = intmat._shaped(m)
+    if width != len(rows):
+        raise ValueError(f"matrix must be square, got {len(rows)} x {width}")
+    return [[(i == j) - x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
 
 
 @dataclass(frozen=True)
@@ -317,6 +315,7 @@ def invariants(a: ZeroOneMatrix) -> CKReport:
         raise VerificationError("the augmented I-A does not match ExtS0")
     if intmat.cokernel_invariants(_iota_quotient_rows(ia)) != ext_w1:
         raise VerificationError("ExtS1 modulo iota_1 is not ExtW1")
+    pi_stable = _pi(ext_w1, ext_w0, k0, k1, 1)  # = degree 2; see _pi
     return CKReport(
         n=a.n,
         k0=k0, k1=k1,
@@ -324,8 +323,7 @@ def invariants(a: ZeroOneMatrix) -> CKReport:
         ext_s1=ext_s1, ext_s0=ext_s0,
         pi1_aut=_pi(ext_s1, ext_s0, k0, k1, 1),
         pi2_aut=_pi(ext_s1, ext_s0, k0, k1, 2),
-        pi1_aut_stable=_pi(ext_w1, ext_w0, k0, k1, 1),
-        pi2_aut_stable=_pi(ext_w1, ext_w0, k0, k1, 2),
+        pi1_aut_stable=pi_stable, pi2_aut_stable=pi_stable,
         iota_one_order=order_from_quotient(ext_s1, ext_w1),
     )
 
@@ -339,6 +337,8 @@ def _pi(ext1: FgAbGroup, ext0: FgAbGroup, k0: FgAbGroup, k1: FgAbGroup,
     degree 1 because Ext^0 and K_1 are free.  So each degree is one sum of
     tensor products, :func:`ckinv.groups._tensor_sum`, the rule behind
     Hom(G, H) = Z^rank(G) x H + T(G) x T(H) and Ext^1(G, H) = T(G) x H too.
+    On the weak groups, with K_1 = Z^r, r = rank K_0 and T = T(K_0), both
+    degrees are Z^(2 r^2) + T^(2 r) + T x T: the stable groups agree.
     """
     if n == 1:
         return _tensor_sum((ext1, k0), (ext0, k1))
@@ -365,13 +365,13 @@ def pi_aut_stable(a: ZeroOneMatrix, n: int) -> FgAbGroup:
     """pi_n of Aut(O_A tensor compacts) for n in {1, 2}.
 
     Stabilization replaces the strong extension groups by the weak ones;
-    degrees 1 and 2 then agree.  Another n, or a side above
-    :data:`MAX_INVARIANTS_SIDE`, raises ``ValueError`` before any
-    elimination.
+    degrees 1 and 2 then agree (see :func:`_pi`), so one group answers
+    both.  Another n, or a side above :data:`MAX_INVARIANTS_SIDE`, raises
+    ``ValueError`` before any elimination.
     """
     _require_degree(n)
     _require_invariants_side(a)
-    return _pi(*a._weak, *a._weak, n)
+    return _pi(*a._weak, *a._weak, 1)
 
 
 def is_isomorphic_ck(a: ZeroOneMatrix, b: ZeroOneMatrix) -> bool:

@@ -237,23 +237,24 @@ def _canonical(free: int, moduli: list[int]) -> FgAbGroup:
         m for m in _chain([m for m in moduli if m > 1]) if m != 1))
 
 
-# Most torsion moduli _tensor_sum lists: 10**6 of them took 0.3 to 0.8 s
-# to chain at a peak of 55 MB (2-core x86-64, Python 3.11), and the pi
-# groups of a report of side 330 list at most 3 * 330**2 (3.3 * 10**5).
+# Most torsion moduli _tensor_sum lists past one copy of an input's: 10**6
+# took 0.3 to 0.8 s to chain at a peak of 55 MB (2-core x86-64, Python
+# 3.11), and the pi groups of a report of side 330 list at most 3 * 330**2.
 MAX_TENSOR_MODULI = 10 ** 6
 
 
 def _tensor_sum(*pairs: tuple[FgAbGroup, FgAbGroup]) -> FgAbGroup:
     """Canonical form of the sum of G x H over the pairs (G, H), free
     summands counted, never listed; more than :data:`MAX_TENSOR_MODULI`
-    torsion moduli raise ``ValueError`` before any is listed.
+    torsion moduli raise ``ValueError`` before any is listed; moduli that
+    a factor of free rank 1 copies once, as in G + H, are not counted.
 
     >>> print(_tensor_sum((FgAbGroup(1, (2,)), canonical_from_cyclic([6])),
     ...                   (Z, Z)))
     Z^1 + Z/2 + Z/6
     """
-    listed = sum(g.free_rank * len(h.invariant_factors)
-                 + h.free_rank * len(g.invariant_factors)
+    listed = sum((g.free_rank > 1) * g.free_rank * len(h.invariant_factors)
+                 + (h.free_rank > 1) * h.free_rank * len(g.invariant_factors)
                  + len(g.invariant_factors) * len(h.invariant_factors)
                  for g, h in pairs)
     if listed > MAX_TENSOR_MODULI:

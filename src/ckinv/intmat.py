@@ -296,10 +296,10 @@ def _unit_prepass(m) -> tuple[int, list[list[int]]]:
     contribute one diagonal 1.  The rows are copied once and updated in
     place; the nonzero count of every row and column changes only where
     an update makes an entry zero or nonzero, and a row is searched for a
-    unit again only once an update has touched it.  The core is what
-    remains once no live row holds a unit, with empty rows and columns
-    dropped: they contribute only zeros.  The rows of ``m`` are read, not
-    changed.
+    unit again only once an update has touched it, a zero row never.  The
+    core is what remains once no live row holds a unit, with empty rows
+    and columns dropped: they contribute only zeros.  The rows of ``m``
+    are read, not changed.
     """
     a = [list(row) for row in m]
     if not a:
@@ -309,7 +309,7 @@ def _unit_prepass(m) -> tuple[int, list[list[int]]]:
     row_nnz = [width - row.count(0) for row in a]
     col_nnz = [height - col.count(0) for col in zip(*a)]
     live = list(range(height))
-    maybe_unit = set(live)  # live rows not yet seen to hold no unit
+    maybe_unit = set(compress(live, row_nnz))  # not yet seen to hold none
     ones = 0
     while maybe_unit:
         i = min(maybe_unit, key=row_nnz.__getitem__)

@@ -42,6 +42,8 @@ def _images(rows, columns) -> list[list[int]]:
 
 def _cokernel(generators: int, columns) -> FgAbGroup:
     """Canonical form of Z^generators modulo the span of the columns."""
+    if not columns:
+        return FgAbGroup(generators)
     return intmat.cokernel_invariants(intmat._transpose(columns, generators))
 
 

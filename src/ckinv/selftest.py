@@ -68,12 +68,6 @@ def _product(x, y) -> list[list[int]]:
     return [[sum(map(mul, row, c)) for c in columns] for row in x]
 
 
-def _i_minus(m) -> list[list[int]]:
-    """I - m, for a square matrix given as int rows."""
-    return [[(i == j) - x for j, x in enumerate(row)]
-            for i, row in enumerate(m)]
-
-
 CUNTZ_SIDES = tuple(range(2, 13))
 AMPLIFIED_SHAPES = tuple((n, k) for n in range(2, 6) for k in range(1, 7))
 
@@ -130,7 +124,8 @@ def _hat_factorizes(a: ck.ZeroOneMatrix) -> bool:
     hat = [[x + y - z for x, y, z in zip(*t)]
            for t in zip(rows, r1, _product(rows, r1))]
     lib = intmat._transpose(ck.ext_strong_presentation(a).relations, n)
-    return _i_minus(hat) == _product(_i_minus(rows), _i_minus(r1)) == lib
+    return (ck.i_minus(hat) == _product(ck.i_minus(rows), ck.i_minus(r1))
+            == lib)
 
 
 @_verdict
@@ -158,9 +153,10 @@ def check_torsion_splitting(reports):
 
 @_verdict
 def check_stable_equality(reports):
-    """The stable pi_1 and pi_2 agree."""
-    return _failures("report", reports,
-                     lambda r: r.pi1_aut_stable == r.pi2_aut_stable)
+    """The stable pi_1 and pi_2 agree with pi_2 of the weak groups."""
+    return _failures("report", reports, lambda r: (
+        r.pi1_aut_stable == r.pi2_aut_stable
+        == ck._pi(r.ext_w1, r.ext_w0, r.k0, r.k1, 2)))
 
 
 @_verdict

@@ -37,10 +37,11 @@ The numpy Smith and Hermite eliminations with transforms, int64 start and
 mid-run promotion included, are the reference the list-based library
 routines must match entry for entry.  ``object_array`` and
 ``columns_array`` build the object arrays that tests multiply and compare
-from the library's int rows and int columns.  ``hat_matrix`` and
-``augmented_matrix`` build the derived matrices of a validated 0-1 matrix
-as int64 arrays, straight from their definitions, and ``with_kernel``
-turns a matrix into one whose I - A has equal rows.
+from the library's int rows and int columns.  ``i_minus_array``,
+``hat_matrix`` and ``augmented_matrix`` build the derived matrices of a
+validated 0-1 matrix as int64 arrays, straight from their definitions,
+``bool_array`` reads its bytes as booleans, and ``with_kernel`` turns a
+matrix into one whose I - A has equal rows.
 """
 
 from bisect import bisect_right
@@ -287,6 +288,18 @@ def range_quotients(m: FgAbGroup, bound: int) -> set:
             for coords in product(*_search_axes(m, bound))}
 
 
+def i_minus_array(m) -> np.ndarray:
+    """I - m as an array, for a square matrix m given as an array or as
+    int rows; ``ck.i_minus`` gives the same entries as int rows."""
+    m = np.asarray(m)
+    return np.eye(len(m), dtype=np.int64) - m
+
+
+def bool_array(a) -> np.ndarray:
+    """A validated 0-1 matrix as a read-only boolean array on its bytes."""
+    return np.frombuffer(a.data, dtype=bool).reshape(a.n, a.n)
+
+
 def ones_row_matrix(n: int) -> np.ndarray:
     """R_1: an all-ones first row, zeros elsewhere."""
     r = np.zeros((n, n), dtype=np.int64)
@@ -303,7 +316,7 @@ def hat_matrix(a) -> np.ndarray:
 def augmented_matrix(a) -> np.ndarray:
     """The all-ones row stacked on I - A, (N+1) x N."""
     return np.vstack([np.ones((1, a.n), dtype=np.int64),
-                      np.eye(a.n, dtype=np.int64) - a.entries])
+                      i_minus_array(a.entries)])
 
 
 def with_kernel(a, pairs: int = 1):

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from ckinv.presented import GroupHom, PresentedGroup
 from ckinv.selftest import AMPLIFIED_SHAPES, CUNTZ_SIDES, \
     check_amplified_fixtures, check_cuntz_fixtures
 
-from oracles import augmented_matrix, columns_array, composite_pi, \
-    hat_matrix, iota_nodes, numpy_hermite_normal_form, ones_row_matrix, \
-    sequence_exactness, transforms_order, with_kernel
+from oracles import augmented_matrix, bool_array, columns_array, \
+    composite_pi, hat_matrix, i_minus_array, iota_nodes, \
+    numpy_hermite_normal_form, ones_row_matrix, sequence_exactness, \
+    transforms_order, with_kernel
 
 EX3_A = [[1, 1, 1], [1, 1, 1], [1, 0, 0]]
 EX3_B = [[1, 1, 1], [1, 1, 0], [1, 1, 0]]  # the transpose of EX3_A
@@ -26,8 +28,8 @@ def pair_ab():
 
 def _library_hat(a):
     # A^hat as the library has it: I minus the relations of ExtS1
-    return ck.i_minus(columns_array(ck.ext_strong_presentation(a).relations,
-                                    a.n))
+    return i_minus_array(columns_array(
+        ck.ext_strong_presentation(a).relations, a.n))
 
 
 # -- validation -------------------------------------------------------------
@@ -63,7 +65,7 @@ def test_validate_reads_booleans_as_zero_and_one():
     bools = [[bool(x) for x in row] for row in a.rows]
     mixed = [[x if j % 2 else bool(x) for j, x in enumerate(row)]
              for row in a.rows]
-    for raw in (a.bits, bools, mixed):
+    for raw in (bool_array(a), bools, mixed):
         assert ck.validate(raw) == a
     assert ck.validate(np.array(bools, dtype=object)) == a
     with pytest.raises(ck.MatrixValidationError) as err:
@@ -95,12 +97,30 @@ def test_validate_realized_matrix():
 def test_validated_matrix_holds_one_byte_per_entry():
     # a caller that keeps many validated matrices holds N^2 bytes each
     a = ck.gen_random_irreducible(100, 0.3, seed=1)
-    assert a.bits.dtype == bool and a.bits.nbytes == 100 * 100
+    assert type(a.data) is bytes and len(a.data) == 100 * 100
+    bits = bool_array(a)  # a view on the bytes, as the tests read them
+    assert bits.nbytes == 100 * 100 and ck.validate(bits) == a
     m = a.entries
     assert m.dtype == np.int64 and ck.validate(m) == a
     m[0, 0] = 1 - m[0, 0]  # a fresh array: the matrix does not change
     assert (a.entries != m).sum() == 1
     assert a.transpose().entries.tolist() == a.entries.T.tolist()
+
+
+def test_i_minus_gives_int_rows_of_any_square_matrix():
+    # int rows, int64 entries and a bool array give the int rows of the
+    # array built from the definition; a non-square or ragged one raises
+    for a in (ck.gen_cuntz(2), ck.gen_random_irreducible(9, 0.3, seed=4)):
+        want = i_minus_array(a.entries).tolist()
+        for m in (a.rows, a.entries, bool_array(a)):
+            ia = ck.i_minus(m)
+            assert ia == want
+            assert {type(x) for x in chain.from_iterable(ia)} == {int}
+    assert ck.i_minus([]) == []
+    for m in ([[1, 1, 1], [1, 1, 1]], np.ones((3, 2), dtype=np.int64),
+              [[1, 1], [1]], [[]]):
+        with pytest.raises(ValueError):
+            ck.i_minus(m)
 
 
 def test_hat_of_all_ones_is_ones_row():
@@ -726,7 +746,7 @@ def test_iota_one_example_infinite_order(pair_ab):
 def test_iota_image_vanishes_in_weak_group(corpus500):
     from ckinv.presented import PresentedGroup
     for a in corpus500[:60]:
-        ia = ck.i_minus(a.entries)
+        ia = i_minus_array(a.entries)
         weak = PresentedGroup(a.n, ia)
         e1 = np.zeros(a.n, dtype=np.int64)
         e1[0] = 1

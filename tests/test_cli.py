@@ -284,6 +284,10 @@ def test_selftest_checks_name_their_first_failure(monkeypatch):
     bad = [replace(r, pi2_aut_stable=r.pi1_aut_stable.direct_sum(Z))
            for r in good]
     assert selftest.check_stable_equality(bad).startswith("report 0:")
+    bad = [replace(r, pi1_aut_stable=r.pi1_aut_stable.direct_sum(Z),
+                   pi2_aut_stable=r.pi1_aut_stable.direct_sum(Z))
+           for r in good]  # equal, and not the group of the weak data
+    assert selftest.check_stable_equality(bad).startswith("report 0:")
     bad = [replace(r, ext_s0=r.ext_s0.direct_sum(Z)) for r in good]
     assert selftest.check_rank_identities(bad).startswith("report 0:")
     bad = [replace(r, ext_s1=r.ext_s1.direct_sum(Z)) for r in good]

@@ -159,6 +159,17 @@ def test_a_tensor_sum_past_the_cap_is_refused_before_listing():
         [f"{10 ** 9} torsion moduli exceed the cap of {cap}"] * 4
 
 
+def test_a_direct_sum_of_long_torsion_parts_is_built():
+    # G + H = G x Z + H x Z copies each torsion part once, no more than
+    # the inputs hold, so those moduli are not counted against the cap;
+    # Z^2 x G lists two copies of G's, and those are
+    g = FgAbGroup(0, (2,) * 600_000)
+    assert g.direct_sum(g) == FgAbGroup(0, (2,) * 1_200_000)
+    assert Z.direct_sum(g) == FgAbGroup(1, g.invariant_factors)
+    with pytest.raises(ValueError, match="1200000 torsion moduli"):
+        FgAbGroup(2).tensor(g)
+
+
 def test_direct_sum_examples():
     g = FgAbGroup(1, (2,))
     assert g.direct_sum(TRIVIAL) == g

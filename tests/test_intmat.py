@@ -15,16 +15,12 @@ from ckinv.presented import GroupHom, PresentedGroup
 from ckinv.selftest import random_targets
 
 from oracles import augmented_matrix, bareiss_det, cofactor_det, \
-    columns_array, hat_matrix, markowitz_unit_prepass, minor_gcd_diagonal, \
-    numpy_hermite_normal_form, numpy_smith_diagonal, \
-    numpy_smith_normal_form, object_array, one_step_bareiss, with_kernel
+    bool_array, columns_array, hat_matrix, i_minus_array, \
+    markowitz_unit_prepass, minor_gcd_diagonal, numpy_hermite_normal_form, \
+    numpy_smith_diagonal, numpy_smith_normal_form, object_array, \
+    one_step_bareiss, with_kernel
 
 EX3_A = [[1, 1, 1], [1, 1, 1], [1, 0, 0]]
-
-
-def i_minus(m):
-    m = np.asarray(m)
-    return np.eye(m.shape[0], dtype=np.int64) - m
 
 
 def random_matrix(rng, max_dim=8, span=5):
@@ -49,7 +45,7 @@ def test_smith_diag_2_3():
 
 
 def test_smith_example_matrix():
-    ia = i_minus(EX3_A)
+    ia = i_minus_array(EX3_A)
     # brute-force cofactor oracle: |det(I-A)| = 2 forces factors (1,1,2)
     assert abs(cofactor_det(ia.tolist())) == 2
     assert minor_gcd_diagonal(ia.tolist()) == [1, 1, 2]
@@ -149,8 +145,9 @@ def test_transforms_match_the_numpy_reference():
     for n in (2, 3, 5, 8, 13, 21, 34, 60):
         a = ck.gen_random_irreducible(n, rng.choice((0.1, 0.3, 0.6)),
                                       rng.randrange(2 ** 31))
-        ia = ck.i_minus(a.entries)
-        cases += [ia, ia.T, ck.i_minus(hat_matrix(a)), augmented_matrix(a)]
+        ia = i_minus_array(a.entries)
+        cases += [ia, ia.T, i_minus_array(hat_matrix(a)),
+                  augmented_matrix(a)]
     assert any(min(m.shape) == 0 for m in cases)
     grew = []
     for m in cases:
@@ -180,9 +177,9 @@ def test_smith_diagonal_matches_dense_reference():
     for n in (2, 3, 5, 8, 13, 21, 34, 50, 60):
         a = ck.gen_random_irreducible(n, rng.choice((0.1, 0.3, 0.6)),
                                       rng.randrange(2 ** 31))
-        ia = ck.i_minus(a.entries)
-        cases += [ia, ia.T, ck.i_minus(hat_matrix(a)), augmented_matrix(a),
-                  augmented_matrix(a).T]
+        ia = i_minus_array(a.entries)
+        cases += [ia, ia.T, i_minus_array(hat_matrix(a)),
+                  augmented_matrix(a), augmented_matrix(a).T]
     for _ in range(300):
         rows, cols = rng.randint(0, 9), rng.randint(0, 9)
         m = np.array([[rng.choice((0, 0, 0, 1, -1, 2, -3, 4))
@@ -201,8 +198,8 @@ def test_smith_diagonal_matches_dense_reference():
 
 def _derived(a):
     # the five matrices ck.invariants eliminates
-    ia = ck.i_minus(a.entries)
-    ih = ck.i_minus(hat_matrix(a))
+    ia = i_minus_array(a.entries)
+    ih = i_minus_array(hat_matrix(a))
     return [ia.T, ia, augmented_matrix(a), ih, np.hstack([ih, ia[:, :1]])]
 
 
@@ -226,8 +223,8 @@ def test_smith_diagonal_matches_dense_reference_when_rank_deficient():
     for n in (6, 9, 13, 21, 34, 50):
         b = with_kernel(ck.gen_random_irreducible(
             n, rng.choice((0.3, 0.6)), rng.randrange(2 ** 31)))
-        ia = ck.i_minus(b.entries)
-        cases += [ia, ia.T, ck.i_minus(hat_matrix(b))]
+        ia = i_minus_array(b.entries)
+        cases += [ia, ia.T, i_minus_array(hat_matrix(b))]
     for _ in range(200):
         rows = rng.randint(3, 10)
         cols = rng.randint(rows, 10)  # rank below min(rows, cols)
@@ -263,7 +260,7 @@ def test_modular_core_matches_the_min_abs_loop(monkeypatch):
         mats = [ck.gen_random_irreducible(n, 0.3, seed=7)]
         for seed in (8, 9):  # K1 != 0
             b = with_kernel(ck.gen_random_irreducible(n, 0.3, seed))
-            assert 0 in intmat.smith_diagonal(ck.i_minus(b.entries))
+            assert 0 in intmat.smith_diagonal(i_minus_array(b.entries))
             mats.append(b)
         for m in (m for a in mats for m in _derived(a)):
             core = _core(m)
@@ -410,7 +407,7 @@ def test_smith_diagonal_at_the_frontier():
     # I - A at n=200: the min-abs loop took 24 s on the core of this matrix
     a = ck.gen_random_irreducible(200, 0.3, seed=7)
     start = time.perf_counter()
-    diag = intmat.smith_diagonal(ck.i_minus(a.entries))
+    diag = intmat.smith_diagonal(i_minus_array(a.entries))
     assert time.perf_counter() - start < 10.0
     assert len(diag) == 200 and all(diag)
     assert all(y % x == 0 for x, y in zip(diag, diag[1:]))
@@ -420,7 +417,7 @@ def test_smith_diagonal_at_the_frontier():
 
 def test_cokernel_examples():
     allones4 = np.ones((4, 4), dtype=np.int64)
-    assert intmat.cokernel_invariants(i_minus(allones4)) == \
+    assert intmat.cokernel_invariants(i_minus_array(allones4)) == \
         FgAbGroup(0, (3,))
     assert intmat.cokernel_invariants([[0, 0], [0, 0]]) == FgAbGroup(2)
     # a matrix with no columns presents the free group on its rows
@@ -461,8 +458,9 @@ def test_rank_nullity_square():
 
 def test_kernel_examples():
     # det(I - A) = -1 for the all-ones 2x2, so the kernel is trivial
-    assert cofactor_det(i_minus(np.ones((2, 2), dtype=int)).tolist()) == -1
-    assert intmat.kernel_basis(i_minus(np.ones((2, 2), dtype=int))) == []
+    ia = i_minus_array(np.ones((2, 2), dtype=int))
+    assert cofactor_det(ia.tolist()) == -1
+    assert intmat.kernel_basis(ia) == []
     kb = intmat.kernel_basis([[1, 1, 1]])
     assert len(kb) == 2 and {len(col) for col in kb} == {3}
     for col in kb:
@@ -784,7 +782,7 @@ def test_smith_transforms_run_without_numpy():
 _INT_RESULTS_NUMPY_BLOCKED = """
 import json, sys
 sys.modules["numpy"] = None  # an import of numpy now raises ImportError
-from ckinv import intmat
+from ckinv import ck, intmat
 from ckinv.presented import GroupHom, PresentedGroup
 cases = json.loads(sys.argv[1])
 q = PresentedGroup(2, [[4, 0], [2, 6]])
@@ -794,14 +792,18 @@ print(json.dumps([
     [[intmat.kernel_basis(m), intmat.lattice_solve(m, v),
       intmat.lattice_solve(m, w)] for m, v, w in cases],
     q.relations, q.element([7, -3]).coords, f.image(), lift,
-    str(k.canonical()), sys.modules["numpy"] is not None]))
+    str(k.canonical()),
+    [ck.i_minus(ck.gen_random_irreducible(n, 0.3, seed=n).rows)
+     for n in (2, 5, 9)], sys.modules["numpy"] is not None]))
 """
 
 
 def test_int_results_run_without_numpy():
     # with numpy blocked: kernel bases, lattice solutions, relations,
-    # coordinates, images and kernel lifts, as Python ints equal to the
-    # columns of the numpy Hermite reference and to the results here
+    # coordinates, images, kernel lifts and I - A, as Python ints equal to
+    # the columns of the numpy Hermite reference, to the arrays built from
+    # the definitions and to the results here; the int64 entries, which
+    # need numpy, are the bytes of the matrix as before
     rng = random.Random(2626)
     cases = [([[2, 4, 4], [-6, 6, 12]], [6, 6], [1, 0])]
     for _ in range(6):
@@ -812,7 +814,8 @@ def test_int_results_run_without_numpy():
     r = subprocess.run([sys.executable, "-c", _INT_RESULTS_NUMPY_BLOCKED,
                         json.dumps(cases)], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    solved, rel, coords, image, lift, kernel, numpy = json.loads(r.stdout)
+    solved, rel, coords, image, lift, kernel, ias, numpy = \
+        json.loads(r.stdout)
     for (m, v, w), (basis, x, y) in zip(cases, solved):
         _, hu, pivots = numpy_hermite_normal_form(m)
         assert basis == hu[:, len(pivots):].T.tolist() == \
@@ -830,6 +833,12 @@ def test_int_results_run_without_numpy():
     k, want = f.kernel()
     assert lift == want and kernel == str(k.canonical())
     assert all(f.apply(f.source.element(c)).is_zero() for c in lift)
+    for n, ia in zip((2, 5, 9), ias, strict=True):
+        a = ck.gen_random_irreducible(n, 0.3, seed=n)
+        m = a.entries
+        assert m.dtype == np.int64 and m.flags.writeable
+        assert (m == bool_array(a)).all() and m.shape == (n, n)
+        assert ia == ck.i_minus(m) == i_minus_array(m).tolist()
     assert not numpy
 
 _READER_NUMPY_BLOCKED = """
