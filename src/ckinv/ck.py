@@ -410,7 +410,8 @@ def k0_pair(a: ZeroOneMatrix) -> tuple[PresentedGroup, GroupElement]:
     groups: the strong one is Z + K_0/(unit class).
     """
     a = _require_valid(a)
-    p = PresentedGroup(a.n, list(zip(*_i_minus_rows(a))))
+    # the rows of I - A are the columns of (I - A)^t
+    p = PresentedGroup._on_columns(a.n, _i_minus_rows(a))
     return p, p.element([1] * a.n)
 
 
@@ -469,8 +470,7 @@ def _sequence_kernels(ia, ext_w1: FgAbGroup, ext_s1: FgAbGroup,
     n = len(ia)
     ker_a = intmat.hermite_normal_form(ia).kernel if ext_w1.free_rank \
         else []
-    s = GroupHom._on_rows(PresentedGroup(len(ker_a)), z,
-                          [[sum(b) for b in ker_a]])
+    s = GroupHom(PresentedGroup(len(ker_a)), z, [[sum(b) for b in ker_a]])
     b_rows = list(zip(*ker_a))
     ker_hat = [[1] + [0] * (n - 1)] + [
         [sum(map(mul, c, r)) for r in b_rows] for c in s._lift]
@@ -547,7 +547,7 @@ def five_term_sequence(a: ZeroOneMatrix) -> FiveTermSequence:
     g1 = PresentedGroup._on_columns(1 + len(coeffs),
                                     [[1] + [0] * len(coeffs)])  # e_1
     # e_1 maps to 0, B c to c
-    j = GroupHom._on_rows(g1, g2, intmat._transpose([[0] * m] + coeffs, m))
+    j = GroupHom(g1, g2, intmat._transpose([[0] * m] + coeffs, m))
     return FiveTermSequence((g1, g2, g3, g4, g5), (j, s, iota, q))
 
 

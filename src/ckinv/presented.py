@@ -20,8 +20,9 @@ A group holds its relations as a list of int columns, a hom its matrix as
 a list of int rows and an element its coordinates as a tuple of ints.
 Every query runs on these, with no numpy, and every result is Python
 ints: relations, images and kernel lifts as new lists of int columns.
-Only :meth:`PresentedGroup.canonical_coords` computes Smith transforms,
-and it reads their int rows.
+Only :meth:`PresentedGroup.canonical_coords` computes a Smith transform,
+the row transform u alone, and in a group with no relations it needs
+none: the coordinates are the vector itself.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ class PresentedGroup:
         return group
 
     def __repr__(self):
-        return (f"PresentedGroup({self.generators}, "
-                f"{len(self._relations)} relations; {self.canonical()})")
+        return (f"PresentedGroup({self.generators} generators, "
+                f"{len(self._relations)} relations)")
 
     @property
     def relations(self) -> list[list[int]]:
@@ -80,16 +81,14 @@ class PresentedGroup:
         return [list(c) for c in self._relations]
 
     @cached_property
-    def _rel_snf(self) -> intmat.SmithDecomposition:
-        return intmat.smith_normal_form(
-            intmat._transpose(self._relations, self.generators))
-
-    @cached_property
-    def _moduli(self) -> tuple[int, ...]:
-        """Cyclic modulus of each Smith coordinate (0 marks a free one)."""
-        diag = self._rel_snf.diagonal
-        return tuple(diag[i] if i < len(diag) else 0
-                     for i in range(self.generators))
+    def _smith_coords(self) -> tuple[list[list[int]], tuple[int, ...]]:
+        """(rows of u, cyclic modulus of each Smith coordinate, 0 for a
+        free one), u the row transform that brings the relation matrix to
+        Smith form; the column transform is not built."""
+        u = intmat._identity_rows(self.generators)
+        diag = intmat._smith_rows(
+            intmat._transpose(self._relations, self.generators), u)
+        return u, tuple(diag) + (0,) * (self.generators - len(diag))
 
     @cached_property
     def _canonical(self) -> FgAbGroup:
@@ -113,12 +112,17 @@ class PresentedGroup:
         """(free coordinates, torsion residues) of a coordinate vector.
 
         Vectors name the same group element iff these agree; the residues
-        are listed per invariant factor > 1 in Smith order.
+        are listed per invariant factor > 1 in Smith order.  With no
+        relations the vector is its own free coordinates, and no transform
+        is built.
         """
         x = intmat._vector(coords, self.generators)
-        (y,) = _images(self._rel_snf.u_rows, [x])
-        free = tuple(y[i] for i, d in enumerate(self._moduli) if d == 0)
-        tors = tuple(y[i] % d for i, d in enumerate(self._moduli) if d > 1)
+        if not self._relations:
+            return x, ()
+        u, moduli = self._smith_coords
+        (y,) = _images(u, [x])
+        free = tuple(y[i] for i, d in enumerate(moduli) if d == 0)
+        tors = tuple(y[i] % d for i, d in enumerate(moduli) if d > 1)
         return free, tors
 
     def _contains(self, columns) -> bool:
@@ -211,12 +215,16 @@ class GroupHom:
     """Homomorphism between presented groups, as an integer matrix.
 
     The matrix, given as rows of ints or an integer array, has one column
-    per source generator, giving its image in target coordinates.
+    per source generator, giving its image in target coordinates.  A
+    matrix with no rows and no stated width, such as ``[]``, is the
+    matrix of a hom into a group of no generators.
     """
 
     def __init__(self, source: PresentedGroup, target: PresentedGroup,
                  matrix):
         rows, width = intmat._shaped(matrix)
+        if not rows and not width:
+            width = source.generators
         if (len(rows), width) != (target.generators, source.generators):
             raise ValueError(
                 f"hom matrix must be {target.generators} x "
@@ -225,18 +233,9 @@ class GroupHom:
         self.target = target
         self._rows = [list(r) for r in rows]
 
-    @classmethod
-    def _on_rows(cls, source: PresentedGroup, target: PresentedGroup,
-                 rows) -> "GroupHom":
-        """The hom with these matrix rows, ``target.generators`` lists of
-        ``source.generators`` Python ints, taken as they are."""
-        hom = cls.__new__(cls)
-        hom.source, hom.target, hom._rows = source, target, rows
-        return hom
-
     def __repr__(self):
-        return (f"GroupHom({self.source.canonical()} -> "
-                f"{self.target.canonical()})")
+        return (f"GroupHom({self.source.generators} -> "
+                f"{self.target.generators} generators)")
 
     @cached_property
     def _columns(self) -> list[list[int]]:
@@ -258,10 +257,9 @@ class GroupHom:
         """self after inner."""
         if inner.target is not self.source:
             raise ValueError("homs are not composable")
-        return GroupHom._on_rows(
-            inner.source, self.target,
-            intmat._transpose(_images(self._rows, inner._columns),
-                              self.target.generators))
+        return GroupHom(inner.source, self.target,
+                        intmat._transpose(_images(self._rows, inner._columns),
+                                          self.target.generators))
 
     def image(self) -> list[list[int]]:
         """Columns generating the image inside target coordinates, as new

@@ -26,8 +26,10 @@ off one cokernel, the Kronecker presentation of each product.  They are
 deliberately slow and simple.
 The exceptions build library groups and read them the long way round:
 ``transforms_order`` reads an element's order off the Smith transforms of
-its presentation (``canonical_coords``), a route the library's order rule
-no longer takes, and ``homology`` presents ker(g)/im(f) outright, on
+its presentation (``canonical_coords`` and ``smith_normal_form``), a
+route the library's order rule no longer takes, ``transform_coords`` is
+``canonical_coords`` as it ran before it built u alone, from the full
+``smith_normal_form``, and ``homology`` presents ker(g)/im(f) outright, on
 kernels from the numpy Hermite reference, where the library's exactness
 test decides lattice membership instead.  ``iota_nodes`` decides
 exactness at Z and at coker(I - A^hat) from one Smith diagonal of
@@ -41,7 +43,10 @@ from the library's int rows and int columns.  ``i_minus_array``,
 ``hat_matrix`` and ``augmented_matrix`` build the derived matrices of a
 validated 0-1 matrix as int64 arrays, straight from their definitions,
 ``bool_array`` reads its bytes as booleans, and ``with_kernel`` turns a
-matrix into one whose I - A has equal rows.
+matrix into one whose I - A has equal rows.  ``out_split`` and
+``in_split`` split a vertex of a matrix's graph (Bates and Pask, Ergodic
+Theory Dynam. Systems 24 (2004)): an out-split keeps the isomorphism
+class of O_A, an in-split its stable class.
 """
 
 from bisect import bisect_right
@@ -338,8 +343,46 @@ def transforms_order(element) -> int:
     free, tors = element.canonical_coords()
     if any(free):
         return 0
-    facs = [d for d in element.group._rel_snf.diagonal if d > 1]
+    group = element.group
+    diag = intmat.smith_normal_form(
+        columns_array(group.relations, group.generators)).diagonal
+    facs = [d for d in diag if d > 1]
     return lcm(*(d // gcd(d, r) for d, r in zip(facs, tors)))
+
+
+def transform_coords(group, coords) -> tuple[tuple, tuple]:
+    """(free coordinates, torsion residues) of a vector in a presented
+    group, from the rows of u of the full ``smith_normal_form`` of its
+    relations, the diagonal padded with free coordinates."""
+    dec = intmat.smith_normal_form(
+        columns_array(group.relations, group.generators))
+    moduli = dec.diagonal + (0,) * (group.generators - len(dec.diagonal))
+    y = [sum(a * b for a, b in zip(row, coords)) for row in dec.u_rows]
+    return (tuple(y[i] for i, d in enumerate(moduli) if d == 0),
+            tuple(y[i] % d for i, d in enumerate(moduli) if d > 1))
+
+
+def out_split(a, v: int, rng):
+    """The out-split of vertex v of a validated matrix: the 1s of row v
+    are split at random into two nonempty rows, v and a new last one, and
+    column v is duplicated as the last column, the self-loop at v
+    included.  Row v must hold two 1s or more."""
+    from ckinv import ck
+    rows = a.rows
+    ones = [j for j, x in enumerate(rows[v]) if x]
+    if len(ones) < 2:
+        raise ValueError(f"row {v} holds fewer than two 1s")
+    rng.shuffle(ones)
+    moved = set(ones[:rng.randint(1, len(ones) - 1)])
+    rows.append([int(j in moved) for j in range(a.n)])
+    rows[v] = [int(x and j not in moved) for j, x in enumerate(rows[v])]
+    return ck.validate([r + [r[v]] for r in rows])
+
+
+def in_split(a, v: int, rng):
+    """The in-split of vertex v: the out-split of the transpose,
+    transposed.  Column v must hold two 1s or more."""
+    return out_split(a.transpose(), v, rng).transpose()
 
 
 def minor_gcd_diagonal(rows) -> list:

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import time
 from itertools import chain
 
 import numpy as np
@@ -14,8 +15,8 @@ from ckinv.selftest import AMPLIFIED_SHAPES, CUNTZ_SIDES, \
 
 from oracles import augmented_matrix, bool_array, columns_array, \
     composite_pi, hat_matrix, i_minus_array, iota_nodes, \
-    numpy_hermite_normal_form, ones_row_matrix, sequence_exactness, \
-    transforms_order, with_kernel
+    in_split, numpy_hermite_normal_form, ones_row_matrix, out_split, \
+    sequence_exactness, transforms_order, with_kernel
 
 EX3_A = [[1, 1, 1], [1, 1, 1], [1, 0, 0]]
 EX3_B = [[1, 1, 1], [1, 1, 0], [1, 1, 0]]  # the transpose of EX3_A
@@ -440,6 +441,51 @@ def test_report_verdicts_match_the_deciders(corpus500, reports500):
                             ck.is_stably_isomorphic_ck(a, b))
         seen.add(verdicts)
     assert seen == {(True, True), (False, True), (False, False)}
+
+
+def _split_vertex(a, rng, along_rows: bool) -> int:
+    # a vertex whose row (or column) holds two 1s or more
+    rows = a.rows if along_rows else a.transpose().rows
+    return rng.choice([v for v, r in enumerate(rows) if sum(r) >= 2])
+
+
+def test_state_splittings_keep_the_classes_of_o_a(corpus500):
+    # out-splits give isomorphic algebras and in-splits stably isomorphic
+    # ones (Bates and Pask 2004); an in-split may change ExtS1, and on
+    # this corpus, make_corpus(300), it does in about half the trials
+    rng = random.Random(5)
+    in_isomorphic = 0
+    for a in corpus500[:300]:
+        b = out_split(a, _split_vertex(a, rng, True), rng)
+        assert b.n == a.n + 1 and ck.is_isomorphic_ck(a, b), a.rows
+        c = in_split(a, _split_vertex(a, rng, False), rng)
+        assert c.n == a.n + 1 and ck.is_stably_isomorphic_ck(a, c), a.rows
+        in_isomorphic += ck.is_isomorphic_ck(a, c)
+    assert 0 < in_isomorphic < 300
+
+
+def test_a_chain_of_out_splits_keeps_the_report(corpus500):
+    # one seeded chain grows a side-12 corpus matrix to side 61, and every
+    # report on the way has its groups; 0.1 s in all (2-core x86-64)
+    rng = random.Random(5)
+    a = corpus500[10]
+    want = ck.invariants(a).to_json()
+    start = time.perf_counter()
+    while a.n <= 60:
+        a = out_split(a, _split_vertex(a, rng, True), rng)
+        got = ck.invariants(a).to_json()
+        assert {**got, "n": want["n"]} == want, a.n
+    assert a.n == 61 and time.perf_counter() - start < 2
+
+
+def test_k0_pair_relations_are_the_rows_of_i_minus_a(corpus500):
+    # the rows of I - A are the relation columns of (I - A)^t
+    for a in corpus500:
+        p, unit = ck.k0_pair(a)
+        old = PresentedGroup(a.n, list(zip(*ck._i_minus_rows(a))))
+        assert p._relations == old._relations == i_minus_array(a.entries) \
+            .tolist()
+        assert p.generators == a.n and unit.coords == (1,) * a.n
 
 
 # -- five-term sequence -----------------------------------------------------

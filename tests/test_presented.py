@@ -8,13 +8,14 @@ from math import lcm
 import numpy as np
 import pytest
 
-from ckinv import ck, intmat
+from ckinv import ck, intmat, selftest
 from ckinv.groups import FgAbGroup, TRIVIAL, Z
 from ckinv.presented import GroupElement, GroupHom, PresentedGroup, \
     is_exact_at, quotient_by_elements
 
 from oracles import columns_array, homology, i_minus_array, \
-    is_exact_by_homology, minor_gcd_diagonal, object_array, transforms_order
+    is_exact_by_homology, minor_gcd_diagonal, object_array, \
+    transform_coords, transforms_order
 
 
 def z_mod(n):
@@ -34,12 +35,25 @@ def test_canonical_trivial():
 
 _HUGE_FREE_GROUP = """
 import resource
+import time
 # 10**9 empty relation rows would take gigabytes; under this limit
 # building them fails at once
 resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29))
 from ckinv.groups import FgAbGroup
 from ckinv.presented import PresentedGroup
 assert PresentedGroup(10 ** 9).canonical() == FgAbGroup(10 ** 9)
+# with no relations the coordinates are the vector, all free: building
+# the identity transform took 0.65 s and 146 MB at 4000 generators, and
+# at 10**5 it would ask for tens of GB, so this runs under the limit too
+start = time.perf_counter()
+p = PresentedGroup(10 ** 5)
+e1 = (1,) + (0,) * (10 ** 5 - 1)
+assert p.canonical_coords(e1) == p.element(e1).canonical_coords() == (e1, ())
+assert time.perf_counter() - start < 1
+# a vector of 10**9 ints alone takes 8 GB, so coordinates are asked of
+# 10**7 generators, whose identity transform would hold 10**14 entries
+e1 = [1] + [0] * (10 ** 7 - 1)
+assert PresentedGroup(10 ** 7).canonical_coords(e1) == (tuple(e1), ())
 """
 
 
@@ -248,6 +262,35 @@ def test_element_equality_matches_canonical_coords():
         assert x.order() == transforms_order(x)
 
 
+def _check_coords(p: PresentedGroup, rng: random.Random) -> None:
+    vectors = [[int(i == k) for i in range(p.generators)]
+               for k in range(p.generators)]
+    vectors += [[rng.randint(-9, 9) for _ in range(p.generators)],
+                [1] * p.generators]
+    for v in vectors:
+        assert p.canonical_coords(v) == transform_coords(p, v), (p, v)
+
+
+def test_canonical_coords_match_the_full_transform(corpus500):
+    # u alone, with no v, gives the coordinates that the rows of u of
+    # smith_normal_form gave: on both presentations of every corpus
+    # matrix, and on random relation matrices of 1..6 rows and columns,
+    # each also with a zero column inserted and with no relations
+    rng = random.Random(28)
+    for a in corpus500:
+        _check_coords(ck.ext_strong_presentation(a), rng)
+        _check_coords(ck.k0_pair(a)[0], rng)
+    shapes = set()
+    for rows in selftest.random_matrices(500, 28):
+        at = rng.randint(0, len(rows[0]))
+        padded = [r[:at] + [0] + r[at:] for r in rows]
+        for m in (rows, padded):
+            _check_coords(PresentedGroup(len(m), m), rng)
+            shapes.add(len(m) == len(m[0]))
+        _check_coords(PresentedGroup(len(rows)), rng)
+    assert shapes == {True, False}
+
+
 def test_cross_presentation_is_an_error():
     p, q = z_mod(2), z_mod(2)
     with pytest.raises(ValueError):
@@ -308,6 +351,50 @@ def test_hom_apply_and_compose():
     assert gf.apply(zz.element([1])) == z4.element([2])
     with pytest.raises(ValueError):
         f.compose(g)
+
+
+def test_homs_into_a_group_of_no_generators():
+    # a matrix with no rows states no width; it is taken as 0 x source
+    for m in ([], (), np.zeros((0, 2), dtype=np.int64)):
+        f = GroupHom(free(2), free(0), m)
+        assert f._rows == [] and f.is_well_defined() and f.is_surjective()
+        assert f.apply(f.source.element([3, -1])).coords == ()
+        k, lift = f.kernel()
+        assert k.canonical() == FgAbGroup(2) and len(lift) == 2
+    with pytest.raises(ValueError, match="must be 0 x 2"):
+        GroupHom(free(2), free(0), np.zeros((0, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="must be 1 x 2"):
+        GroupHom(free(2), free(1), [])
+    # compositions into and out of a group of no generators
+    z0, z2, z3, two = free(0), free(2), free(3), z_mod(2)
+    into = GroupHom(z2, z0, []).compose(
+        GroupHom(z3, z2, [[1, 0, 2], [0, 1, 1]]))
+    assert (into.source, into.target, into._rows) == (z3, z0, [])
+    out = GroupHom(z0, two, [[]]).compose(GroupHom(z2, z0, []))
+    assert out._rows == [[0, 0]] and out.is_well_defined()
+    assert GroupHom(free(0), free(0), [])._rows == []
+
+
+def test_reprs_run_no_elimination(monkeypatch):
+    # reprs print generator and relation counts, not canonical forms: the
+    # repr of the side-200 strong extension group ran a Smith diagonal of
+    # side 200 (0.5 s), and that of a five-term sequence several
+    a = ck.gen_random_irreducible(60, 0.3, 7)
+    p = ck.ext_strong_presentation(a)
+    f = GroupHom(p, p, [[int(i == j) for j in range(60)] for i in range(60)])
+    seq = ck.five_term_sequence(ck.gen_random_irreducible(60, 0.3, 8))
+    for group in seq.groups:
+        group.__dict__.pop("_canonical", None)  # as fresh as p
+    calls = []
+    for name in ("smith_diagonal", "_smith_rows", "_hermite"):
+        kernel = getattr(intmat, name)
+        monkeypatch.setattr(intmat, name, lambda *m, kernel=kernel, name=name:
+                            calls.append(name) or kernel(*m))
+    texts = [repr(p), repr(f), repr(seq)]
+    assert calls == []
+    assert texts[0] == "PresentedGroup(60 generators, 60 relations)"
+    assert texts[1] == "GroupHom(60 -> 60 generators)"
+    assert "GroupHom(1 -> 60 generators)" in texts[2]
 
 
 def test_hom_kernel_examples():
