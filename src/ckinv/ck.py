@@ -35,15 +35,14 @@ verdict.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain, compress
 from math import gcd
 from operator import mul, or_
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING
 
 from . import intmat
-from .groups import FgAbGroup, _tensor_sum, free_abelian
+from .groups import FgAbGroup, _Frozen, _tensor_sum, free_abelian
 from .presented import GroupElement, GroupHom, PresentedGroup, \
     order_from_quotient
 
@@ -63,8 +62,7 @@ class VerificationError(RuntimeError):
     """An internal cross-check failed: a library fault, never bad input."""
 
 
-@dataclass(frozen=True)
-class ZeroOneMatrix:
+class ZeroOneMatrix(_Frozen):
     """Validated N x N irreducible non-permutation matrix over {0, 1}.
 
     The entries are held row-major in ``data``, one byte each, so a held
@@ -80,8 +78,11 @@ class ZeroOneMatrix:
     which eliminate again.
     """
 
-    data: bytes = field(repr=False)
-    n: int
+    _fields = ("data", "n")
+    _hidden = ("data",)
+
+    def __init__(self, data: bytes, n: int) -> None:
+        self._set(data, n)
 
     @property
     def rows(self) -> list[list[int]]:
@@ -236,33 +237,29 @@ def i_minus(m) -> list[list[int]]:
             for i, row in enumerate(rows)]
 
 
-@dataclass(frozen=True)
-class CKReport:
-    """The full invariant bundle of one Cuntz-Krieger algebra."""
-
-    n: int
-    k0: FgAbGroup
-    k1: FgAbGroup
-    ext_w1: FgAbGroup
-    ext_w0: FgAbGroup
-    ext_s1: FgAbGroup
-    ext_s0: FgAbGroup
-    pi1_aut: FgAbGroup
-    pi2_aut: FgAbGroup
-    pi1_aut_stable: FgAbGroup
-    pi2_aut_stable: FgAbGroup
-    # order of iota_1, 0 if infinite: |T(ExtS1)| / |T(ExtW1)| when the
-    # free ranks agree, ExtS1/<iota_1> being ExtW1, which the report
-    # checks against the cokernel of [I - A^hat | (I - A) e_1]
-    iota_one_order: int
+class CKReport(_Frozen):
+    """The full invariant bundle of one Cuntz-Krieger algebra: the side
+    ``n``, the groups that ``_GROUPS`` names, and ``iota_one_order``, the
+    order of iota_1, 0 if infinite: |T(ExtS1)| / |T(ExtW1)| when the free
+    ranks agree, ExtS1/<iota_1> being ExtW1, which the report checks
+    against the cokernel of [I - A^hat | (I - A) e_1]."""
 
     # the JSON and text name, then the field, of each group in report order
-    _GROUPS: ClassVar[tuple[tuple[str, str], ...]] = (
+    _GROUPS = (
         ("K0", "k0"), ("K1", "k1"), ("ExtW1", "ext_w1"),
         ("ExtW0", "ext_w0"), ("ExtS1", "ext_s1"), ("ExtS0", "ext_s0"),
         ("pi1_aut", "pi1_aut"), ("pi2_aut", "pi2_aut"),
         ("pi1_aut_stable", "pi1_aut_stable"),
         ("pi2_aut_stable", "pi2_aut_stable"))
+    _fields = ("n", *(f for _, f in _GROUPS), "iota_one_order")
+
+    def __init__(self, n: int, k0: FgAbGroup, k1: FgAbGroup,
+                 ext_w1: FgAbGroup, ext_w0: FgAbGroup, ext_s1: FgAbGroup,
+                 ext_s0: FgAbGroup, pi1_aut: FgAbGroup, pi2_aut: FgAbGroup,
+                 pi1_aut_stable: FgAbGroup, pi2_aut_stable: FgAbGroup,
+                 iota_one_order: int) -> None:
+        self._set(n, k0, k1, ext_w1, ext_w0, ext_s1, ext_s0, pi1_aut,
+                  pi2_aut, pi1_aut_stable, pi2_aut_stable, iota_one_order)
 
     def to_json(self) -> dict:
         groups = {name: getattr(self, f).to_json() for name, f in self._GROUPS}
@@ -426,8 +423,7 @@ def iota_one(a: ZeroOneMatrix) -> GroupElement:
         [r[0] for r in _i_minus_rows(a)])
 
 
-@dataclass(frozen=True)
-class FiveTermSequence:
+class FiveTermSequence(_Frozen):
     """0 -> G1 -> G2 -> G3 -> G4 -> G5 -> 0, exact at every node.
 
     Groups: Ker(I-A^hat)/(Z e_1), Ker(I-A), Z, coker(I-A^hat), coker(I-A).
@@ -444,11 +440,14 @@ class FiveTermSequence:
     constants of the class.
     """
 
-    groups: tuple[PresentedGroup, ...]
-    maps: tuple[GroupHom, ...]
-    map_names: ClassVar[tuple[str, ...]] = ("j", "s", "iota", "q")
-    nodes_exact: ClassVar[tuple[bool, ...]] = (True,) * 5
-    verified: ClassVar[bool] = True
+    _fields = ("groups", "maps")
+    map_names = ("j", "s", "iota", "q")
+    nodes_exact = (True,) * 5
+    verified = True
+
+    def __init__(self, groups: tuple[PresentedGroup, ...],
+                 maps: tuple[GroupHom, ...]) -> None:
+        self._set(groups, maps)
 
 
 def _sequence_kernels(ia, ext_w1: FgAbGroup, ext_s1: FgAbGroup,

@@ -11,7 +11,6 @@ then N rows of N space-separated entries -- or JSON {"matrix": [[...]]}.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -98,6 +97,7 @@ def parse_matrix_json(text: str) -> list[list[int]]:
 
     Rows must have equal lengths and integer entries in 64 bits.
     """
+    import json  # only here and in render_json: most commands print text
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -164,6 +164,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 def render_json(obj) -> str:
     """Canonical JSON rendering: fixed key order, no floats, one newline."""
+    import json
     return json.dumps(obj, indent=2) + "\n"
 
 

@@ -16,6 +16,10 @@ Tor(G, H) = T(G) x T(H), Hom(G, H) = Z^rank(G) x H + T(G) x T(H) and
 Ext^1(G, H) = T(G) x H.  Presentations by generators and relations live
 in :mod:`ckinv.presented`.
 
+``FgAbGroup`` and the library's six other value classes are plain
+classes on one frozen base, :class:`_Frozen`, which compares, hashes and
+prints their fields as a frozen dataclass would, with no ``dataclasses``.
+
 >>> G = canonical_from_cyclic([2, 3])
 >>> G
 FgAbGroup(free_rank=0, invariant_factors=(6,))
@@ -28,14 +32,55 @@ Z/2
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from math import gcd, prod
-from operator import index
+from operator import index, mod
 from typing import Iterable
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class _Frozen:
+    """Base of the immutable value classes.
+
+    A subclass names its fields, in order, in ``_fields``, and its
+    ``__init__`` stores their values once through :meth:`_set`, which
+    keeps them as attributes and as the tuple ``_values``.  ``==`` and
+    ``hash`` work on that tuple, as a frozen dataclass's do on its fields,
+    and an object of another class is never equal.  ``repr`` shows every
+    field not named in ``_hidden``.  Assigning or deleting an attribute
+    raises ``AttributeError``; ``functools.cached_property`` memos go
+    straight into the instance dict and take no part in ``==``, ``hash``
+    or ``repr``.  Pickling and copying restore the instance dict.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        d = self.__dict__
+        d.update(zip(self._fields, values))
+        d["_values"] = values
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields,
+                                                        self._values)
+                          if f not in self._hidden)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FgAbGroup(_Frozen):
     """Canonical form of a finitely generated abelian group.
 
     ``invariant_factors`` must be an ascending divisibility chain with every
@@ -52,21 +97,20 @@ class FgAbGroup:
     ValueError: invariant factors must form a divisibility chain: (2, 3)
     """
 
-    free_rank: int
-    invariant_factors: tuple[int, ...] = ()
+    _fields = ("free_rank", "invariant_factors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "free_rank", index(self.free_rank))
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int,
+                 invariant_factors: tuple[int, ...] = ()) -> None:
+        free_rank = index(free_rank)
+        if free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        object.__setattr__(self, "invariant_factors",
-                           tuple(map(index, self.invariant_factors)))
-        facs = self.invariant_factors
-        if any(d < 2 for d in facs):
+        facs = tuple(map(index, invariant_factors))
+        if facs and min(facs) < 2:
             raise ValueError(f"invariant factors must be >= 2: {facs}")
-        if any(facs[i + 1] % facs[i] for i in range(len(facs) - 1)):
+        if any(map(mod, facs[1:], facs)):
             raise ValueError(
                 f"invariant factors must form a divisibility chain: {facs}")
+        self._set(free_rank, facs)
 
     # -- structure ---------------------------------------------------------
 

@@ -41,14 +41,13 @@ Algebraic Number Theory, Alg. 2.4.14.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
 from math import gcd, prod
 from operator import index
 from typing import TYPE_CHECKING
 
-from .groups import FgAbGroup, _chain
+from .groups import FgAbGroup, _Frozen, _chain
 
 if TYPE_CHECKING:
     import numpy as np
@@ -147,8 +146,7 @@ def _from_columns(columns, height: int) -> np.ndarray:
     return _object_array(columns, (len(columns), height)).T
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(_Frozen):
     """u @ m @ v = s with u, v unimodular and s in Smith normal form.
 
     ``diagonal`` lists the min(rows, columns) diagonal entries of s.  It,
@@ -156,9 +154,12 @@ class SmithDecomposition:
     ``u``, ``s`` and ``v`` are built from them on first access.
     """
 
-    diagonal: tuple[int, ...]
-    u_rows: list[list[int]] = field(repr=False)
-    v_columns: list[list[int]] = field(repr=False)
+    _fields = ("diagonal", "u_rows", "v_columns")
+    _hidden = ("u_rows", "v_columns")
+
+    def __init__(self, diagonal: tuple[int, ...], u_rows: list[list[int]],
+                 v_columns: list[list[int]]) -> None:
+        self._set(diagonal, u_rows, v_columns)
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -508,10 +509,18 @@ def _modular_diagonal(a: list[list[int]]) -> list[int]:
     rows are square and nonsingular, g_r = |det| = d_1 ... d_r: then
     d_1, ..., d_(r-1) are read modulo g_(r-1), usually 1 or small, and
     d_r is the quotient.  Entries stay below the modulus throughout.
-    Consumes ``a``.
+    A square core with one nonzero entry in each row and each column, as
+    a realize output leaves, is a diagonal matrix up to permutations and
+    signs: its diagonal is the chain of the absolute values of those
+    entries, read with no elimination.  Consumes ``a``.
     """
     if not a or not a[0]:
         return []
+    n = len(a)
+    if len(a[0]) == n and all(row.count(0) == n - 1 for row in a):
+        entries = [sum(row) for row in a]  # each row's one nonzero entry
+        if len({row.index(x) for row, x in zip(a, entries)}) == n:
+            return _chain(list(map(abs, entries)))
     gs = [1] + _bareiss([row[:] for row in a])  # g_0 = 1
     rank = len(gs) - 1
     if rank < len(a) or rank < len(a[0]):
@@ -549,8 +558,7 @@ def cokernel_invariants(m) -> FgAbGroup:
     return FgAbGroup(len(m) - rank, tuple(d for d in diag if d > 1))
 
 
-@dataclass(frozen=True)
-class HermiteDecomposition:
+class HermiteDecomposition(_Frozen):
     """Column-style Hermite form: m @ u = h with u unimodular.
 
     ``h`` is in column echelon form: the first nonzero entry of column j
@@ -561,10 +569,12 @@ class HermiteDecomposition:
     ints; the arrays ``h`` and ``u`` are built from them on first access.
     """
 
-    h_columns: list[list[int]] = field(repr=False)
-    u_columns: list[list[int]] = field(repr=False)
-    pivots: tuple[tuple[int, int], ...]
-    rows: int
+    _fields = ("h_columns", "u_columns", "pivots", "rows")
+    _hidden = ("h_columns", "u_columns")
+
+    def __init__(self, h_columns: list[list[int]], u_columns: list[list[int]],
+                 pivots: tuple[tuple[int, int], ...], rows: int) -> None:
+        self._set(h_columns, u_columns, pivots, rows)
 
     @cached_property
     def h(self) -> np.ndarray:

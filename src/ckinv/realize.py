@@ -11,29 +11,26 @@ the range of extension-group pairs, with a witness for each pair in it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .ck import MAX_SIDE, VerificationError, ZeroOneMatrix, _square, \
     validate
-from .groups import FgAbGroup, Z, canonical_from_cyclic
+from .groups import FgAbGroup, Z, _Frozen, canonical_from_cyclic
 from .presented import GroupElement, PresentedGroup, quotient_by_elements
 
 
-@dataclass(frozen=True)
-class RealizationTarget:
+class RealizationTarget(_Frozen):
     """Z^rank + sum of Z/factor (integers); factors need not form a chain."""
 
-    rank: int
-    factors: tuple[int, ...] = ()
+    _fields = ("rank", "factors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rank", operator.index(self.rank))
-        if self.rank < 0:
+    def __init__(self, rank: int, factors: tuple[int, ...] = ()) -> None:
+        rank = operator.index(rank)
+        if rank < 0:
             raise ValueError("rank must be non-negative")
-        object.__setattr__(self, "factors",
-                           tuple(map(operator.index, self.factors)))
-        if any(f < 2 for f in self.factors):
-            raise ValueError(f"torsion factors must be >= 2: {self.factors}")
+        factors = tuple(map(operator.index, factors))
+        if factors and min(factors) < 2:
+            raise ValueError(f"torsion factors must be >= 2: {factors}")
+        self._set(rank, factors)
 
     def group(self) -> FgAbGroup:
         return FgAbGroup(self.rank,

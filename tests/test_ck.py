@@ -478,6 +478,38 @@ def test_a_chain_of_out_splits_keeps_the_report(corpus500):
     assert a.n == 61 and time.perf_counter() - start < 2
 
 
+def test_split_chains_to_side_150_keep_the_known_groups(corpus500):
+    # seeded chains of splits grow three side-12 corpus matrices with
+    # K1 = 0, the unit class of K0 nonzero in each, to side 150, past
+    # every closed-form fixture: out-splits keep every group and the
+    # isomorphism class, in-splits keep K0, K1, ExtW1, ExtW0 and the
+    # stable class, and the five-term sequence builds; 0.8 s in all
+    # (2-core x86-64)
+    start = time.perf_counter()
+    for index in (10, 21, 54):
+        seed = corpus500[index]
+        want = ck.invariants(seed)
+        assert seed.n == 12 and want.k1 == TRIVIAL
+        assert want.ext_s1 != want.k0.direct_sum(Z)
+        for along_rows in (True, False):
+            rng, a = random.Random(index), seed
+            while a.n < 150:
+                split = out_split if along_rows else in_split
+                a = split(a, _split_vertex(a, rng, along_rows), rng)
+            got = ck.invariants(a)
+            if along_rows:
+                assert {**got.to_json(), "n": 12} == want.to_json(), index
+                assert ck.is_isomorphic_ck(seed, a)
+            else:
+                assert (got.k0, got.k1, got.ext_w1, got.ext_w0) == \
+                    (want.k0, want.k1, want.ext_w1, want.ext_w0), index
+                assert ck.is_stably_isomorphic_ck(seed, a)
+            seq = ck.five_term_sequence(a)
+            assert [g.canonical() for g in seq.groups[3:]] == \
+                [got.ext_s1, got.ext_w1]
+    assert time.perf_counter() - start < 2
+
+
 def test_k0_pair_relations_are_the_rows_of_i_minus_a(corpus500):
     # the rows of I - A are the relation columns of (I - A)^t
     for a in corpus500:

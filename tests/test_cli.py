@@ -2,7 +2,7 @@ import json
 import random
 import subprocess
 import sys
-from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +14,12 @@ from oracles import with_kernel
 
 EX3_A_TEXT = "3\n1 1 1\n1 1 1\n1 0 0\n"
 EX3_B_TEXT = "3\n1 1 1\n1 1 0\n1 1 0\n"
+
+
+def replace_fields(report, **changes):
+    """A new report with some fields changed."""
+    fields = dict(zip(report._fields, report._values))
+    return ck.CKReport(**{**fields, **changes})
 
 
 def run_cli(*args):
@@ -277,20 +283,20 @@ def test_selftest_checks_name_their_first_failure(monkeypatch):
     # report, pair or matrix, and the runner prints FAIL with the reason
     corpus = selftest.make_corpus(3)
     good = [ck.invariants(a) for a in corpus]
-    bad = good[:1] + [replace(r, pi2_aut=r.pi2_aut.direct_sum(Z))
+    bad = good[:1] + [replace_fields(r, pi2_aut=r.pi2_aut.direct_sum(Z))
                       for r in good[1:]]
     assert selftest.check_torsion_splitting(good) is None
     assert selftest.check_torsion_splitting(bad).startswith("report 1:")
-    bad = [replace(r, pi2_aut_stable=r.pi1_aut_stable.direct_sum(Z))
+    bad = [replace_fields(r, pi2_aut_stable=r.pi1_aut_stable.direct_sum(Z))
            for r in good]
     assert selftest.check_stable_equality(bad).startswith("report 0:")
-    bad = [replace(r, pi1_aut_stable=r.pi1_aut_stable.direct_sum(Z),
-                   pi2_aut_stable=r.pi1_aut_stable.direct_sum(Z))
+    bad = [replace_fields(r, pi1_aut_stable=r.pi1_aut_stable.direct_sum(Z),
+                          pi2_aut_stable=r.pi1_aut_stable.direct_sum(Z))
            for r in good]  # equal, and not the group of the weak data
     assert selftest.check_stable_equality(bad).startswith("report 0:")
-    bad = [replace(r, ext_s0=r.ext_s0.direct_sum(Z)) for r in good]
+    bad = [replace_fields(r, ext_s0=r.ext_s0.direct_sum(Z)) for r in good]
     assert selftest.check_rank_identities(bad).startswith("report 0:")
-    bad = [replace(r, ext_s1=r.ext_s1.direct_sum(Z)) for r in good]
+    bad = [replace_fields(r, ext_s1=r.ext_s1.direct_sum(Z)) for r in good]
     assert selftest.check_unit_class_cross_check(corpus, bad) \
         .startswith("matrix 0:")
     a, b = ck.gen_cuntz(3), ck.gen_cuntz(4)
@@ -660,3 +666,18 @@ def test_commands_on_int_rows_never_import_numpy(matrix_files, tmp_path,
                         "print('numpy' in sys.modules)"],
                        capture_output=True, text=True)
     assert r.stdout == "False\n"
+
+
+def test_a_cli_process_imports_no_dataclasses_or_json():
+    # under -S no site module preloads anything, so sys.modules holds what
+    # import ckinv.cli needs; json is imported only to read or write JSON
+    src = str(Path(cli.__file__).parents[1])
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys; sys.path.insert(0, sys.argv"
+         "[1]); import ckinv.cli; print(' '.join(sorted(sys.modules)))", src],
+        capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    loaded = set(r.stdout.split())
+    assert "ckinv.cli" in loaded
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize",
+                "json"} & loaded

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from itertools import chain
+from math import prod
 
 import numpy as np
 import pytest
@@ -310,6 +311,55 @@ def test_modular_core_matches_the_min_abs_loop(monkeypatch):
     for rows, cols in ((5, 5), (7, 4), (4, 9)):
         _check_core([[rng.randint(-2 ** 70, 2 ** 70) for _ in range(cols)]
                      for _ in range(rows)])
+
+
+def test_a_monomial_core_is_read_without_elimination(monkeypatch):
+    # a square core with one nonzero in each row and each column is read
+    # off directly; the oracle is the Bareiss route on the same matrix
+    # with one row added to another, which keeps the Smith diagonal and
+    # leaves two nonzeros in that row, and on small cores the min-abs loop
+    calls = []
+    bareiss = intmat._bareiss
+    monkeypatch.setattr(intmat, "_bareiss",
+                        lambda a: calls.append(1) or bareiss(a))
+
+    def check(core):
+        del calls[:]
+        got = intmat._modular_diagonal([row[:] for row in core])
+        assert not calls
+        if len(core) > 1:
+            mixed = [row[:] for row in core]
+            mixed[-1] = [x + y for x, y in zip(mixed[-1], mixed[0])]
+            assert intmat._modular_diagonal(mixed) == got and calls
+        if len(core) <= 12:
+            assert got == intmat._smith_rows([row[:] for row in core])
+        return got
+
+    rng = random.Random(30)
+    for n in list(range(1, 61)) * 2:
+        cols = rng.sample(range(n), n)
+        entries = [rng.choice((-1, 1)) * rng.randint(1, 10 ** 6)
+                   for _ in range(n)]
+        core = [[0] * n for _ in range(n)]
+        for row, c, x in zip(core, cols, entries):
+            row[c] = x
+        assert prod(check(core)) == prod(map(abs, entries))
+    # realize outputs: I - A and its transpose leave monomial cores, or
+    # none where the target has no torsion
+    targets = random_targets(40, 30) + [realize.RealizationTarget(0, (2,) * 80)]
+    cores = [_core(m) for t in targets
+             for ia in [i_minus_array(realize.realize_k0(t).entries)]
+             for m in (ia, ia.T)]
+    cores = [core for core in cores if core]
+    assert len(cores) >= 50 and max(map(len, cores)) == 80
+    for core in cores:
+        assert all(len(row) - row.count(0) == 1 for row in core)
+        check(core)
+    # one nonzero in each row, but two rows share a column: singular, so
+    # the Bareiss route takes it
+    del calls[:]
+    assert _check_core([[0, 3, 0], [0, -6, 0], [5, 0, 0]]) == [1, 15]
+    assert calls
 
 
 def test_two_step_bareiss_matches_the_one_step_oracle():
