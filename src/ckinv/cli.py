@@ -28,28 +28,39 @@ class MatrixParseError(ValueError):
 
 
 _TOKEN = re.compile(r"-?[0-9]+")
+# the same grammar with at most 19 significant digits: no 64-bit value
+# has more, and int() may refuse a longer token
+_INTEGER = re.compile(r"-?0*[0-9]{1,19}")
+_DECIMAL = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE]-?[0-9]+)?")
 _INT64 = 1 << 63
+# ck.MAX_SIDE = 1000 rows of 1000 tokens of at most 20 characters and a
+# separator: 2.1e7 characters, under 2**25 with room for comments.
+_MAX_FILE_CHARS = 1 << 25
 
 
 def _token_int(token: str, lineno: int, what: str) -> int:
     """One ``-?[0-9]+`` token of the text format, in the 64-bit range."""
-    if not _TOKEN.fullmatch(token):
-        raise MatrixParseError(f"line {lineno}: {what} is not an integer: "
-                               f"{token[:40]!r}")
-    # past 19 significant digits no value fits, and int() may refuse it
-    if len(token.lstrip("-").lstrip("0")) > 19 or \
-            not -_INT64 <= int(token) < _INT64:
-        raise MatrixParseError(
-            f"line {lineno}: {what} out of the 64-bit range")
+    if not _INTEGER.fullmatch(token) or not -_INT64 <= int(token) < _INT64:
+        why = ("out of the 64-bit range" if _TOKEN.fullmatch(token)
+               else f"is not an integer: {token[:40]!r}")
+        raise MatrixParseError(f"line {lineno}: {what} {why}")
     return int(token)
 
 
 def _int_argument(token: str) -> int:
-    """A command-line integer in the same ``-?[0-9]+`` grammar."""
-    if not _TOKEN.fullmatch(token) or len(token.lstrip("-")) > 19:
-        raise argparse.ArgumentTypeError(
-            f"not an integer of at most 19 digits: {token[:40]!r}")
+    """A command-line integer by the same rule, with no 64-bit bound."""
+    if not _INTEGER.fullmatch(token):
+        raise argparse.ArgumentTypeError(f"not an integer of at most 19 "
+                                         f"significant digits: {token[:40]!r}")
     return int(token)
+
+
+def _decimal_argument(token: str) -> float:
+    """A command-line decimal: ASCII digits, one point at most, and an
+    optional exponent in the ``-?[0-9]+`` grammar."""
+    if not _DECIMAL.fullmatch(token):
+        raise argparse.ArgumentTypeError(f"not a decimal: {token[:40]!r}")
+    return float(token)
 
 
 def _int_list_argument(text: str) -> tuple[int, ...]:
@@ -128,14 +139,17 @@ def parse_matrix_json(text: str) -> list[list[int]]:
 
 def load_matrix(path: str) -> list[list[int]]:
     """Rows of ints of a matrix file, by the format its first character
-    names."""
+    names; one past ``_MAX_FILE_CHARS`` characters is refused unread."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            text = fp.read()
+            text = fp.read(_MAX_FILE_CHARS + 1)
     except OSError as e:
         raise MatrixParseError(f"cannot read {path}: {e.strerror}")
     except UnicodeDecodeError:
         raise MatrixParseError(f"{path} is not a text or JSON matrix file")
+    if len(text) > _MAX_FILE_CHARS:
+        raise MatrixParseError(
+            f"{path} holds more than {_MAX_FILE_CHARS} characters")
     if text.lstrip().startswith("{"):
         return parse_matrix_json(text)
     return parse_matrix_text(text)
@@ -342,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(fn=cmd_gen)
     g = gensub.add_parser("random")
     g.add_argument("n", type=_int_argument)
-    g.add_argument("--density", type=float, default=0.5)
+    g.add_argument("--density", type=_decimal_argument, default=0.5)
     g.add_argument("--seed", type=_int_argument, required=True)
     g.add_argument("--out")
     g.set_defaults(fn=cmd_gen)

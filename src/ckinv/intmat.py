@@ -21,7 +21,10 @@ Python ints, down to the rows of u and columns of v that
 ``h``, object arrays built on first access for the benchmark, import
 numpy (the ``arrays`` extra).
 :func:`smith_normal_form` runs a min-abs-pivot Smith loop on the whole
-matrix with its transforms.  :func:`smith_diagonal` first eliminates unit
+matrix with its transforms, each carried in the rows or columns it
+transforms, as in the augmented form [m | I] (Cohen, Sec. 2.4), so that
+every operation is written once; so does the Hermite loop.
+:func:`smith_diagonal` first eliminates unit
 pivots, each in the shortest row that holds one and there in the
 shortest column, keeping the row and column nonzero counts as the Schur
 updates change them.  On the dense core left, fraction-free (Bareiss)
@@ -196,24 +199,39 @@ def _subtract(row: list[int], q: int, pairs) -> None:
         row[c] -= q * x
 
 
+def _reduce(vectors: list[list[int]], i: int, r: int, ks) -> None:
+    """Subtract from each vector k in ks the multiple of vector i that
+    floors its entry r against the pivot ``vectors[i][r]``: a Euclidean
+    step on the rows of a matrix, or on its columns held as lists."""
+    p = vectors[i][r]
+    pairs = _support(vectors[i])
+    for k in ks:
+        q = vectors[k][r] // p
+        if q:
+            _subtract(vectors[k], q, pairs)
+
+
 def _smith_rows(a: list[list[int]], u=None, vt=None) -> list[int]:
     """Min-abs-pivot Smith elimination of equal-length int rows.
 
     Returns the diagonal with zeros omitted.  The pivot is the
     smallest-magnitude nonzero entry, first in row-major order on ties,
     which keeps intermediate values small; a finished pivot row and column
-    are sliced off.  When ``u`` and ``vt`` (rows of v transposed) are
-    given, every row operation is repeated on u and every column
-    operation on vt, in place, so that u @ m @ v becomes diagonal.
-    Consumes ``a``; no two rows of ``a``, ``u`` or ``vt`` may be the
-    same list object.
+    are sliced off.  Given ``u`` and ``vt`` (rows of v transposed), each
+    row of u rides on its row of ``a`` past the live width w, and the rows
+    of v under the columns, so each operation is written once; u and vt
+    are filled in place so that u @ m @ v is diagonal.  Consumes ``a``; no
+    two rows of ``a``, ``u`` or ``vt`` may be the same list object.
     """
-    diag = []
-    t = 0  # a is rows and columns t: of the matrix being reduced
-    while a and a[0]:
+    w = len(a[0]) if a else 0
+    for row, tail in zip(a, u or ()):
+        row += tail
+    v = [list(x) for x in zip(*(vt or ()))]  # rows of v, w entries live
+    diag, u_done, v_done = [], [], []
+    while a and w:
         i, p = None, 0
         for k, row in enumerate(a):
-            least = min(map(abs, filter(None, row)), default=0)
+            least = min(map(abs, filter(None, row[:w])), default=0)
             if least and (not p or least < p):
                 i, p = k, least
                 if p == 1:
@@ -221,50 +239,33 @@ def _smith_rows(a: list[list[int]], u=None, vt=None) -> list[int]:
         if i is None:
             break
         j = next(j for j, x in enumerate(a[i]) if x == p or x == -p)
-        if i:
-            a[0], a[i] = a[i], a[0]
-            if u is not None:
-                u[t], u[t + i] = u[t + i], u[t]
-        if j:
-            for row in a:
-                row[0], row[j] = row[j], row[0]
-            if vt is not None:
-                vt[t], vt[t + j] = vt[t + j], vt[t]
+        a[0], a[i] = a[i], a[0]
+        for row in chain(a, v):
+            row[0], row[j] = row[j], row[0]
         if a[0][0] < 0:
             a[0] = [-x for x in a[0]]
-            if u is not None:
-                u[t] = [-x for x in u[t]]
-        pivot = _support(a[0])
-        if u is not None:
-            upivot = _support(u[t])
-        for k in range(1, len(a)):
-            q = a[k][0] // p
-            if q:
-                _subtract(a[k], q, pivot)
-                if u is not None:
-                    _subtract(u[t + k], q, upivot)
-        qs = _support([0] + [x // p for x in a[0][1:]])
-        if qs:
-            for row in a:
-                if row[0]:
-                    _subtract(row, row[0], qs)
-            if vt is not None:
-                vpivot = _support(vt[t])
-                for k, q in qs:
-                    _subtract(vt[t + k], q, vpivot)
-        if p != 1 and (any(row[0] for row in a[1:]) or any(a[0][1:])):
+        _reduce(a, 0, 0, range(1, len(a)))
+        qs = _support([0] + [x // p for x in a[0][1:w]])
+        for row in chain(a, v):
+            if row[0]:
+                _subtract(row, row[0], qs)
+        if p != 1 and (any(row[0] for row in a[1:]) or any(a[0][1:w])):
             continue  # remainders left; re-pivot on a smaller entry
         if p > 1:
-            bad = next((k for k in range(1, len(a))
-                        if any(x % p for x in a[k][1:])), None)
+            bad = next((r for r in a[1:] if any(x % p for x in r[1:w])), None)
             if bad is not None:
-                a[0] = [x + y for x, y in zip(a[0], a[bad])]
-                if u is not None:
-                    u[t] = [x + y for x, y in zip(u[t], u[t + bad])]
+                a[0] = [x + y for x, y in zip(a[0], bad)]
                 continue  # pivot must divide the remaining block
         diag.append(p)
+        u_done.append(a[0][w:])
+        v_done.append([row[0] for row in v])
         a = [row[1:] for row in a[1:]]
-        t += 1
+        v = [row[1:] for row in v]
+        w -= 1
+    if u is not None:
+        u[:] = u_done + [row[w:] for row in a]
+    if vt is not None:
+        vt[:] = v_done + _transpose(v, len(vt) - len(v_done))
     return diag
 
 
@@ -613,27 +614,13 @@ class HermiteDecomposition(_Frozen):
         return None if any(v) else x
 
 
-def _reduce_columns(h, u, pc: int, r: int, ks) -> None:
-    """Subtract from each column k in ks of h, and of u, the multiple of
-    column pc that floors its entry in row r against the pivot h[pc][r]."""
-    p = h[pc][r]
-    hp, up = _support(h[pc]), _support(u[pc])
-    for k in ks:
-        q = h[k][r] // p
-        if q:
-            _subtract(h[k], q, hp)
-            _subtract(u[k], q, up)
-
-
 def _hermite(columns, rows: int) -> HermiteDecomposition:
     """Hermite decomposition of the rows x len(columns) matrix with these
-    int columns, which are read, not changed; see
-    :func:`hermite_normal_form`."""
-    h = [list(c) for c in columns]
-    cols = len(h)
-    u = _identity_rows(cols)  # columns of u
-    pivots = []
-    pc = 0
+    int columns, which are read, not changed; see :func:`hermite_normal_form`.
+    Each column of u rides under its column of h, split off at the end."""
+    cols = len(columns)
+    h = [list(c) + e for c, e in zip(columns, _identity_rows(cols))]
+    pivots, pc = [], 0
     for r in range(rows):
         if pc == cols:
             break
@@ -647,20 +634,18 @@ def _hermite(columns, rows: int) -> HermiteDecomposition:
                         break
             if i is None:
                 break
-            if i != pc:
-                h[pc], h[i] = h[i], h[pc]
-                u[pc], u[i] = u[i], u[pc]
+            h[pc], h[i] = h[i], h[pc]
             if h[pc][r] < 0:
                 h[pc] = [-x for x in h[pc]]
-                u[pc] = [-x for x in u[pc]]
-            _reduce_columns(h, u, pc, r, range(pc + 1, cols))
+            _reduce(h, pc, r, range(pc + 1, cols))
             if not any(h[k][r] for k in range(pc + 1, cols)):
                 break
         if h[pc][r]:
-            _reduce_columns(h, u, pc, r, range(pc))
+            _reduce(h, pc, r, range(pc))
             pivots.append((r, pc))
             pc += 1
-    return HermiteDecomposition(h, u, tuple(pivots), rows)
+    return HermiteDecomposition([c[:rows] for c in h], [c[rows:] for c in h],
+                                tuple(pivots), rows)
 
 
 def hermite_normal_form(m) -> HermiteDecomposition:

@@ -81,6 +81,40 @@ def test_parse_rejects_entries_past_64_bits():
             cli.parse_matrix_json(doc)
 
 
+def test_load_matrix_refuses_a_file_past_the_cap(tmp_path, monkeypatch,
+                                                 capsys):
+    # the file is read to the cap plus one character, never whole
+    monkeypatch.setattr(cli, "_MAX_FILE_CHARS", 10)
+    path = tmp_path / "m.txt"
+    path.write_text("2\n1 1\n1 1\n")  # 10 characters
+    assert cli.load_matrix(str(path)) == [[1, 1], [1, 1]]
+    path.write_text("2\n1 1\n1 1\n\n")
+    with pytest.raises(cli.MatrixParseError, match="more than 10 char"):
+        cli.load_matrix(str(path))
+    assert cli.main(["validate", str(path)]) == cli.EXIT_INVALID
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and "more than 10 characters" in out
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists() or sys.platform == "win32",
+                    reason="needs /dev/zero and RLIMIT_AS")
+def test_validate_refuses_an_endless_file_in_bounded_memory():
+    # a whole-file read of /dev/zero would allocate without bound; the
+    # child gets an address-space limit so that such a read ends in
+    # MemoryError, not in the machine's memory
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    r = subprocess.run([sys.executable, "-m", "ckinv.cli", "validate",
+                        "/dev/zero"], capture_output=True, text=True,
+                       timeout=60, preexec_fn=limit)
+    assert r.returncode == cli.EXIT_INVALID, r.stderr[-300:]
+    assert r.stdout == (f"rejected: /dev/zero holds more than "
+                        f"{cli._MAX_FILE_CHARS} characters\n")
+
+
 def test_parse_json_document():
     assert cli.parse_matrix_json('{"matrix": [[1, 1], [1, 0]]}') == \
         [[1, 1], [1, 0]]
@@ -420,6 +454,42 @@ def test_realize_integers_follow_the_grammar(token, capsys):
         assert err.splitlines()[-1].startswith("error:")
         assert "not an integer" in err
         assert "Traceback" not in err and len(err) < 500
+
+
+def test_command_line_integers_take_leading_zeros(capsys):
+    # a zero-padded token reads as in a matrix file: 19 significant
+    # digits, not 19 characters, bound both
+    padded = "0" * 21 + "1"
+    assert cli.parse_matrix_text(f"1\n{padded}\n") == [[1]]
+    assert cli._int_argument(padded) == 1
+    assert cli._int_argument("-" + "0" * 30 + "9" * 19) == -(10 ** 19 - 1)
+    assert cli.main(["realize", "--rank", "1", "--torsion", "2"]) == 0
+    want = capsys.readouterr().out
+    assert cli.main(["realize", "--rank", padded, "--torsion", "2"]) == 0
+    assert capsys.readouterr().out == want
+    with pytest.raises(SystemExit):
+        cli.main(["realize", "--rank", "1" + "0" * 19])
+    assert "not an integer" in capsys.readouterr().err
+
+
+def test_gen_density_follows_a_decimal_grammar(capsys):
+    # float() alone takes every refused token; --density \u0660.\u0665
+    # used to write a density-0.5 matrix
+    for token in ("0.1_5", "+0.3", "\u0660.\u0665", "0x1p-1", "nan",
+                  "1e+0", "0.5 "):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["gen", "random", "3", "--density", token,
+                      "--seed", "1"])
+        assert stop.value.code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error:")
+        assert "not a decimal" in err and "Traceback" not in err
+    outs = set()
+    for token in ("0.5", ".5", "0.50", "5e-1", "50E-2", "0.05e1"):
+        assert cli.main(["gen", "random", "4", "--density", token,
+                         "--seed", "3"]) == 0
+        outs.add(capsys.readouterr().out)
+    assert len(outs) == 1
 
 
 def test_compare_reads_its_verdicts_off_the_reports(matrix_files,

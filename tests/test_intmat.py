@@ -131,7 +131,9 @@ def _same(a, b):
 def test_transforms_match_the_numpy_reference():
     # the list-based Smith and Hermite eliminations against the numpy ones
     # they replaced, which start on int64 and switch to Python ints
-    # mid-run; u, s, v, h and the pivots must agree entry for entry
+    # mid-run; u, s, v, h and the pivots must agree entry for entry, and
+    # so must the u that the Smith loop builds alone, without v, as
+    # canonical_coords runs it
     rng = random.Random(4)
     cases = [np.array([[2 ** 30, 0], [0, 2 ** 30 - 1]]),
              np.array([[rng.randint(-9, 9) for _ in range(7)]
@@ -155,6 +157,10 @@ def test_transforms_match_the_numpy_reference():
         dec = intmat.smith_normal_form(m)
         u, s, v = numpy_smith_normal_form(m)
         assert _same(dec.u, u) and _same(dec.s, s) and _same(dec.v, v)
+        rows = m.tolist()
+        u_only = intmat._identity_rows(len(rows))
+        intmat._smith_rows(rows, u_only)
+        assert _same(object_array(u_only), u)
         herm = intmat.hermite_normal_form(m)
         h, hu, pivots = numpy_hermite_normal_form(m)
         assert _same(herm.h, h) and _same(herm.u, hu)
