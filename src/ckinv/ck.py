@@ -159,7 +159,8 @@ def validate(raw) -> ZeroOneMatrix:
     as :func:`ckinv.intmat.smith_diagonal` reads them: rows of Python
     ints, or anything read into them through ``tolist()``, with booleans
     as 0 and 1, so ``validate(a.rows) == a``; a non-integer entry is a
-    ``bad-entry``, and ragged or non-2-D rows are ``not-square``.
+    ``bad-entry``, and ragged or non-2-D rows are ``not-square``; the
+    message names where, and shows a bad entry in about 40 characters.
     """
     try:
         rows, width = intmat._shaped(raw)
@@ -181,8 +182,8 @@ def validate(raw) -> ZeroOneMatrix:
         i, j = next((i, j) for i, row in enumerate(rows)
                     for j, x in enumerate(row) if x not in (0, 1))
         raise MatrixValidationError(
-            "bad-entry",
-            f"entry outside {{0,1}} at row {i}, column {j}: {rows[i][j]}")
+            "bad-entry", f"entry outside {{0,1}} at row {i}, column {j}: "
+                         f"{intmat._shown(rows[i][j])}")
     if _is_permutation(rows):
         raise MatrixValidationError("permutation",
                                     "permutation matrices are excluded")
@@ -407,8 +408,7 @@ def k0_pair(a: ZeroOneMatrix) -> tuple[PresentedGroup, GroupElement]:
     groups: the strong one is Z + K_0/(unit class).
     """
     a = _require_valid(a)
-    # the rows of I - A are the columns of (I - A)^t
-    p = PresentedGroup._on_columns(a.n, _i_minus_rows(a))
+    p = PresentedGroup(a.n, list(zip(*_i_minus_rows(a))))  # (I - A)^t
     return p, p.element([1] * a.n)
 
 
@@ -543,8 +543,7 @@ def five_term_sequence(a: ZeroOneMatrix) -> FiveTermSequence:
         raise VerificationError("the coordinate sums of Ker(I - A) do not "
                                 "generate the kernel of iota")
     coeffs, g2, m = s._lift, s.source, len(ker_a)
-    g1 = PresentedGroup._on_columns(1 + len(coeffs),
-                                    [[1] + [0] * len(coeffs)])  # e_1
+    g1 = PresentedGroup(1 + len(coeffs), [[1]] + [[0]] * len(coeffs))  # e_1
     # e_1 maps to 0, B c to c
     j = GroupHom(g1, g2, intmat._transpose([[0] * m] + coeffs, m))
     return FiveTermSequence((g1, g2, g3, g4, g5), (j, s, iota, q))

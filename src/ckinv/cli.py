@@ -27,32 +27,29 @@ class MatrixParseError(ValueError):
     """Malformed matrix file; the message carries the position."""
 
 
-_TOKEN = re.compile(r"-?[0-9]+")
-# the same grammar with at most 19 significant digits: no 64-bit value
-# has more, and int() may refuse a longer token
+# -?[0-9]+ with at most 19 significant digits, so that int() of a token
+# stays bounded; the matrix formats leave the values to ck.validate
 _INTEGER = re.compile(r"-?0*[0-9]{1,19}")
 _DECIMAL = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE]-?[0-9]+)?")
-_INT64 = 1 << 63
-# ck.MAX_SIDE = 1000 rows of 1000 tokens of at most 20 characters and a
-# separator: 2.1e7 characters, under 2**25 with room for comments.
+# ck.MAX_SIDE = 1000 rows of 1000 tokens of a sign and 19 digits, each with
+# a separator: 2.1e7 characters, under 2**25 with room for comments.
 _MAX_FILE_CHARS = 1 << 25
 
 
-def _token_int(token: str, lineno: int, what: str) -> int:
-    """One ``-?[0-9]+`` token of the text format, in the 64-bit range."""
-    if not _INTEGER.fullmatch(token) or not -_INT64 <= int(token) < _INT64:
-        why = ("out of the 64-bit range" if _TOKEN.fullmatch(token)
-               else f"is not an integer: {token[:40]!r}")
-        raise MatrixParseError(f"line {lineno}: {what} {why}")
-    return int(token)
-
-
 def _int_argument(token: str) -> int:
-    """A command-line integer by the same rule, with no 64-bit bound."""
+    """A command-line integer: ``-?[0-9]+``, at most 19 significant digits."""
     if not _INTEGER.fullmatch(token):
         raise argparse.ArgumentTypeError(f"not an integer of at most 19 "
                                          f"significant digits: {token[:40]!r}")
     return int(token)
+
+
+def _token_int(token: str, lineno: int, what: str) -> int:
+    """One token of the text format, by the rule of :func:`_int_argument`."""
+    try:
+        return _int_argument(token)
+    except argparse.ArgumentTypeError as e:
+        raise MatrixParseError(f"line {lineno}: {what} is {e}") from None
 
 
 def _decimal_argument(token: str) -> float:
@@ -71,7 +68,8 @@ def _int_list_argument(text: str) -> tuple[int, ...]:
 def parse_matrix_text(text: str) -> list[list[int]]:
     """Parse the plain-text matrix format into rows of ints.
 
-    Every token must match ``-?[0-9]+`` and fit in 64 bits.
+    Every token must match ``-?[0-9]+`` with at most 19 significant
+    digits; :func:`ckinv.ck.validate` judges the values.
     """
     rows = []
     n = None
@@ -103,11 +101,9 @@ def parse_matrix_text(text: str) -> list[list[int]]:
     return rows
 
 
-def parse_matrix_json(text: str) -> list[list[int]]:
-    """Parse a JSON document {"matrix": [[...]]} into rows of ints.
-
-    Rows must have equal lengths and integer entries in 64 bits.
-    """
+def parse_matrix_json(text: str):
+    """The rows of a JSON document {"matrix": [[...]]}, as parsed:
+    :func:`ckinv.ck.validate` judges their shape and entries."""
     import json  # only here and in render_json: most commands print text
     try:
         doc = json.loads(text)
@@ -119,27 +115,12 @@ def parse_matrix_json(text: str) -> list[list[int]]:
         raise MatrixParseError("JSON document too deep or a number too long")
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise MatrixParseError('JSON document must be {"matrix": [[...]]}')
-    rows = doc["matrix"]
-    if (not isinstance(rows, list) or not rows
-            or not all(isinstance(r, list) for r in rows)):
-        raise MatrixParseError('"matrix" must be a non-empty list of rows')
-    width = len(rows[0])
-    for i, r in enumerate(rows):
-        if len(r) != width:
-            raise MatrixParseError(
-                f"row {i} has {len(r)} entries, expected {width}")
-        if not all(isinstance(x, int) and not isinstance(x, bool)
-                   for x in r):
-            raise MatrixParseError(f"row {i} has a non-integer entry")
-        if not all(-_INT64 <= x < _INT64 for x in r):
-            raise MatrixParseError(
-                f"row {i} has an entry out of the 64-bit range")
-    return rows
+    return doc["matrix"]
 
 
-def load_matrix(path: str) -> list[list[int]]:
-    """Rows of ints of a matrix file, by the format its first character
-    names; one past ``_MAX_FILE_CHARS`` characters is refused unread."""
+def load_matrix(path: str):
+    """The rows of a matrix file, by the format its first character names;
+    one past ``_MAX_FILE_CHARS`` characters is refused unread."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
             text = fp.read(_MAX_FILE_CHARS + 1)
@@ -215,12 +196,13 @@ def cmd_invariants(args) -> int:
 def cmd_compare(args) -> int:
     a = _load_valid(args.matrix_a)
     b = _load_valid(args.matrix_b)
-    ra, rb = ck.invariants(a), ck.invariants(b)
-    # the deciders read the groups the two reports left on a and b
+    # the deciders eliminate I - A and I - A^hat of each matrix once, and
+    # the table reads the groups they leave on a and b
     iso, stable = ck.is_isomorphic_ck(a, b), ck.is_stably_isomorphic_ck(a, b)
-    table = [("K0", ra.k0, rb.k0), ("ExtS1", ra.ext_s1, rb.ext_s1),
-             ("pi1_aut", ra.pi1_aut, rb.pi1_aut),
-             ("pi2_aut", ra.pi2_aut, rb.pi2_aut)]
+    table = [("K0", a._weak[0], b._weak[0]),
+             ("ExtS1", a._strong[0], b._strong[0]),
+             ("pi1_aut", ck.pi_aut(a, 1), ck.pi_aut(b, 1)),
+             ("pi2_aut", ck.pi_aut(a, 2), ck.pi_aut(b, 2))]
     if args.json:
         doc = {
             "isomorphic": iso,

@@ -66,18 +66,35 @@ def _listed(seq, what: str) -> list | tuple:
     return seq
 
 
-def _ints(seq, what: str) -> list | tuple:
-    """A row or vector as Python ints; see :func:`_shaped`."""
+def _shown(x) -> str:
+    """An entry for an error message, in about 40 characters: an integer
+    of more digits by its first 40 and its digit count, never converted
+    whole (``str()`` refuses one past 4300 digits)."""
+    if type(x) is not int:
+        return repr(x)[:40]
+    k = max(0, int(x.bit_length() * 0.30103) - 40)  # under its digit count
+    lead = str(abs(x) // 10 ** k)
+    return str(x) if k + len(lead) <= 40 else \
+        f"{'-' * (x < 0)}{lead[:40]}... ({k + len(lead)} digits)"
+
+
+def _ints(seq, row: int | None = None) -> list | tuple:
+    """A vector, or row ``row`` of a matrix, as Python ints; see
+    :func:`_shaped`.  A non-integer entry is named by its position."""
+    what = "vector" if row is None else f"row {row}"
     seq = _listed(seq, what)
     if {int}.issuperset(map(type, seq)):
         return seq
     out = []
-    for x in seq:
+    for j, x in enumerate(seq):
         if not isinstance(x, int):  # a bool is an int
             x = x.tolist() if hasattr(x, "tolist") else x
             if type(x) in (list, tuple):
                 raise ValueError(f"{what} holds a sequence, not an integer")
-        out.append(index(x))  # TypeError for a float, str, ...
+            if not hasattr(x, "__index__"):  # a float, str, ...
+                at = f"index {j}" if row is None else f"row {row}, column {j}"
+                raise TypeError(f"non-integer entry at {at}: {_shown(x)}")
+        out.append(index(x))
     return out
 
 
@@ -92,7 +109,7 @@ def _shaped(data) -> tuple[list | tuple, int]:
     booleans are 0 and 1.  A matrix with no rows keeps its column count
     only in the second item, from its ``shape`` if it has one.  An entry
     that is not an integer raises ``TypeError``, ragged or non-2-D input
-    ``ValueError``.
+    ``ValueError``, each naming the first row at fault.
     """
     if not (type(data) in (list, tuple)
             and {list, tuple}.issuperset(map(type, data))
@@ -100,11 +117,13 @@ def _shaped(data) -> tuple[list | tuple, int]:
         shape = getattr(data, "shape", ())
         if len(shape) > 2:
             raise ValueError(f"expected a 2-D matrix, got shape {shape}")
-        data = [_ints(row, "matrix row") for row in _listed(data, "matrix")]
+        data = [_ints(row, i)
+                for i, row in enumerate(_listed(data, "matrix"))]
         if not data:
             return data, shape[1] if len(shape) == 2 else 0
     if len(set(map(len, data))) > 1:
-        raise ValueError("matrix rows differ in length")
+        i = next(i for i, row in enumerate(data) if len(row) != len(data[0]))
+        raise ValueError(f"matrix rows differ in length at row {i}")
     return data, len(data[0]) if data else 0
 
 
@@ -127,7 +146,7 @@ def _columns(data) -> tuple[list[list[int]], int]:
 def _vector(data, length: int) -> tuple[int, ...]:
     """A vector of ``length`` Python ints, as a tuple, read as
     :func:`_shaped` reads a row."""
-    v = tuple(_ints(data, "vector"))
+    v = tuple(_ints(data))
     if len(v) != length:
         raise ValueError(f"expected length {length}, got {len(v)}")
     return v

@@ -52,6 +52,7 @@ class PresentedGroup:
     """Z^generators / (column lattice of relations)."""
 
     def __init__(self, generators: int, relations=None):
+        generators = index(generators)  # a float raises TypeError
         if generators < 0:
             raise ValueError("generator count must be non-negative")
         columns, rows = ([], generators) if relations is None \
@@ -62,14 +63,6 @@ class PresentedGroup:
                 f"got {rows}")
         self.generators = generators
         self._relations = columns
-
-    @classmethod
-    def _on_columns(cls, generators: int, columns) -> "PresentedGroup":
-        """The group with these relation columns, lists of ``generators``
-        Python ints each, taken as they are."""
-        group = cls.__new__(cls)
-        group.generators, group._relations = generators, columns
-        return group
 
     def __repr__(self):
         return (f"PresentedGroup({self.generators} generators, "
@@ -287,7 +280,8 @@ class GroupHom:
         lift = [list(c) for c in self._lift]
         rel = _preimage_generators(lift, self.source._relations,
                                    self.source.generators)
-        return PresentedGroup._on_columns(len(lift), rel), lift
+        k = len(lift)
+        return PresentedGroup(k, intmat._transpose(rel, k)), lift
 
     def is_injective(self) -> bool:
         return self.kernel()[0].canonical().is_trivial
@@ -325,7 +319,8 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
         raise ValueError("sequence is not composable at this node")
     if not g.target._contains(_images(g._rows, f._columns)):
         return False
-    middle = PresentedGroup._on_columns(f.target.generators, f.image())
+    height = f.target.generators
+    middle = PresentedGroup(height, intmat._transpose(f.image(), height))
     return middle._contains(g._lift)
 
 

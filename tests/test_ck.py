@@ -87,6 +87,24 @@ def test_validate_reads_unsigned_entries_exactly():
         assert str(big) in str(err.value) and "-" not in str(err.value)
 
 
+def test_validate_shows_a_long_entry_in_a_short_message():
+    # past 4300 digits str() refuses an int; the message shows 40 digits
+    # and the digit count, and a long non-integer entry is cut likewise
+    for big, shown in ((10 ** 5000, "1" + "0" * 39 + "... (5001 digits)"),
+                       (-10 ** 4000, "-1" + "0" * 39 + "... (4001 digits)"),
+                       (2 ** 200, str(2 ** 200)[:40] + "... (61 digits)")):
+        with pytest.raises(ck.MatrixValidationError) as err:
+            ck.validate([[1, 1], [1, big]])
+        assert err.value.reason == "bad-entry"
+        assert str(err.value) == \
+            f"entry outside {{0,1}} at row 1, column 1: {shown}"
+    with pytest.raises(ck.MatrixValidationError) as err:
+        ck.validate([[1, "9" * 5000], [1, 1]])
+    assert err.value.reason == "bad-entry"
+    assert str(err.value).startswith("non-integer entry at row 0, column 1")
+    assert len(str(err.value)) < 100
+
+
 def test_validate_realized_matrix():
     from ckinv.realize import RealizationTarget, realize_k0
     m = realize_k0(RealizationTarget(0, (2,)))

@@ -10,7 +10,7 @@ import pytest
 from ckinv import ck, cli, intmat, selftest
 from ckinv.groups import Z
 
-from oracles import with_kernel
+from oracles import out_split, with_kernel
 
 EX3_A_TEXT = "3\n1 1 1\n1 1 1\n1 0 0\n"
 EX3_B_TEXT = "3\n1 1 1\n1 1 0\n1 1 0\n"
@@ -67,14 +67,25 @@ def test_parse_text_tokens_follow_the_grammar():
 
 
 def test_parse_rejects_entries_past_64_bits():
+    # the text grammar refuses a token of more than 19 significant digits;
+    # a value past the 64-bit range, in either format, reaches validate,
+    # which names the reason and the position
     big = "99999999999999999999999"
     for text in (f"1\n{big}\n", f"1\n{'9' * 5000}\n",
-                 f"{'9' * 5000}\n1\n", f"1\n-{2 ** 63 + 1}\n"):
-        with pytest.raises(cli.MatrixParseError, match="64-bit range"):
+                 f"{'9' * 5000}\n1\n"):
+        with pytest.raises(cli.MatrixParseError,
+                           match="at most 19 significant digits"):
             cli.parse_matrix_text(text)
     assert cli.parse_matrix_text(f"1\n-{2 ** 63}\n") == [[-2 ** 63]]
-    with pytest.raises(cli.MatrixParseError, match="64-bit range"):
-        cli.parse_matrix_json('{"matrix": [[%s]]}' % big)
+    for entry in (2 ** 63, -2 ** 63 - 1):
+        for rows in (cli.parse_matrix_text(f"2\n1 1\n1 {entry}\n"),
+                     cli.parse_matrix_json(
+                         '{"matrix": [[1, 1], [1, %d]]}' % entry)):
+            assert rows == [[1, 1], [1, entry]]
+            with pytest.raises(ck.MatrixValidationError,
+                               match=f"row 1, column 1: {entry}$") as err:
+                ck.validate(rows)
+            assert err.value.reason == "bad-entry"
     for doc in ('{"matrix": [[%s]]}' % ("9" * 5000),
                 '{"matrix": %s%s}' % ("[" * 100000, "]" * 100000)):
         with pytest.raises(cli.MatrixParseError):
@@ -116,14 +127,26 @@ def test_validate_refuses_an_endless_file_in_bounded_memory():
 
 
 def test_parse_json_document():
+    # the format checks JSON syntax and the {"matrix": ...} shape; the
+    # rows' shape and entries are validate's, which names the position
     assert cli.parse_matrix_json('{"matrix": [[1, 1], [1, 0]]}') == \
         [[1, 1], [1, 0]]
     with pytest.raises(cli.MatrixParseError):
         cli.parse_matrix_json('{"rows": []}')
-    with pytest.raises(cli.MatrixParseError, match="row 1"):
-        cli.parse_matrix_json('{"matrix": [[1, 1], [1]]}')
     with pytest.raises(cli.MatrixParseError, match="line 1"):
         cli.parse_matrix_json("{not json")
+    for doc, reason, where in (
+            ('{"matrix": [[1, 1], [1]]}', "not-square",
+             "differ in length at row 1$"),
+            ('{"matrix": [[1, "1"], [1, 1]]}', "bad-entry",
+             "row 0, column 1: '1'")):
+        with pytest.raises(ck.MatrixValidationError, match=where) as err:
+            ck.validate(cli.parse_matrix_json(doc))
+        assert err.value.reason == reason
+    # JSON booleans read as 1 and 0, as validate reads booleans
+    assert ck.validate(cli.parse_matrix_json(
+        '{"matrix": [[true, true], [true, false]]}')).rows == \
+        [[1, 1], [1, 0]]
 
 
 def test_matrix_text_roundtrip():
@@ -492,26 +515,75 @@ def test_gen_density_follows_a_decimal_grammar(capsys):
     assert len(outs) == 1
 
 
-def test_compare_reads_its_verdicts_off_the_reports(matrix_files,
-                                                    monkeypatch, capsys):
-    # two reports' eliminations, and nothing more, counting all three
-    # kernels
+def test_compare_runs_the_eliminations_of_its_deciders_alone(
+        matrix_files, monkeypatch, capsys):
+    # one Smith diagonal each of I - A and I - A^hat of both matrices, and
+    # nothing more, counting all three kernels
     calls = []
     for name in ("smith_diagonal", "smith_normal_form",
                  "hermite_normal_form"):
-        def counted(m, kernel=getattr(intmat, name)):
-            calls.append(kernel)
+        def counted(m, kernel=getattr(intmat, name), name=name):
+            calls.append(name)
             return kernel(m)
 
         monkeypatch.setattr(intmat, name, counted)
     a, b = matrix_files
-    ck.invariants(ck.validate(cli.load_matrix(str(a))))
-    per_report = len(calls)
-    calls.clear()
-    assert cli.main(["compare", str(a), str(b)]) == 0
-    assert len(calls) == 2 * per_report == 10
+    for json_flag in ([], ["--json"]):
+        calls.clear()
+        assert cli.main(["compare", str(a), str(b), *json_flag]) == 0
+        assert calls == ["smith_diagonal"] * 4
     assert capsys.readouterr().out.splitlines()[:2] == \
         ["isomorphic: false", "stably_isomorphic: true"]
+
+
+def _compare_from_reports(a, b, as_json: bool) -> str:
+    """compare's output built from two full reports and the deciders: the
+    oracle for the groups that compare reads off the deciders."""
+    a, b = ck.validate(a.rows), ck.validate(b.rows)
+    ra, rb = ck.invariants(a), ck.invariants(b)
+    iso, stable = ck.is_isomorphic_ck(a, b), ck.is_stably_isomorphic_ck(a, b)
+    table = [(name, getattr(ra, f), getattr(rb, f)) for name, f in (
+        ("K0", "k0"), ("ExtS1", "ext_s1"), ("pi1_aut", "pi1_aut"),
+        ("pi2_aut", "pi2_aut"))]
+    if as_json:
+        return cli.render_json({
+            "isomorphic": iso, "stably_isomorphic": stable,
+            "invariants": {name: {"a": ga.to_json(), "b": gb.to_json(),
+                                  "equal": ga == gb}
+                           for name, ga, gb in table}})
+    width = max(len(str(g)) for _, ga, gb in table for g in (ga, gb)) + 2
+    return "".join(
+        [f"isomorphic: {str(iso).lower()}\n",
+         f"stably_isomorphic: {str(stable).lower()}\n"]
+        + [f"{name:<16}{str(ga):<{width}}{str(gb):<{width}}"
+           f"{'equal' if ga == gb else 'DIFFER'}\n"
+           for name, ga, gb in table])
+
+
+def test_compare_prints_what_two_reports_give(tmp_path, capsys):
+    # consecutive corpus matrices, each matrix against itself and against
+    # an out-split of it (isomorphic), and one pair of side 150
+    corpus = selftest.make_corpus(40)
+    rng = random.Random(5)
+    pairs = [*zip(corpus, corpus[1:]), *((a, a) for a in corpus[::5]),
+             *((a, out_split(a, a.rows.index(max(a.rows, key=sum)), rng))
+               for a in corpus[::3])]
+    pairs.append((ck.gen_random_irreducible(150, 0.3, 7),
+                  ck.gen_random_irreducible(150, 0.3, 8)))
+    seen = set()
+    for a, b in pairs:
+        paths = []
+        for name, m in (("a.txt", a), ("b.txt", b)):
+            (tmp_path / name).write_text(cli.format_matrix_text(m.rows))
+            paths.append(str(tmp_path / name))
+        for json_flag in (False, True):
+            assert cli.main(["compare", *paths]
+                            + ["--json"] * json_flag) == 0
+            out = capsys.readouterr().out
+            assert out == _compare_from_reports(a, b, json_flag)
+            seen.add(out.split("\n", 2)[:2] == ["isomorphic: true",
+                                                 "stably_isomorphic: true"])
+    assert seen == {True, False}
 
 
 # -- input fuzzing ----------------------------------------------------------

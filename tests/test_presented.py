@@ -248,6 +248,15 @@ def test_element_equality_is_congruence():
             k * a
 
 
+def test_generator_count_is_read_by_index():
+    # a float is refused at construction, not later by the first query
+    for count in (1.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            PresentedGroup(count)
+    p = PresentedGroup(np.int64(2), [[2], [0]])
+    assert type(p.generators) is int and p.canonical() == FgAbGroup(1, (2,))
+
+
 def test_element_equality_matches_canonical_coords():
     rng = random.Random(17)
     for _ in range(60):
